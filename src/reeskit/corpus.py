@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as _Q
 
-from .groebner import GroebnerBasis, eliminate_polys
+from .groebner import GroebnerBasis, eliminate_aux
 from .ideals import Ideal, ideal_intersect, ideal_member, ideal_power, \
     ideal_product
 from .invariants import (SearchOutcome, artin_rees_number,
@@ -139,12 +139,9 @@ def monomial_curve(weights, names) -> RingCtx:
     names = tuple(names)
     if len(weights) != len(names):
         raise ValueError("weights and names must align")
-    work = RingCtx(("@t",) + names, _internal=True)
-    t = work.var("@t")
-    gens = [work.var(nm) - t ** w for nm, w in zip(names, weights)]
-    target, kept = eliminate_polys(gens, work, 1)
     base = RingCtx(names)
-    kernel = [g.in_ctx(base) for g in kept]
+    kernel = eliminate_aux(base, lambda t, lift: [
+        lift(base.var(nm)) - t ** w for nm, w in zip(names, weights)])
     ctx = base.with_quotient(kernel) if kernel else base
     _CURVE_CACHE[key] = ctx
     return ctx

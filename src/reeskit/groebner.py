@@ -5,6 +5,12 @@ pairs are processed smallest-lcm-first under the active order, and the
 returned basis is auto-reduced, monic, and sorted by leading monomial.
 Both classical pair criteria (coprime lcm and chain) are applied.
 Resource caps abort loudly instead of letting a runaway input spin.
+
+:func:`eliminate_polys` is the one elimination engine.
+:func:`eliminate_aux` runs it on a ring with one extra auxiliary
+variable in front; intersections, Rees-algebra kernels and
+monomial-curve rings are all built that way, and it is the only code
+that knows the auxiliary variable.
 """
 
 from __future__ import annotations
@@ -12,10 +18,15 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .poly import (Elimination, Poly, PolyError, RingCtx, TGraded)
+from .poly import (DegRevLex, Elimination, Poly, PolyError, RingCtx, TGraded,
+                   contract, embed)
 
 DEFAULT_MAX_BASIS = 4096
 DEFAULT_MAX_DEGREE = 256
+
+# The auxiliary elimination variable.  The grammar cannot spell "@", so
+# it never collides with a user variable.
+_AUX = "@t"
 
 # When True, every reduced basis returned by this module re-verifies the
 # Buchberger criterion before being handed out (used by the verification
@@ -296,7 +307,6 @@ def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None,
     if target_order is None:
         target_order = ctx.order
         if isinstance(target_order, (Elimination, TGraded)):
-            from .poly import DegRevLex
             target_order = DegRevLex()
     target = RingCtx(ctx.vars[first_k:], target_order, _internal=True)
     if first_k == 0:
@@ -305,9 +315,26 @@ def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None,
     elim_ctx = RingCtx(ctx.vars, Elimination(first_k), _internal=True)
     gb = reduced_groebner([g.in_ctx(elim_ctx) for g in gens], ctx=elim_ctx, **caps)
     keep_positions = tuple(range(first_k, len(ctx.vars)))
-    from .poly import contract
     kept = []
     for g in gb.elements:
         if all(all(e[i] == 0 for i in range(first_k)) for e in g.terms):
             kept.append(contract(g, target, keep_positions))
     return target, kept
+
+
+def eliminate_aux(target: RingCtx, build):
+    """Generators of (build(t, lift)) ∩ Q[target.vars], placed in ``target``.
+
+    ``build`` receives the auxiliary variable t of Q[t, target.vars] and
+    ``lift``, which moves a polynomial over (a prefix of) the variables
+    of ``target`` into that ring; it returns the generators to
+    eliminate t from.  No generators give no polynomials.
+    """
+    target = target.ambient
+    ring = RingCtx((_AUX,) + target.vars, Elimination(1), _internal=True)
+    positions = tuple(range(1, len(ring.vars)))
+    gens = build(ring.var(_AUX), lambda p: embed(p, ring, positions))
+    if not gens:
+        return []
+    _, kept = eliminate_polys(gens, ring, 1, target_order=target.order)
+    return [g.in_ctx(target) for g in kept]

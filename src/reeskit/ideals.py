@@ -10,11 +10,11 @@ fractions y/x with regular denominator all live here.
 
 from __future__ import annotations
 
-from .groebner import (GroebnerBasis, eliminate_polys, normal_form,
-                       reduced_groebner)
-from .poly import Elimination, Poly, PolyError, RingCtx, embed
+import itertools
 
-_AUX = "@t"  # internal elimination variable; not expressible in the grammar
+from .groebner import (GroebnerBasis, eliminate_aux, eliminate_polys,
+                       normal_form, reduced_groebner)
+from .poly import Poly, PolyError, RingCtx
 
 
 class Ideal:
@@ -156,24 +156,13 @@ def ideal_contains(I: Ideal, J: Ideal) -> bool:
 # intersection and colon
 
 
-def _aux_ring(ctx: RingCtx) -> RingCtx:
-    return RingCtx((_AUX,) + ctx.vars, Elimination(1), _internal=True)
-
-
 def _intersect_preimages(gens_a, gens_b, ctx: RingCtx):
     """Generators of (gens_a) ∩ (gens_b) inside the ambient polynomial ring."""
-    amb = ctx.ambient
-    ring = _aux_ring(amb)
-    positions = tuple(range(1, len(ring.vars)))
-    t = ring.var(_AUX)
-    one_minus_t = ring.one - t
-    lifted = [t * embed(g, ring, positions) for g in gens_a if not g.is_zero]
-    lifted += [one_minus_t * embed(g, ring, positions)
-               for g in gens_b if not g.is_zero]
-    if not lifted:
-        return []
-    target, kept = eliminate_polys(lifted, ring, 1, target_order=amb.order)
-    return [g.in_ctx(amb) for g in kept]
+    def build(t, lift):
+        one_minus_t = 1 - t
+        return ([t * lift(g) for g in gens_a if not g.is_zero]
+                + [one_minus_t * lift(g) for g in gens_b if not g.is_zero])
+    return eliminate_aux(ctx, build)
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -241,22 +230,32 @@ def is_regular_element(f, ctx: RingCtx) -> bool:
     if normal_form(f, ctx.quotient_gb()).is_zero:
         return False
     amb = ctx.ambient
-    q = Ideal(amb, list(ctx.quotient) or [amb.zero])
-    if q.is_zero:
-        return True
+    q = Ideal(amb, ctx.quotient)
     c = ideal_colon(q, Ideal(amb, [f]))
     return ideal_equal(c, q)
 
 
-def _combination_candidates(gens, ctx: RingCtx, trials: int):
-    """Deterministic Q-linear combinations 1, t, t^2, ... of the generators."""
-    for t in range(1, trials + 1):
-        combo = ctx.zero
-        scale = 1
-        for g in gens:
-            combo = combo + g.scale(scale)
-            scale *= t
-        yield combo
+def candidate_elements(I: Ideal, lead, trials: int = 16):
+    """Deterministic candidate elements of I, for searches over I.
+
+    Yields the nonzero elements of ``lead``, then the Q-linear
+    combinations of the generators of I with coefficients 1, t, t^2, ...
+    for t = 1..trials, skipping zeros and repeats.
+    """
+    def combinations():
+        for t in range(1, trials + 1):
+            combo = I.ctx.zero
+            scale = 1
+            for g in I.gens:
+                combo = combo + g.scale(scale)
+                scale *= t
+            yield combo
+
+    seen = set()
+    for g in itertools.chain(lead, combinations()):
+        if not g.is_zero and g not in seen:
+            seen.add(g)
+            yield g
 
 
 def is_regular_ideal(I: Ideal, trials: int = 16):
@@ -266,15 +265,8 @@ def is_regular_ideal(I: Ideal, trials: int = 16):
     deterministic linear combinations of the generators; returns None
     when nothing regular was found within the budget.
     """
-    seen = set()
-    candidates = list(I.gens)
-    for n in (2, 3):
-        candidates.extend(ideal_power(I, n).gens)
-    candidates.extend(_combination_candidates(I.gens, I.ctx, trials))
-    for g in candidates:
-        if g.is_zero or g in seen:
-            continue
-        seen.add(g)
+    lead = [g for n in (1, 2, 3) for g in ideal_power(I, n).gens]
+    for g in candidate_elements(I, lead, trials):
         if is_regular_element(g, I.ctx):
             return g
     return None
@@ -289,8 +281,7 @@ def eliminate(I: Ideal, first_k: int) -> Ideal:
     if I.ctx.is_quotient:
         raise PolyError("eliminate expects a polynomial (non-quotient) context")
     target, kept = eliminate_polys(list(I.gens), I.ctx, first_k)
-    tctx = RingCtx(target.vars, target.order, _internal=True)
-    return Ideal(tctx, [g.in_ctx(tctx) for g in kept])
+    return Ideal(target, kept)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ideals import (Ideal, ideal_colon, ideal_contains,
+from .ideals import (Ideal, candidate_elements, ideal_colon, ideal_contains,
                      ideal_equal, ideal_intersect, ideal_member, ideal_power,
                      ideal_product, ideal_sum, is_regular_element)
 from .poly import Poly, PolyError, RingCtx
@@ -77,17 +77,6 @@ def reduction_number(I: Ideal, J: Ideal, cap: int = DEFAULT_CAP) -> SearchOutcom
     return is_reduction(J, I, cap)
 
 
-def principal_reduction_candidates(I: Ideal, trials: int = 16):
-    """Deterministic candidate elements for a principal reduction of I."""
-    from .ideals import _combination_candidates
-    seen = set()
-    for g in list(I.gens) + list(_combination_candidates(I.gens, I.ctx, trials)):
-        if g.is_zero or g in seen:
-            continue
-        seen.add(g)
-        yield g
-
-
 def find_principal_reduction(I: Ideal, cap: int = DEFAULT_CAP,
                              trials: int = 16, survey: bool = False):
     """First regular g among the candidates with (g) a reduction of I.
@@ -99,13 +88,10 @@ def find_principal_reduction(I: Ideal, cap: int = DEFAULT_CAP,
     first is returned.
     """
     found = []
-    for g in principal_reduction_candidates(I, trials):
+    for g in candidate_elements(I, I.gens, trials):
         if not is_regular_element(g, I.ctx):
             continue
-        gI = Ideal(I.ctx, [g])
-        if not ideal_contains(I, gI):
-            continue
-        outcome = is_reduction(gI, I, cap)
+        outcome = is_reduction(Ideal(I.ctx, [g]), I, cap)
         if outcome.resolved:
             found.append((g, outcome))
             if not survey:
@@ -124,15 +110,15 @@ def find_principal_reduction(I: Ideal, cap: int = DEFAULT_CAP,
 # integral degree
 
 
-def integral_degree_fraction(y: Poly, x: Poly, ctx: RingCtx | None = None,
+def integral_degree_fraction(y: Poly, x: Poly, ctx: RingCtx,
                              cap: int = DEFAULT_CAP) -> SearchOutcome:
     """id(y/x): least n with x·(x, y)^{n-1} : (y^n) = (1).
 
-    Equals the minimal degree of a monic equation of y/x over the ring,
-    and rn_(x)((x, y)) + 1.  The denominator must be regular.
+    Equals the minimal degree of a monic equation of y/x over the ring
+    of ``ctx``, and rn_(x)((x, y)) + 1.  The denominator must be
+    regular.  ``ctx`` is required: a polynomial only knows the ambient
+    polynomial ring, not the quotient it is read in.
     """
-    if ctx is None:
-        ctx = x.ctx
     x = ctx.coerce(x)
     y = ctx.coerce(y)
     if not is_regular_element(x, ctx):
@@ -280,17 +266,10 @@ def d_sequence_check(seq, ctx: RingCtx) -> bool:
     J = Ideal(ctx, seq)
     for i in range(len(seq)):
         Ji = Ideal(ctx, seq[:i] or [ctx.zero])
-        lhs = ideal_intersect(ideal_colon_allow_zero(Ji, seq[i]), J)
+        lhs = ideal_intersect(ideal_colon(Ji, Ideal(ctx, [seq[i]])), J)
         if not ideal_equal(lhs, Ji):
             return False
     return True
-
-
-def ideal_colon_allow_zero(I: Ideal, g) -> Ideal:
-    """(I : g) where I may be the zero ideal (then the annihilator of g)."""
-    ctx = I.ctx
-    g = ctx.coerce(g)
-    return ideal_colon(I, Ideal(ctx, [g]))
 
 
 def vv_check(prefix, I: Ideal, n: int) -> bool:
@@ -316,7 +295,7 @@ def _filter_condition(I: Ideal, seq, n: int) -> bool:
     for i in range(1, len(seq) + 1):
         Ji1 = Ideal(ctx, seq[:i - 1] or [ctx.zero])
         lhs = ideal_intersect(
-            ideal_colon_allow_zero(ideal_product(Ji1, In), seq[i - 1]), In)
+            ideal_colon(ideal_product(Ji1, In), Ideal(ctx, [seq[i - 1]])), In)
         rhs = ideal_product(Ji1, ideal_power(I, n - 1))
         if not ideal_equal(lhs, rhs):
             return False

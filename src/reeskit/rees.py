@@ -13,14 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import eliminate_polys
+from .groebner import eliminate_aux, eliminate_polys
 from .ideals import (Ideal, ideal_colon, ideal_equal, ideal_intersect,
                      ideal_member, ideal_power, ideal_product, ideal_sum,
                      is_regular_element)
-from .poly import (DegRevLex, Elimination, Poly, PolyError, RingCtx, TGraded,
-                   embed)
-
-_AUX = "@t"
+from .poly import DegRevLex, Poly, PolyError, RingCtx, TGraded, embed
 
 
 def _fresh_tvars(base_vars, count):
@@ -87,30 +84,17 @@ def rees_kernel(I: Ideal) -> ReesPresentation:
     if not xs:
         raise PolyError("Rees presentation needs a nonzero ideal")
     m = len(xs)
-    base_vars = ctx.vars
-    tvars = _fresh_tvars(base_vars, m)
+    tvars = _fresh_tvars(ctx.vars, m)
+    ext = RingCtx(ctx.vars + tvars, TGraded(m, DegRevLex()), _internal=True)
+    base_positions = tuple(range(len(ctx.vars)))
+    ext_ctx = ext.with_quotient([embed(q, ext, base_positions)
+                                 for q in ctx.quotient])
 
-    work = RingCtx((_AUX,) + base_vars + tvars, Elimination(1), _internal=True)
-    base_positions = tuple(range(1, 1 + len(base_vars)))
-    t = work.var(_AUX)
-    gens = []
-    for i, x in enumerate(xs):
-        gens.append(work.var(tvars[i]) - embed(x, work, base_positions) * t)
-    for q in ctx.quotient:
-        gens.append(embed(q, work, base_positions))
+    def build(t, lift):
+        return ([lift(ext.var(tv)) - lift(x) * t for tv, x in zip(tvars, xs)]
+                + [lift(q) for q in ext_ctx.quotient])
 
-    contracted_ring, kept = eliminate_polys(gens, work, 1)
-
-    ext_order = TGraded(m, DegRevLex())
-    ext_quotient = None
-    if ctx.quotient:
-        ext_positions = tuple(range(len(base_vars)))
-        ext_plain = RingCtx(base_vars + tvars, ext_order, _internal=True)
-        ext_quotient = [embed(q, ext_plain, ext_positions) for q in ctx.quotient]
-    ext_ctx = RingCtx(base_vars + tvars, ext_order,
-                      quotient=ext_quotient, _internal=True)
-    kernel_gens = [g.in_ctx(ext_ctx.ambient) for g in kept]
-    kernel = Ideal(ext_ctx, kernel_gens or [ext_ctx.zero])
+    kernel = Ideal(ext_ctx, eliminate_aux(ext_ctx, build))
     profile = _degree_profile(kernel, m)
     pres = ReesPresentation(I, ext_ctx, tvars, kernel, profile)
     I._rees = pres
@@ -167,8 +151,7 @@ def relation_type_mod(I: Ideal, J: Ideal) -> int:
         gens += [ext_amb.var(v) for v in I.ctx.vars]
         target, kept = eliminate_polys(gens, ext_amb, base_n,
                                        target_order=TGraded(m, DegRevLex()))
-        tctx = RingCtx(target.vars, target.order, _internal=True)
-        fiber = Ideal(tctx, [g.in_ctx(tctx) for g in kept] or [tctx.zero])
+        fiber = Ideal(target, kept)
         return _profile_relation_type(fiber, m)
     positions = tuple(range(base_n))
     extra = [embed(g, ext_amb, positions) for g in J.gens if not g.is_zero]

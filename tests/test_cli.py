@@ -1,6 +1,21 @@
 """Command-line interface: output contracts and exit codes."""
 
+import pathlib
+
+import pytest
+
+from reeskit import REGISTRY
 from reeskit.cli import main
+
+# `reeskit verify --all` output, byte for byte: one block per registry
+# entry and n, each followed by an empty line.
+GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all.txt"
+GOLDEN_BLOCKS = {
+    tuple(line.split(" = ", 1)[1] for line in block.splitlines()[:2]): block
+    for block in GOLDEN.read_text(encoding="utf-8").split("\n\n") if block}
+# These take about 25 s together; the md5 of the whole `verify --all`
+# output covers them.
+SLOW_ENTRIES = {("huneke", "2"), ("veronese", "2"), ("wang", "4")}
 
 
 def run(capsys, *argv):
@@ -104,3 +119,16 @@ def test_verify_requires_n(capsys):
     code, _, err = run(capsys, "verify", "node-dseq")
     assert code == 1
     assert "needs --n" in err
+
+
+def test_golden_covers_the_registry():
+    entries = {(name, str(n)) for name, e in REGISTRY.items()
+               for n in range(e.n_min, e.n_max + 1)}
+    assert set(GOLDEN_BLOCKS) == entries
+
+
+@pytest.mark.parametrize("name,n", sorted(set(GOLDEN_BLOCKS) - SLOW_ENTRIES))
+def test_verify_matches_golden_report(capsys, name, n):
+    code, out, _ = run(capsys, "verify", name, "--n", n)
+    assert code == 0
+    assert out == GOLDEN_BLOCKS[(name, n)] + "\n"

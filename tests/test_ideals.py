@@ -56,6 +56,12 @@ def test_intersect_examples():
     f = CTX2.parse("x^3 - y^4")
     M3 = ideal_power(I_(CTX2, x, y), 3)
     assert ideal_intersect(M3, I_(CTX2, f)) == I_(CTX2, f)
+    # a user variable named t does not collide with the auxiliary variable
+    ctx = RingCtx("t,x")
+    t, x = ctx.var("t"), ctx.var("x")
+    assert ideal_intersect(I_(ctx, t), I_(ctx, x)) == I_(ctx, t * x)
+    assert ideal_intersect(I_(ctx, t - 1), I_(ctx, t + 1)) == \
+        I_(ctx, t ** 2 - 1)
 
 
 def test_colon_examples():
@@ -65,6 +71,9 @@ def test_colon_examples():
     assert ideal_colon(I, I_(CTX2, CTX2.one)) == I
     zero = I_(CURVE, CURVE.zero)
     assert ideal_colon(zero, I_(CURVE, CURVE.var("x"))).is_zero
+    # a nonzero annihilator: (0 : x) = (z) on the node
+    assert ideal_colon(I_(NODE, NODE.zero), I_(NODE, NODE.var("x"))) == \
+        I_(NODE, NODE.var("z"))
 
 
 def test_colon_by_zero_ideal_rejected():
@@ -98,6 +107,9 @@ def test_regular_ideal_search():
     x, y = NODE.var("x"), NODE.var("y")
     assert is_regular_ideal(I_(NODE, x, y)) == y
     assert is_regular_ideal(I_(NODE, x)) is None
+    # no generator or power generator is regular: the first combination is
+    z = NODE.var("z")
+    assert is_regular_ideal(I_(NODE, x, z)) == x + z
     ctx1 = RingCtx("x")
     assert is_regular_ideal(I_(ctx1, ctx1.var("x"))) == ctx1.var("x")
 

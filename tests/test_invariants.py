@@ -70,6 +70,11 @@ def test_find_principal_reduction():
                                     trials=4) is None
     hit = find_principal_reduction(I_(CTX2, x), cap=3)
     assert hit[0] == x and hit[1].value == 0
+    # on the node neither generator is regular; the combination x + z is
+    node = RingCtx("x,y,z", quotient=["x*z"])
+    x, z = node.var("x"), node.var("z")
+    g, out = find_principal_reduction(I_(node, x, z), cap=4)
+    assert g == x + z and repr(out) == "resolved(1)"
 
 
 def test_principal_reduction_survey_agrees():
@@ -94,6 +99,9 @@ def test_integral_degree_trivial_membership():
 def test_integral_degree_on_curves():
     u, v = CUSP34.var("u"), CUSP34.var("v")
     assert integral_degree_fraction(v, u, CUSP34, cap=8).value == 3
+    # the ring is required: u and v alone only know Q[u, v]
+    with pytest.raises(TypeError):
+        integral_degree_fraction(v, u, cap=8)
     sv = monomial_curve((3, 4, 5), ("a", "b", "c"))
     assert integral_degree_fraction(sv.var("b"), sv.var("a"), sv,
                                     cap=8).value == 3

@@ -74,6 +74,12 @@ def test_relation_type_examples():
     wang2 = I_(CTX3, CTX3.parse("x^2"), CTX3.parse("y^2"),
                CTX3.parse("x*y + z^2"))
     assert relation_type(wang2) == 1
+    # user variables named like the presentation variables get fresh names
+    ctx = RingCtx("T1,x")
+    T1, x = ctx.var("T1"), ctx.var("x")
+    pres = rees_kernel(I_(ctx, T1, x))
+    assert [str(g) for g in pres.kernel.gb.elements] == ["x*T1_ - T1*T2"]
+    assert relation_type(I_(ctx, T1 ** 2, T1 * x, x ** 2)) == 2
 
 
 def test_relation_type_mod_examples():
