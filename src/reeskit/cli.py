@@ -25,7 +25,7 @@ from .corpus import REGISTRY, emit_report, list_examples, run_example
 from .ideals import Ideal
 from .invariants import (artin_rees_number, d_sequence_check,
                          integral_degree_fraction, reduction_number, reg_rees)
-from .poly import ORDERS, ParseError, PolyError, RingCtx
+from .poly import ORDERS, PolyError, RingCtx
 from .rees import rees_kernel, relation_type, relation_type_mod
 
 EXIT_OK = 0
@@ -55,11 +55,9 @@ def _parse_ideal(ctx, text: str) -> Ideal:
     return Ideal(ctx, _split_polys(text))
 
 
-def _emit(pairs, status: str) -> None:
-    print(emit_report(pairs, status))
-
-
-def _outcome_exit(outcome) -> int:
+def _emit_outcome(pairs, outcome) -> int:
+    """Print ``pairs`` with the status of a capped search; its exit code."""
+    print(emit_report(pairs, "pass" if outcome.resolved else "unresolved"))
     return EXIT_OK if outcome.resolved else EXIT_UNRESOLVED
 
 
@@ -87,7 +85,7 @@ def _cmd_rt(args) -> int:
         for d in sorted(pres.profile):
             for g in pres.profile[d]:
                 pairs.append((f"kernel.deg{d}", g))
-    _emit(pairs, "pass")
+    print(emit_report(pairs, "pass"))
     return EXIT_OK
 
 
@@ -96,8 +94,7 @@ def _cmd_rn(args) -> int:
     I = _parse_ideal(ctx, args.ideal)
     J = _parse_ideal(ctx, args.reduction)
     outcome = reduction_number(I, J, args.cap)
-    _emit([("rn", outcome)], "pass" if outcome.resolved else "unresolved")
-    return _outcome_exit(outcome)
+    return _emit_outcome([("rn", outcome)], outcome)
 
 
 def _cmd_id(args) -> int:
@@ -105,8 +102,7 @@ def _cmd_id(args) -> int:
     num = ctx.parse(args.num)
     den = ctx.parse(args.den)
     outcome = integral_degree_fraction(num, den, ctx, args.cap)
-    _emit([("id", outcome)], "pass" if outcome.resolved else "unresolved")
-    return _outcome_exit(outcome)
+    return _emit_outcome([("id", outcome)], outcome)
 
 
 def _cmd_ar(args) -> int:
@@ -120,8 +116,7 @@ def _cmd_ar(args) -> int:
               else "unavailable"),
              ("exact", report.exact),
              ("window", report.window)]
-    _emit(pairs, "pass" if report.s_value.resolved else "unresolved")
-    return _outcome_exit(report.s_value)
+    return _emit_outcome(pairs, report.s_value)
 
 
 def _cmd_reg(args) -> int:
@@ -132,15 +127,14 @@ def _cmd_reg(args) -> int:
     pairs = [("reg", outcome)]
     if outcome.witness:
         pairs.append(("mode", outcome.witness))
-    _emit(pairs, "pass" if outcome.resolved else "unresolved")
-    return _outcome_exit(outcome)
+    return _emit_outcome(pairs, outcome)
 
 
 def _cmd_dseq(args) -> int:
     ctx = _build_ctx(args)
     seq = [ctx.parse(p) for p in _split_polys(args.seq)]
     ok = d_sequence_check(seq, ctx)
-    _emit([("d_sequence", ok)], "pass")
+    print(emit_report([("d_sequence", ok)], "pass"))
     return EXIT_OK
 
 
@@ -250,9 +244,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError,) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (PolyError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -17,15 +17,14 @@ t-grading, where the affine chain conditions agree with the local ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction as _Q
 
 from .groebner import GroebnerBasis, eliminate_aux
 from .ideals import Ideal, ideal_intersect, ideal_member, ideal_power, \
     ideal_product
-from .invariants import (SearchOutcome, artin_rees_number,
-                         check_d_sequence_reduction, d_sequence_check,
-                         integral_degree_fraction, reduction_number)
-from .poly import Poly, RingCtx
+from .invariants import (artin_rees_number, check_d_sequence_reduction,
+                         d_sequence_check, integral_degree_fraction,
+                         reduction_number)
+from .poly import RingCtx
 from .rees import effective_relation_2gen, relation_type, relation_type_mod
 from .semigroup import monomial_fraction_degree
 
@@ -103,14 +102,6 @@ def format_value(v) -> str:
         return "unresolved"
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, (int, str)):
-        return str(v)
-    if isinstance(v, _Q):
-        return str(v)
-    if isinstance(v, SearchOutcome):
-        return str(v)
-    if isinstance(v, Poly):
-        return str(v)
     if isinstance(v, GroebnerBasis):
         return "(" + ", ".join(str(g) for g in v.elements) + ")"
     if isinstance(v, Ideal):

@@ -294,8 +294,7 @@ def reduced_groebner(gens, ctx: RingCtx | None = None,
 # -- elimination ---------------------------------------------------------------
 
 
-def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None,
-                    **caps):
+def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None):
     """Generators of (gens) ∩ Q[vars[first_k:]], with the contracted context.
 
     Returns ``(target_ctx, polys)``.  ``gens`` must live in the ambient
@@ -310,10 +309,10 @@ def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None,
             target_order = DegRevLex()
     target = RingCtx(ctx.vars[first_k:], target_order, _internal=True)
     if first_k == 0:
-        gb = reduced_groebner(gens, ctx=ctx, **caps)
+        gb = reduced_groebner(gens, ctx=ctx)
         return target, [g.in_ctx(target) for g in gb.elements]
     elim_ctx = RingCtx(ctx.vars, Elimination(first_k), _internal=True)
-    gb = reduced_groebner([g.in_ctx(elim_ctx) for g in gens], ctx=elim_ctx, **caps)
+    gb = reduced_groebner([g.in_ctx(elim_ctx) for g in gens], ctx=elim_ctx)
     keep_positions = tuple(range(first_k, len(ctx.vars)))
     kept = []
     for g in gb.elements:

@@ -5,7 +5,9 @@ reduction theorem checker.
 
 Searches that are only semi-decidable (is J a reduction? is y/x
 integral?) carry an explicit cap and return an unresolved outcome
-instead of looping.
+instead of looping.  Artin-Rees numbers are not searched for: they are
+read exactly off the Rees presentation (:func:`rees.artin_rees_degree`),
+and the relation-type bound is reported beside them.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass, field
 
 from .ideals import (Ideal, candidate_elements, ideal_colon, ideal_contains,
                      ideal_equal, ideal_intersect, ideal_member, ideal_power,
-                     ideal_product, ideal_sum, is_regular_element)
+                     ideal_product, is_regular_element)
 from .poly import Poly, PolyError, RingCtx
-from .rees import relation_type, relation_type_mod
+from .rees import artin_rees_degree, relation_type, relation_type_mod
 
 DEFAULT_CAP = 32
 
@@ -191,9 +193,13 @@ def integral_degree_sup_estimate(ctx: RingCtx, fractions, ideals,
 class ArtinReesReport:
     """Artin-Rees number s_J(a, A; I) for the cyclic pair a ⊆ A.
 
-    ``exact`` is True when the relation-type bound rt_J(I mod a) was
-    computed: vanishing beyond the bound is then guaranteed and the
-    value is exact rather than window-limited.
+    s is read exactly off the Rees presentation, so ``exact`` is always
+    True.  ``window`` is the top T-degree of the presentation basis that
+    was examined; every obstruction module above it vanishes.
+    ``rt_bound`` = rt_J(I mod a) is the paper's bound, computed on its
+    own route as a check on s (None when every generator of I is 0).  ``witness``
+    is a presentation element of T-degree s that is not generated in
+    lower degrees (None when s = 0).
     """
 
     s_value: SearchOutcome
@@ -203,48 +209,22 @@ class ArtinReesReport:
     witness: str | None = None
 
 
-def _artin_rees_module_vanishes(a: Ideal, I: Ideal, J: Ideal, n: int):
-    """Whether I^n ∩ a = I(I^{n-1} ∩ a) + (J·I^n ∩ a); returns (bool, witness)."""
-    lhs = ideal_intersect(ideal_power(I, n), a)
-    rhs = ideal_product(I, ideal_intersect(ideal_power(I, n - 1), a))
-    if not J.is_zero:
-        rhs = ideal_sum(rhs, ideal_intersect(ideal_product(J, ideal_power(I, n)), a))
-    for g in lhs.basis_gens:
-        if not ideal_member(g, rhs):
-            return False, str(g)
-    return True, None
-
-
 def artin_rees_number(a: Ideal, I: Ideal, J: Ideal,
                       cap: int = DEFAULT_CAP) -> ArtinReesReport:
     """s_J(a, A; I): largest n with a nonvanishing obstruction module.
 
-    The window of checked degrees is 1..rt_J(I mod a) when that bound is
-    computable (the result is then exact); otherwise 1..cap, flagged as
-    window-limited.
+    Nothing is searched; ``cap`` only stamps the outcome.
     """
-    a._check_ctx(I)
-    a._check_ctx(J)
-    ctx = a.ctx
-    rt_bound = None
+    s, g, window = artin_rees_degree(a, I, J)
     try:
-        ctx_mod = ctx.with_quotient([g for g in a.gens if not g.is_zero])
-        I_mod = Ideal(ctx_mod, list(I.gens))
-        J_mod = Ideal(ctx_mod, list(J.gens))
-        rt_bound = relation_type_mod(I_mod, J_mod)
+        ctx_mod = a.ctx.with_quotient([h for h in a.gens if not h.is_zero])
+        rt_bound = relation_type_mod(Ideal(ctx_mod, list(I.gens)),
+                                     Ideal(ctx_mod, list(J.gens)))
     except PolyError:
         rt_bound = None
-    window = rt_bound if rt_bound is not None else cap
-    s = 0
-    witness = None
-    for n in range(1, window + 1):
-        ok, w = _artin_rees_module_vanishes(a, I, J, n)
-        if not ok:
-            s = n
-            witness = w
-    exact = rt_bound is not None
-    outcome = _resolved(s, cap, witness=witness)
-    return ArtinReesReport(outcome, rt_bound, window, exact, witness)
+    witness = None if g is None else str(g)
+    return ArtinReesReport(_resolved(s, cap, witness=witness), rt_bound,
+                           window, True, witness)
 
 
 # ---------------------------------------------------------------------------

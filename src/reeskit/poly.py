@@ -272,10 +272,6 @@ class RingCtx:
         exps[i] = 1
         return Poly(self._ambient, {tuple(exps): ONE}, _trust=True)
 
-    def gens_polys(self):
-        """The variables of the ring, as polynomials."""
-        return tuple(self.var(v) for v in self.vars)
-
     def parse(self, text: str) -> "Poly":
         return parse_poly(text, self)
 
@@ -353,12 +349,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def degree_in(self, positions) -> int:
-        """Total degree in the listed variable positions (-1 for zero)."""
-        if not self.terms:
-            return -1
-        return max(sum(e[i] for i in positions) for e in self.terms)
 
     def is_homogeneous_in(self, positions) -> bool:
         degs = {sum(e[i] for i in positions) for e in self.terms}

@@ -1,21 +1,26 @@
-"""Rees-algebra presentations and relation-type analysis.
+"""Rees-algebra presentations and one T-degree routine for rt, rt_J and s_J.
 
-For an ideal I = (x_1, ..., x_m) the symmetric presentation maps
-A[T_1..T_m] onto the Rees algebra by T_i -> x_i t; its kernel is
-computed by eliminating t and is homogeneous in total T-degree.  The
-relation type is the largest T-degree in which the kernel needs a fresh
-generator; variants modulo an ideal J (associated graded ring for
-J = I, fiber cone for maximal J) reuse the same degree analysis on the
-image of the kernel.
+For an ideal I = (x_1, ..., x_m) the presentation
+phi: A[T_1..T_m] -> A[t], T_i -> x_i t, maps onto the Rees algebra
+R(I); its kernel K is computed by eliminating t and is homogeneous in
+total T-degree.  One routine, :func:`_fresh_degree`, reads a T-graded
+ideal of A[T] modulo the quotient of its context and returns the
+largest T-degree above a floor that needs a fresh generator.  It gives
+
+* rt(I): K at floor 1;
+* rt_J(I): K read modulo J at floor 1 (J = I gives the associated
+  graded ring, J maximal the fiber cone);
+* s_J(a, A; I): L = phi^{-1}(a A[t]) read modulo K + J at floor 0, L
+  being the same t-elimination with the generators of a added.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import eliminate_aux, eliminate_polys
-from .ideals import (Ideal, ideal_colon, ideal_equal, ideal_intersect,
-                     ideal_member, ideal_power, ideal_product, ideal_sum,
+from .groebner import eliminate_aux
+from .ideals import (Ideal, ideal_colon, ideal_intersect, ideal_member,
+                     ideal_power, ideal_product, ideal_sum,
                      is_regular_element)
 from .poly import DegRevLex, Poly, PolyError, RingCtx, TGraded, embed
 
@@ -38,7 +43,7 @@ def _tdegree(p: Poly, tcount: int) -> int:
     positions = tuple(range(n - tcount, n))
     degs = {sum(e[i] for i in positions) for e in p.terms}
     if len(degs) > 1:
-        raise PolyError("kernel element is not homogeneous in the T-block")
+        raise PolyError("presentation element is not homogeneous in the T-block")
     return degs.pop() if degs else 0
 
 
@@ -56,108 +61,138 @@ class ReesPresentation:
     def tcount(self) -> int:
         return len(self.tvars)
 
-    def max_degree(self) -> int:
-        return max(self.profile, default=0)
 
-
-def _degree_profile(kernel: Ideal, tcount: int) -> dict:
+def _degree_profile(ideal: Ideal, tcount: int, floor: int) -> dict:
     profile = {}
-    for g in kernel.gb.elements:
+    for g in ideal.gb.elements:
         d = _tdegree(g, tcount)
-        if d >= 1:
+        if d >= floor:
             profile.setdefault(d, []).append(g)
     return {d: tuple(v) for d, v in sorted(profile.items())}
+
+
+def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> list:
+    """Generators in ``ext_ctx`` of phi^{-1}(sub·A[t]); no ``sub`` gives K.
+
+    The contraction to A[T] of (T_1 - x_1 t, ..., T_m - x_m t), the
+    quotient generators and ``sub``, under an elimination order for t.
+    """
+    xs = [g for g in I.gens if not g.is_zero]
+    ext = ext_ctx.ambient
+
+    def build(t, lift):
+        return ([lift(ext.var(tv)) - lift(x) * t for tv, x in zip(tvars, xs)]
+                + [lift(q) for q in ext_ctx.quotient]
+                + [lift(g) for g in sub if not g.is_zero])
+
+    return eliminate_aux(ext_ctx, build)
 
 
 def rees_kernel(I: Ideal) -> ReesPresentation:
     """Presentation kernel of the Rees algebra of I (cached on I).
 
-    The kernel is the contraction to Q[vars, T] of
-    (T_1 - x_1 t, ..., T_m - x_m t) together with the quotient
-    generators, computed under an elimination order for t; the stored
-    basis is reduced under a T-graded order and split by T-degree.
+    The stored basis is reduced under a T-graded order and split by
+    T-degree.
     """
     if I._rees is not None:
         return I._rees
     ctx = I.ctx
-    xs = [g for g in I.gens if not g.is_zero]
-    if not xs:
+    m = sum(1 for g in I.gens if not g.is_zero)
+    if not m:
         raise PolyError("Rees presentation needs a nonzero ideal")
-    m = len(xs)
     tvars = _fresh_tvars(ctx.vars, m)
     ext = RingCtx(ctx.vars + tvars, TGraded(m, DegRevLex()), _internal=True)
     base_positions = tuple(range(len(ctx.vars)))
     ext_ctx = ext.with_quotient([embed(q, ext, base_positions)
                                  for q in ctx.quotient])
-
-    def build(t, lift):
-        return ([lift(ext.var(tv)) - lift(x) * t for tv, x in zip(tvars, xs)]
-                + [lift(q) for q in ext_ctx.quotient])
-
-    kernel = Ideal(ext_ctx, eliminate_aux(ext_ctx, build))
-    profile = _degree_profile(kernel, m)
-    pres = ReesPresentation(I, ext_ctx, tvars, kernel, profile)
+    kernel = Ideal(ext_ctx, _preimage(I, ext_ctx, tvars))
+    pres = ReesPresentation(I, ext_ctx, tvars, kernel,
+                            _degree_profile(kernel, m, 1))
     I._rees = pres
     return pres
 
 
-def _profile_relation_type(kernel: Ideal, tcount: int) -> int:
-    """Largest T-degree whose reduced-GB elements are not redundant.
+def _read_modulo(pres: ReesPresentation, ideal: Ideal, J: Ideal,
+                 extra=()) -> Ideal:
+    """``ideal`` of A[T] read further modulo J, an ideal of A, and ``extra``."""
+    positions = tuple(range(len(pres.ideal.ctx.vars)))
+    extra = list(extra) + [embed(g, pres.ext_ctx, positions) for g in J.gens]
+    extra = [g for g in extra if not g.is_zero]
+    if not extra:
+        return ideal
+    return Ideal(ideal.ctx.with_quotient(extra), list(ideal.gens))
 
-    A degree-n element is redundant when it lies in the ideal generated
-    by the strictly lower T-degree elements (the quotient generators are
-    carried by the context); the minimum relation type is 1.
+
+def _fresh_degree(ideal: Ideal, tcount: int, floor: int):
+    """``(n, g)``: the largest T-degree n > floor in which the reduced
+    basis of the T-graded ``ideal`` has an element g outside the ideal of
+    its elements of T-degrees floor..n-1, modulo the quotient of the
+    context; ``(floor, None)`` when there is no such degree.
+
+    The context's order must compare T-degree first: then the basis
+    elements below degree n generate T·ideal_{n-1} in degree n, and the
+    degree-n elements span ideal_n over A modulo that.  Elements below
+    the floor must lie in the quotient.
     """
-    profile = _degree_profile(kernel, tcount)
-    degrees = sorted((d for d in profile if d >= 2), reverse=True)
+    profile = _degree_profile(ideal, tcount, floor)
+    degrees = sorted((d for d in profile if d > floor), reverse=True)
     for n in degrees:
         lower = [g for d, els in profile.items() if d < n for g in els]
-        lower_ideal = Ideal(kernel.ctx, lower or [kernel.ctx.zero])
+        lower_ideal = Ideal(ideal.ctx, lower or [ideal.ctx.zero])
         for g in profile[n]:
             if not ideal_member(g, lower_ideal):
-                return n
-    return 1
+                return n, g
+    return floor, None
 
 
 def relation_type(I: Ideal) -> int:
     """rt(I): largest T-degree of a fresh kernel generator (minimum 1)."""
     pres = rees_kernel(I)
-    return _profile_relation_type(pres.kernel, pres.tcount)
-
-
-def _is_maximal_graded(J: Ideal) -> bool:
-    ctx = J.ctx
-    mvars = Ideal(ctx, list(ctx.gens_polys()))
-    return ideal_equal(J, mvars)
+    return _fresh_degree(pres.kernel, pres.tcount, 1)[0]
 
 
 def relation_type_mod(I: Ideal, J: Ideal) -> int:
     """rt_J(I): relation type of the Rees algebra tensored with A/J.
 
-    J = (0) gives rt(I); maximal J (all variables) is the fiber cone and
-    is analyzed in Q[T] after eliminating the ring variables; other J
-    are analyzed in the quotient-by-J context.
+    The kernel read modulo J; J = (0) gives rt(I), maximal J the fiber
+    cone.
     """
     I._check_ctx(J)
-    if J.is_zero:
-        return relation_type(I)
     pres = rees_kernel(I)
-    m = pres.tcount
-    base_n = len(I.ctx.vars)
-    ext_amb = pres.ext_ctx.ambient
-    if _is_maximal_graded(J):
-        gens = [g for g in pres.kernel.gens if not g.is_zero]
-        gens += list(pres.ext_ctx.quotient)
-        gens += [ext_amb.var(v) for v in I.ctx.vars]
-        target, kept = eliminate_polys(gens, ext_amb, base_n,
-                                       target_order=TGraded(m, DegRevLex()))
-        fiber = Ideal(target, kept)
-        return _profile_relation_type(fiber, m)
-    positions = tuple(range(base_n))
-    extra = [embed(g, ext_amb, positions) for g in J.gens if not g.is_zero]
-    ctx2 = pres.ext_ctx.with_quotient(extra)
-    kernel2 = Ideal(ctx2, list(pres.kernel.gens))
-    return _profile_relation_type(kernel2, m)
+    kernel = _read_modulo(pres, pres.kernel, J)
+    return _fresh_degree(kernel, pres.tcount, 1)[0]
+
+
+def artin_rees_degree(a: Ideal, I: Ideal, J: Ideal):
+    """``(s, g, top)``: s = s_J(a, A; I), the largest n >= 1 whose
+    obstruction module
+
+        M_n = (I^n ∩ a) / (I(I^{n-1} ∩ a) + (J I^n ∩ a))
+
+    is nonzero (0 when none is), a presentation element g of T-degree s
+    whose image is nonzero in M_s (None when s = 0), and the top
+    T-degree of the basis examined.
+
+    L = phi^{-1}(a A[t]) is T-graded, contains K + aA[T], and L_0 = a;
+    phi maps L_n onto (I^n ∩ a)t^n with kernel K_n, T·L_{n-1} onto
+    I(I^{n-1} ∩ a)t^n and (JA[T] ∩ L)_n onto (J I^n ∩ a)t^n, so
+    M_n ≅ L_n / (T·L_{n-1} + K_n + (JA[T] ∩ L)_n).  Since
+    T·L_{n-1} + K_n ⊆ L_n, the modular law lets JA[T]_n replace
+    (JA[T] ∩ L)_n: M_n ≅ L'_n / (T·L'_{n-1} + K_n + JA[T]_n) with
+    L' = L + JA[T].  That is :func:`_fresh_degree` on L read modulo
+    K + J at floor 0.  The answer is exact: M_n = 0 above the top
+    degree of the basis.
+    """
+    a._check_ctx(I)
+    a._check_ctx(J)
+    if I.is_zero:
+        return 0, None, 0
+    pres = rees_kernel(I)
+    L = Ideal(pres.ext_ctx, _preimage(I, pres.ext_ctx, pres.tvars, a.gens))
+    L = _read_modulo(pres, L, J, pres.kernel.gens)
+    s, g = _fresh_degree(L, pres.tcount, 0)
+    top = max((_tdegree(h, pres.tcount) for h in L.gb.elements), default=0)
+    return s, g, top
 
 
 def effective_relation_2gen(x: Poly, y: Poly, n: int, J: Ideal) -> bool:

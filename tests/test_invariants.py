@@ -168,6 +168,33 @@ def test_artin_rees_of_ideal_with_itself():
     assert rep.s_value.value == 1
 
 
+def _obstruction_vanishes(a, I, J, n):
+    """The definition: I^n ∩ a ⊆ I(I^{n-1} ∩ a) + (J·I^n ∩ a)."""
+    lhs = ideal_intersect(ideal_power(I, n), a)
+    rhs = ideal_product(I, ideal_intersect(ideal_power(I, n - 1), a))
+    rhs = rhs + ideal_intersect(ideal_product(J, ideal_power(I, n)), a)
+    return all(ideal_member(g, rhs) for g in lhs.basis_gens)
+
+
+@pytest.mark.parametrize("ctx, a, I, J, s, rt_bound", [
+    (CUSP34, "v", "u, v", "u", 4, 4),
+    (CUSP34, "u^2", "u, v", "0", 2, 3),
+    (CTX2, "x^2 + y^3", "x^2, x*y, y^2", "0", 1, 2),
+    (CTX2, "x*y^2 - y^4", "x^3, y^3, x^2*y", "x^3, y^3", 2, 2),
+    (CTX2, "0", "x^2, x*y, y^2", "0", 0, 2),
+    (CTX2, "x", "0", "0", 0, None),
+], ids=["cusp34-a=v-J=u", "cusp34-a=u2", "veronese-a=x2+y3",
+        "huneke3-J=x3,y3", "a=0", "I=0"])
+def test_artin_rees_number_matches_definition(ctx, a, I, J, s, rt_bound):
+    a, I, J = (Ideal(ctx, text.split(", ")) for text in (a, I, J))
+    rep = artin_rees_number(a, I, J, cap=8)
+    assert rep.exact and rep.s_value.value == s and rep.rt_bound == rt_bound
+    if s:
+        assert not _obstruction_vanishes(a, I, J, s)
+    for n in range(s + 1, max(s, rt_bound or 0) + 2):
+        assert _obstruction_vanishes(a, I, J, n)
+
+
 # -- d-sequences and Valabrega-Valla ----------------------------------------------
 
 

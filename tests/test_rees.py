@@ -94,6 +94,8 @@ def test_relation_type_mod_examples():
     zero = I_(CTX2, CTX2.zero)
     V = I_(CTX2, x ** 2, x * y, y ** 2)
     assert relation_type_mod(V, zero) == relation_type(V)
+    # the fiber cone, with the maximal ideal on other generators
+    assert relation_type_mod(V, I_(CTX2, x + y, y)) == 2
 
 
 def test_relation_type_mod_bounded_by_relation_type():
