@@ -124,10 +124,7 @@ def _cmd_reg(args) -> int:
     I = _parse_ideal(ctx, args.ideal)
     J = _parse_ideal(ctx, args.reduction)
     outcome = reg_rees(I, J, args.cap)
-    pairs = [("reg", outcome)]
-    if outcome.witness:
-        pairs.append(("mode", outcome.witness))
-    return _emit_outcome(pairs, outcome)
+    return _emit_outcome([("reg", outcome), ("mode", outcome.witness)], outcome)
 
 
 def _cmd_dseq(args) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import GroebnerBasis, eliminate_aux
+from .groebner import eliminate_aux
 from .ideals import Ideal, ideal_intersect, ideal_member, ideal_power, \
     ideal_product
 from .invariants import (artin_rees_number, check_d_sequence_reduction,
@@ -102,10 +102,6 @@ def format_value(v) -> str:
         return "unresolved"
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, GroebnerBasis):
-        return "(" + ", ".join(str(g) for g in v.elements) + ")"
-    if isinstance(v, Ideal):
-        return "(" + ", ".join(str(g) for g in v.basis_gens) + ")"
     return str(v)
 
 

@@ -144,10 +144,6 @@ class GroebnerBasis:
     elements: tuple
 
     @property
-    def order(self):
-        return self.ctx.order
-
-    @property
     def is_zero(self) -> bool:
         return not self.elements
 
@@ -308,9 +304,6 @@ def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None):
         if isinstance(target_order, (Elimination, TGraded)):
             target_order = DegRevLex()
     target = RingCtx(ctx.vars[first_k:], target_order, _internal=True)
-    if first_k == 0:
-        gb = reduced_groebner(gens, ctx=ctx)
-        return target, [g.in_ctx(target) for g in gb.elements]
     elim_ctx = RingCtx(ctx.vars, Elimination(first_k), _internal=True)
     gb = reduced_groebner([g.in_ctx(elim_ctx) for g in gens], ctx=elim_ctx)
     keep_positions = tuple(range(first_k, len(ctx.vars)))

@@ -97,12 +97,6 @@ class Ideal:
 
     __hash__ = None
 
-    def intersect(self, other):
-        return ideal_intersect(self, other)
-
-    def colon(self, other):
-        return ideal_colon(self, other)
-
 
 # ---------------------------------------------------------------------------
 # basic operations

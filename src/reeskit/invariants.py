@@ -1,13 +1,12 @@
 """Reduction numbers, integral degrees of fractions, Artin-Rees
 numbers, d-sequence and Valabrega-Valla checks, regularity of the Rees
-module via the filter-regular characterization, and the d-sequence
-reduction theorem checker.
+module, and the d-sequence reduction theorem checker.
 
 Searches that are only semi-decidable (is J a reduction? is y/x
 integral?) carry an explicit cap and return an unresolved outcome
-instead of looping.  Artin-Rees numbers are not searched for: they are
-read exactly off the Rees presentation (:func:`rees.artin_rees_degree`),
-and the relation-type bound is reported beside them.
+instead of looping.  Artin-Rees numbers and the regularity are read
+exactly off the Rees presentation (:mod:`rees`); the relation-type bound
+is reported beside s, and a reg that no degree bounds is unresolved.
 """
 
 from __future__ import annotations
@@ -18,7 +17,8 @@ from .ideals import (Ideal, candidate_elements, ideal_colon, ideal_contains,
                      ideal_equal, ideal_intersect, ideal_member, ideal_power,
                      ideal_product, is_regular_element)
 from .poly import Poly, PolyError, RingCtx
-from .rees import artin_rees_degree, relation_type, relation_type_mod
+from .rees import (artin_rees_degree, filter_regular_degree, relation_type,
+                   relation_type_mod)
 
 DEFAULT_CAP = 32
 
@@ -36,22 +36,12 @@ class SearchOutcome:
         return self.value is not None
 
     def __str__(self):
-        if self.resolved:
-            return str(self.value)
-        return f"unresolved(cap={self.cap})"
+        return str(self.value) if self.resolved else repr(self)
 
     def __repr__(self):
         if self.resolved:
             return f"resolved({self.value})"
         return f"unresolved(cap={self.cap})"
-
-
-def _resolved(value, cap, witness=None):
-    return SearchOutcome(value, cap, witness)
-
-
-def _unresolved(cap, witness=None):
-    return SearchOutcome(None, cap, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +60,8 @@ def is_reduction(J: Ideal, I: Ideal, cap: int = DEFAULT_CAP) -> SearchOutcome:
         left = ideal_power(I, n + 1)
         right = ideal_product(J, ideal_power(I, n))
         if ideal_equal(left, right):
-            return _resolved(n, cap, witness=f"I^{n + 1} = J*I^{n}")
-    return _unresolved(cap)
+            return SearchOutcome(n, cap, witness=f"I^{n + 1} = J*I^{n}")
+    return SearchOutcome(None, cap)
 
 
 def reduction_number(I: Ideal, J: Ideal, cap: int = DEFAULT_CAP) -> SearchOutcome:
@@ -131,8 +121,8 @@ def integral_degree_fraction(y: Poly, x: Poly, ctx: RingCtx,
         c = ideal_colon(ideal_product(xI, ideal_power(I, n - 1)),
                         Ideal(ctx, [y ** n]))
         if c.is_unit:
-            return _resolved(n, cap, witness=f"x*(x,y)^{n - 1} : y^{n} = (1)")
-    return _unresolved(cap)
+            return SearchOutcome(n, cap, f"x*(x,y)^{n - 1} : y^{n} = (1)")
+    return SearchOutcome(None, cap)
 
 
 @dataclass
@@ -223,7 +213,7 @@ def artin_rees_number(a: Ideal, I: Ideal, J: Ideal,
     except PolyError:
         rt_bound = None
     witness = None if g is None else str(g)
-    return ArtinReesReport(_resolved(s, cap, witness=witness), rt_bound,
+    return ArtinReesReport(SearchOutcome(s, cap, witness), rt_bound,
                            window, True, witness)
 
 
@@ -265,45 +255,23 @@ def vv_check(prefix, I: Ideal, n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# regularity of the Rees module via filter-regular sequences
-
-
-def _filter_condition(I: Ideal, seq, n: int) -> bool:
-    """[(x_1..x_{i-1})I^n : x_i] ∩ I^n = (x_1..x_{i-1})I^{n-1} for all i."""
-    ctx = I.ctx
-    In = ideal_power(I, n)
-    for i in range(1, len(seq) + 1):
-        Ji1 = Ideal(ctx, seq[:i - 1] or [ctx.zero])
-        lhs = ideal_intersect(
-            ideal_colon(ideal_product(Ji1, In), Ideal(ctx, [seq[i - 1]])), In)
-        rhs = ideal_product(Ji1, ideal_power(I, n - 1))
-        if not ideal_equal(lhs, rhs):
-            return False
-    return True
+# regularity of the Rees module
 
 
 def reg_rees(I: Ideal, J: Ideal, cap: int = DEFAULT_CAP) -> SearchOutcome:
-    """Regularity of the Rees module of I, via its reduction J.
-
-    Least r >= rn_J(I) such that the filter-regular colon condition
-    holds for all n > r.  Exact for a principal reduction with regular
-    generator (the condition is automatic); window-checked otherwise,
-    with the window recorded in the witness.
-    """
+    """Regularity of the Rees module of I, via its reduction J = (x_1..x_s):
+    the least r >= rn_J(I) above which the filter-regular condition of
+    :func:`rees.filter_regular_degree` holds (Trung, Proc. AMS 101, 1987),
+    unresolved when no degree bounds its failures; ``cap`` bounds rn only."""
     J._check_ctx(I)
     rn = reduction_number(I, J, cap)
     if not rn.resolved:
         raise PolyError(f"not a reduction within cap {cap}")
-    r0 = rn.value
-    seq = [g for g in J.gens if not g.is_zero]
-    if len(seq) == 1 and is_regular_element(seq[0], I.ctx):
-        return _resolved(r0, cap, witness="exact: principal regular reduction")
-    top = r0 + cap
-    worst = r0
-    for n in range(r0 + 1, top + 1):
-        if not _filter_condition(I, seq, n):
-            worst = n
-    return _resolved(worst, cap, witness=f"window-checked n <= {top}")
+    top, x = filter_regular_degree(I, J.gens)
+    if top is None:
+        return SearchOutcome(None, cap, f"not filter-regular at {x}")
+    reg = max(rn.value, top)
+    return SearchOutcome(reg, cap, f"exact: filter-regular above {reg}")
 
 
 # ---------------------------------------------------------------------------

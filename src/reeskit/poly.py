@@ -354,9 +354,6 @@ class Poly:
         degs = {sum(e[i] for i in positions) for e in self.terms}
         return len(degs) <= 1
 
-    def coefficient(self, exps) -> Fraction:
-        return self.terms.get(tuple(exps), ZERO)
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check_ring(self, other: "Poly"):

@@ -12,13 +12,16 @@ largest T-degree above a floor that needs a fresh generator.  It gives
   graded ring, J maximal the fiber cone);
 * s_J(a, A; I): L = phi^{-1}(a A[t]) read modulo K + J at floor 0, L
   being the same t-elimination with the generators of a added.
+
+The regularity of the Rees module is read off the lead monomials of the
+same presentation (:func:`filter_regular_degree`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import eliminate_aux
+from .groebner import _divides, eliminate_aux
 from .ideals import (Ideal, ideal_colon, ideal_intersect, ideal_member,
                      ideal_power, ideal_product, ideal_sum,
                      is_regular_element)
@@ -193,6 +196,58 @@ def artin_rees_degree(a: Ideal, I: Ideal, J: Ideal):
     s, g = _fresh_degree(L, pres.tcount, 0)
     top = max((_tdegree(h, pres.tcount) for h in L.gb.elements), default=0)
     return s, g, top
+
+
+def _outside_top(g, lead, split: int):
+    """Top T-degree of the monomials g·T^mu outside the monomial ideal of
+    ``lead`` (T-block from ``split`` on), -1 if none, None if infinitely
+    many: the T^mu avoiding the (h_T − g_T)⁺ for h in ``lead``, h_A | g_A."""
+    g_t = g[split:]
+    walls = {tuple(max(a - b, 0) for a, b in zip(h[split:], g_t))
+             for h in lead if _divides(h[:split], g[:split])}
+    if any(all(w[k] != sum(w) for w in walls) for k in range(len(g_t))):
+        return None
+    top, d, layer = -1, sum(g_t), {(0,) * len(g_t)}
+    while layer := {mu for mu in layer
+                    if not any(_divides(w, mu) for w in walls)}:
+        top, d = d, d + 1
+        layer = {mu[:k] + (mu[k] + 1,) + mu[k + 1:]
+                 for mu in layer for k in range(len(mu))}
+    return top
+
+
+def filter_regular_degree(I: Ideal, seq):
+    """``(n, None)``: the largest n with [(x_1..x_{i-1}) I^n : x_i] ∩ I^n
+    ≠ (x_1..x_{i-1}) I^{n-1} for some i, x_i the nonzero elements of
+    ``seq`` ⊆ I (-1 if none); ``(None, x_i)`` if x_i fails in every large
+    degree (not filter-regular).  On R(I) = A[T]/K, T_i -> x_i t, that
+    quotient is degree n of Q_i/P_i, P_i = K + (T_1..T_{i-1}) and
+    Q_i = P_i : T_i.  Ordered by T-degree, then degree in T_{i+1}.., the
+    reduced basis of P_i is T_1..T_{i-1} and elements free of them, whose
+    lead monomial T_i divides only if T_i divides the element; hence
+    LT(Q_i) = LT(P_i) : T_i (Eisenbud, Prop. 15.12).  Q_i and P_i differ
+    in degree n iff their lead monomials do, and a monomial of LT(Q_i)
+    outside LT(P_i) stays outside without its A-part.  Q_1 = K for x_1 regular.
+    """
+    seq = [g for g in seq if not g.is_zero]
+    if not seq:
+        return -1, None
+    own = [g for g in I.gens if not g.is_zero]
+    gens = seq + [g for g in own if g not in seq]
+    pres = rees_kernel(I if gens == own else Ideal(I.ctx, gens))
+    m, split, top = pres.tcount, len(I.ctx.vars), -1
+    for i, x in enumerate(seq):
+        k = split + i
+        order = TGraded(m, TGraded(m - i - 1, DegRevLex()))
+        P = Ideal(pres.ext_ctx.with_order(order), list(pres.kernel.gens)
+                  + [pres.ext_ctx.var(v) for v in pres.tvars[:i]])
+        lead = [h.lm for h in P.gb.elements]
+        tops = [_outside_top(h[:k] + (h[k] - 1,) + h[k + 1:], lead, split)
+                for h in lead if h[k]]
+        if None in tops:
+            return None, x
+        top = max([top] + tops)
+    return top, None
 
 
 def effective_relation_2gen(x: Poly, y: Poly, n: int, J: Ideal) -> bool:

@@ -90,6 +90,16 @@ def test_reg_command(capsys):
     assert "reg = 2" in out.splitlines()
 
 
+def test_reg_not_filter_regular_is_unresolved(capsys):
+    code, out, _ = run(capsys, "reg", "--vars", "x,y", "--mod", "x*y",
+                       "--ideal", "x, y", "--reduction", "y, x")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0] == "reg = unresolved(cap=32)"
+    assert lines[1].startswith("mode = not filter-regular")
+    assert lines[-1] == "status = unresolved"
+
+
 def test_dseq_command(capsys):
     code, out, _ = run(capsys, "dseq", "--vars", "x,y,z", "--mod", "x*z",
                        "--seq", "x, y")

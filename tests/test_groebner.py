@@ -77,6 +77,11 @@ def test_eliminate_toric_kernel():
     I = Ideal(ctx, ["x - t^3", "y - t^4"])
     out = eliminate(I, 1)
     assert [str(g) for g in out.gb.elements] == ["x^4 - y^3"]
+    # eliminating no variable returns the ideal's own basis
+    for order in (None, Lex()):
+        I = Ideal(RingCtx("t,x,y", order), ["x - t^3", "y - t^4"])
+        out = [str(g) for g in eliminate(I, 0).gb.elements]
+        assert out == [str(g) for g in I.gb.elements]
 
 
 def test_eliminate_unit_relation_contracts_to_zero():

@@ -5,8 +5,9 @@ import pytest
 
 from reeskit import (Fraction, Ideal, PolyError, RingCtx, artin_rees_number,
                      check_d_sequence_reduction, d_sequence_check,
-                     find_principal_reduction, ideal_intersect, ideal_member,
-                     ideal_power, ideal_product, integral_degree_fraction,
+                     find_principal_reduction, ideal_colon, ideal_equal,
+                     ideal_intersect, ideal_member, ideal_power,
+                     ideal_product, integral_degree_fraction,
                      integral_degree_sup_estimate, is_reduction,
                      monomial_curve, reduction_number, reg_rees, vv_check)
 
@@ -250,11 +251,85 @@ def test_reg_rees_requires_a_reduction():
         reg_rees(I_(CTX2, x, y), I_(CTX2, x), cap=3)
 
 
-def test_reg_rees_window_mode_for_two_generators():
+def test_reg_rees_exact_mode_for_two_generators():
     x, y = CTX2.var("x"), CTX2.var("y")
     M = I_(CTX2, x, y)
     out = reg_rees(M, M, cap=4)
-    assert out.value == 0 and "window" in out.witness
+    assert out.value == 0 and "exact" in out.witness
+
+
+def _filter_condition(I, seq, n):
+    """[(x_1..x_{i-1})I^n : x_i] ∩ I^n = (x_1..x_{i-1})I^{n-1} for all i."""
+    ctx = I.ctx
+    In = ideal_power(I, n)
+    for i in range(1, len(seq) + 1):
+        Ji1 = Ideal(ctx, seq[:i - 1] or [ctx.zero])
+        lhs = ideal_intersect(
+            ideal_colon(ideal_product(Ji1, In), Ideal(ctx, [seq[i - 1]])), In)
+        rhs = ideal_product(Ji1, ideal_power(I, n - 1))
+        if not ideal_equal(lhs, rhs):
+            return False
+    return True
+
+
+def _window_reg(I, J, window):
+    """The window route: the largest n in rn+1..rn+window at which the
+    filter-regular condition fails, rn when it holds throughout."""
+    r = reduction_number(I, J, window).value
+    seq = [g for g in J.gens if not g.is_zero]
+    failing = [n for n in range(r + 1, r + window + 1)
+               if not _filter_condition(I, seq, n)]
+    return max(failing, default=r)
+
+
+NODE = RingCtx("x,y,z", quotient=["x*z"])
+CROSS = RingCtx("x,y", quotient=["x*y"])
+CTX3 = RingCtx("x,y,z")
+ARTIN = RingCtx("x,y", quotient=["x^4", "y^2"])
+ARTIN2 = RingCtx("x,y", quotient=["y^3", "x^4"])
+
+
+# Wang n = 2, 3 with J = I (reg 0) and (x^2, y^2, z^2, xy) with
+# J = (x^2, y^2, z^2) (reg 1) agree as well, but their windows take
+# 5-20 s each, so they are left out here.
+@pytest.mark.parametrize("ctx, I, J", [
+    (CTX2, "x^2, y^2, x*y", "x^2, y^2"),
+    (CTX2, "x^3, y^3, x^2*y", "x^3, y^3"),
+    (CTX2, "x^4, y^4, x^3*y", "x^4, y^4"),
+    (CTX2, "x, y", "x, y"),
+    (CTX2, "x^2, x*y, y^2", "x^2, y^2"),
+    (CTX2, "x^3, x^2*y, x*y^2, y^3", "x^3, y^3"),
+    (CUSP34, "u, v", "u"),
+    (CUSP23, "u, v", "u"),
+    (CTX3, "x, y, z", "x, y, z"),
+    (NODE, "x, z", "x + z"),
+    (NODE, "x, y, z", "y, x + z"),
+    (NODE, "x, y, z", "x + z, y"),
+    (CROSS, "x, y", "x + y"),
+    # J = I with reg > rn = 0, from a seeded random draw
+    (CUSP23, "u + 3*u*v, v - u*v", "u + 3*u*v, v - u*v"),
+    (CUSP34, "v + 3*u^2*v^2, u - 3*v", "v + 3*u^2*v^2, u - 3*v"),
+    (NODE, "x^2 + 3*y*z, x*y^2*z^2 + x^2", "x^2 + 3*y*z, x*y^2*z^2 + x^2"),
+    # the top degree of (P_i : T_i)/P_i lies above its generators' degrees
+    (ARTIN, "x^3, y, x^2", "x^3 + x^2"),
+    (ARTIN2, "x*y^2, x, y", "x*y^2 + y, x, y"),
+], ids=["huneke2", "huneke3", "huneke4", "m", "m2", "m3", "cusp34",
+        "cusp23", "m-xyz", "node-x+z", "node-y,x+z", "node-x+z,y",
+        "cross-x+y", "cusp23-reg1", "cusp34-reg2", "node-reg1",
+        "artinian-reg2", "artinian-reg5"])
+def test_reg_rees_matches_the_window_route(ctx, I, J):
+    I, J = Ideal(ctx, I.split(", ")), Ideal(ctx, J.split(", "))
+    out = reg_rees(I, J, cap=6)
+    assert out.value == _window_reg(I, J, 6) and "exact" in out.witness
+
+
+def test_reg_rees_not_filter_regular():
+    # (0 : y) ∩ I^n = (x^n) ≠ 0 in every degree, so no window settles it
+    I = Ideal(CROSS, ["y", "x"])
+    for cap in (4, 5):
+        out = reg_rees(I, I, cap=cap)
+        assert not out.resolved and out.cap == cap
+        assert "not filter-regular" in out.witness
 
 
 # -- the d-sequence reduction theorem -----------------------------------------------
