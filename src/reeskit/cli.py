@@ -13,7 +13,7 @@ Subcommands::
     reeskit list
 
 Exit codes: 0 pass/resolved, 1 input error, 2 expectation failure,
-3 unresolved search.
+3 no value.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .rees import rees_kernel, relation_type, relation_type_mod
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAIL = 2
-EXIT_UNRESOLVED = 3
+EXIT_NO_VALUE = 3
 
 
 def _split_polys(text: str):
@@ -56,9 +56,9 @@ def _parse_ideal(ctx, text: str) -> Ideal:
 
 
 def _emit_outcome(pairs, outcome) -> int:
-    """Print ``pairs`` with the status of a capped search; its exit code."""
-    print(emit_report(pairs, "pass" if outcome.resolved else "unresolved"))
-    return EXIT_OK if outcome.resolved else EXIT_UNRESOLVED
+    """Print ``pairs`` with the status of ``outcome``; its exit code."""
+    print(emit_report(pairs, "pass" if outcome.resolved else "none"))
+    return EXIT_OK if outcome.resolved else EXIT_NO_VALUE
 
 
 def _cmd_gb(args) -> int:
@@ -148,7 +148,7 @@ def _run_one(name: str, n: int, cap: int) -> int:
     if report.status == "fail":
         return EXIT_FAIL
     if report.status == "unresolved":
-        return EXIT_UNRESOLVED
+        return EXIT_NO_VALUE
     return EXIT_OK
 
 

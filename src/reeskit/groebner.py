@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass
 
 from .poly import (DegRevLex, Elimination, Poly, PolyError, RingCtx, TGraded,
-                   contract, embed)
+                   Weighted, contract, embed)
 
 DEFAULT_MAX_BASIS = 4096
 DEFAULT_MAX_DEGREE = 256
@@ -290,11 +290,12 @@ def reduced_groebner(gens, ctx: RingCtx | None = None,
 # -- elimination ---------------------------------------------------------------
 
 
-def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None):
+def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None,
+                    order=None):
     """Generators of (gens) ∩ Q[vars[first_k:]], with the contracted context.
 
     Returns ``(target_ctx, polys)``.  ``gens`` must live in the ambient
-    polynomial ring of ``ctx``.
+    polynomial ring of ``ctx``, and ``order`` must eliminate on them.
     """
     ctx = ctx.ambient
     if not 0 <= first_k < len(ctx.vars):
@@ -304,7 +305,7 @@ def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None):
         if isinstance(target_order, (Elimination, TGraded)):
             target_order = DegRevLex()
     target = RingCtx(ctx.vars[first_k:], target_order, _internal=True)
-    elim_ctx = RingCtx(ctx.vars, Elimination(first_k), _internal=True)
+    elim_ctx = RingCtx(ctx.vars, order or Elimination(first_k), _internal=True)
     gb = reduced_groebner([g.in_ctx(elim_ctx) for g in gens], ctx=elim_ctx)
     keep_positions = tuple(range(first_k, len(ctx.vars)))
     kept = []
@@ -314,19 +315,23 @@ def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None):
     return target, kept
 
 
-def eliminate_aux(target: RingCtx, build):
+def eliminate_aux(target: RingCtx, build, weights=None):
     """Generators of (build(t, lift)) ∩ Q[target.vars], placed in ``target``.
 
     ``build`` receives the auxiliary variable t of Q[t, target.vars] and
     ``lift``, which moves a polynomial over (a prefix of) the variables
     of ``target`` into that ring; it returns the generators to
-    eliminate t from.  No generators give no polynomials.
+    eliminate t from.  No generators give no polynomials.  Generators
+    homogeneous for ``weights`` on ``target.vars`` (t weighs 1) are graded
+    by them before ``Elimination(1)`` breaks ties.
     """
     target = target.ambient
-    ring = RingCtx((_AUX,) + target.vars, Elimination(1), _internal=True)
+    order = (Elimination(1) if weights is None
+             else Weighted((1,) + tuple(weights), Elimination(1)))
+    ring = RingCtx((_AUX,) + target.vars, order, _internal=True)
     positions = tuple(range(1, len(ring.vars)))
     gens = build(ring.var(_AUX), lambda p: embed(p, ring, positions))
     if not gens:
         return []
-    _, kept = eliminate_polys(gens, ring, 1, target_order=target.order)
+    _, kept = eliminate_polys(gens, ring, 1, target.order, order)
     return [g.in_ctx(target) for g in kept]

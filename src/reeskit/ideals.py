@@ -38,7 +38,7 @@ class Ideal:
         self.gens = tuple(polys)
         self._gb = None
         self._powers = None
-        self._rees = None
+        self._rees = {}
 
     # -- canonical data ----------------------------------------------------
 

@@ -2,11 +2,11 @@
 numbers, d-sequence and Valabrega-Valla checks, regularity of the Rees
 module, and the d-sequence reduction theorem checker.
 
-Searches that are only semi-decidable (is J a reduction? is y/x
-integral?) carry an explicit cap and return an unresolved outcome
-instead of looping.  Artin-Rees numbers and the regularity are read
-exactly off the Rees presentation (:mod:`rees`); the relation-type bound
-is reported beside s, and a reg that no degree bounds is unresolved.
+Reduction numbers (so id(y/x) = rn_(x)((x, y)) + 1), Artin-Rees numbers
+and the regularity are read exactly off the Rees presentation
+(:mod:`rees`), with the relation-type bound beside s.  No value is a
+decided negative with its reason: ``none(not a reduction)``,
+``none(not integral)`` or ``none(not filter-regular at g)``.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ from .ideals import (Ideal, candidate_elements, ideal_colon, ideal_contains,
                      ideal_equal, ideal_intersect, ideal_member, ideal_power,
                      ideal_product, is_regular_element)
 from .poly import Poly, PolyError, RingCtx
-from .rees import (artin_rees_degree, filter_regular_degree, relation_type,
-                   relation_type_mod)
+from .rees import (artin_rees_degree, filter_regular_degree, reduction_degree,
+                   relation_type, relation_type_mod)
 
 DEFAULT_CAP = 32
 
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a capped search: resolved with a value, or unresolved."""
+    """A value, none(reason) with the reason in ``witness``, or unresolved."""
 
     value: int | None
     cap: int
@@ -41,6 +41,8 @@ class SearchOutcome:
     def __repr__(self):
         if self.resolved:
             return f"resolved({self.value})"
+        if self.witness:
+            return f"none({self.witness})"
         return f"unresolved(cap={self.cap})"
 
 
@@ -49,23 +51,20 @@ class SearchOutcome:
 
 
 def is_reduction(J: Ideal, I: Ideal, cap: int = DEFAULT_CAP) -> SearchOutcome:
-    """Least n <= cap with I^{n+1} = J·I^n, if any.
+    """The least n with I^{n+1} = J·I^n (:func:`rees.reduction_degree`).
 
-    Requires J ⊆ I (checked on generators).
+    Requires J ⊆ I (checked on generators); ``cap`` only stamps it.
     """
     J._check_ctx(I)
     if not ideal_contains(I, J):
         raise PolyError("the candidate reduction is not contained in the ideal")
-    for n in range(cap + 1):
-        left = ideal_power(I, n + 1)
-        right = ideal_product(J, ideal_power(I, n))
-        if ideal_equal(left, right):
-            return SearchOutcome(n, cap, witness=f"I^{n + 1} = J*I^{n}")
-    return SearchOutcome(None, cap)
+    n = reduction_degree(I, J.gens)
+    return SearchOutcome(n, cap, "not a reduction" if n is None
+                         else f"I^{n + 1} = J*I^{n}")
 
 
 def reduction_number(I: Ideal, J: Ideal, cap: int = DEFAULT_CAP) -> SearchOutcome:
-    """rn_J(I): the least n with I^{n+1} = J·I^n (capped search)."""
+    """rn_J(I): the least n with I^{n+1} = J·I^n."""
     return is_reduction(J, I, cap)
 
 
@@ -104,25 +103,20 @@ def find_principal_reduction(I: Ideal, cap: int = DEFAULT_CAP,
 
 def integral_degree_fraction(y: Poly, x: Poly, ctx: RingCtx,
                              cap: int = DEFAULT_CAP) -> SearchOutcome:
-    """id(y/x): least n with x·(x, y)^{n-1} : (y^n) = (1).
+    """id(y/x) = rn_(x)((x, y)) + 1, the least degree of a monic equation
+    of y/x over the ring of ``ctx``; ``cap`` only stamps the outcome.
 
-    Equals the minimal degree of a monic equation of y/x over the ring
-    of ``ctx``, and rn_(x)((x, y)) + 1.  The denominator must be
-    regular.  ``ctx`` is required: a polynomial only knows the ambient
-    polynomial ring, not the quotient it is read in.
+    The denominator must be regular.  ``ctx`` is required: a polynomial
+    only knows the ambient polynomial ring, not the quotient it is read in.
     """
     x = ctx.coerce(x)
     y = ctx.coerce(y)
     if not is_regular_element(x, ctx):
         raise PolyError("the denominator must be a regular element")
-    I = Ideal(ctx, [x, y])
-    xI = Ideal(ctx, [x])
-    for n in range(1, cap + 1):
-        c = ideal_colon(ideal_product(xI, ideal_power(I, n - 1)),
-                        Ideal(ctx, [y ** n]))
-        if c.is_unit:
-            return SearchOutcome(n, cap, f"x*(x,y)^{n - 1} : y^{n} = (1)")
-    return SearchOutcome(None, cap)
+    rn = is_reduction(Ideal(ctx, [x]), Ideal(ctx, [x, y]), cap)
+    if not rn.resolved:
+        return SearchOutcome(None, cap, "not integral")
+    return SearchOutcome(rn.value + 1, cap, f"rn_(x)((x,y)) = {rn.value}")
 
 
 @dataclass
@@ -135,7 +129,6 @@ class SupEstimateReport:
 
     fraction_ids: list = field(default_factory=list)      # (Fraction, SearchOutcome)
     ideal_rns: list = field(default_factory=list)         # (Ideal, Poly, SearchOutcome)
-    tie_violations: list = field(default_factory=list)
 
     @property
     def max_id(self):
@@ -147,26 +140,15 @@ class SupEstimateReport:
         vals = [o.value + 1 for _, _, o in self.ideal_rns if o.resolved]
         return max(vals) if vals else None
 
-    @property
-    def tie_holds(self) -> bool:
-        return not self.tie_violations
-
 
 def integral_degree_sup_estimate(ctx: RingCtx, fractions, ideals,
                                  cap: int = DEFAULT_CAP) -> SupEstimateReport:
-    """Lower-bound report: max id over sampled fractions, max rn+1 over
-    sampled ideals with principal reductions, and the pointwise tie
-    id(y/x) = rn((x, y), (x)) + 1 on every sampled fraction."""
+    """Lower-bound report: max id over sampled fractions and max rn+1 over
+    sampled ideals with principal reductions."""
     report = SupEstimateReport()
     for frac in fractions:
         out = integral_degree_fraction(frac.num, frac.den, ctx, cap)
         report.fraction_ids.append((frac, out))
-        if out.resolved:
-            I = Ideal(ctx, [frac.den, frac.num])
-            rn = reduction_number(I, Ideal(ctx, [frac.den]), cap)
-            if not rn.resolved or rn.value + 1 != out.value:
-                report.tie_violations.append(
-                    (frac, out, rn))
     for I in ideals:
         hit = find_principal_reduction(I, cap)
         if hit is not None:
@@ -262,11 +244,11 @@ def reg_rees(I: Ideal, J: Ideal, cap: int = DEFAULT_CAP) -> SearchOutcome:
     """Regularity of the Rees module of I, via its reduction J = (x_1..x_s):
     the least r >= rn_J(I) above which the filter-regular condition of
     :func:`rees.filter_regular_degree` holds (Trung, Proc. AMS 101, 1987),
-    unresolved when no degree bounds its failures; ``cap`` bounds rn only."""
+    none when no degree bounds its failures; ``cap`` only stamps it."""
     J._check_ctx(I)
     rn = reduction_number(I, J, cap)
     if not rn.resolved:
-        raise PolyError(f"not a reduction within cap {cap}")
+        raise PolyError("not a reduction")
     top, x = filter_regular_degree(I, J.gens)
     if top is None:
         return SearchOutcome(None, cap, f"not filter-regular at {x}")
@@ -320,7 +302,7 @@ def check_d_sequence_reduction(I: Ideal, j_gens,
     J = Ideal(ctx, seq)
     rn = reduction_number(I, J, cap)
     if not rn.resolved:
-        raise PolyError(f"not a reduction within cap {cap}")
+        raise PolyError("not a reduction")
     r = rn.value
     s = len(seq)
 

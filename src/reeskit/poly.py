@@ -7,8 +7,8 @@ is an immutable map monomial -> coefficient with no zero entries, whose
 terms iterate in strictly decreasing order of the ring's monomial order.
 
 The module also provides the monomial orders used by the rest of the
-package (lex, degrevlex, elimination blocks, T-graded) and the text
-parser/printer for polynomial expressions.
+package (lex, degrevlex, elimination blocks, T-graded, weighted) and
+the text parser/printer for polynomial expressions.
 
 Grammar (ASCII, whitespace insignificant)::
 
@@ -138,6 +138,18 @@ class TGraded(MonomialOrder):
         for e in exps[len(exps) - self.tcount:]:
             t += e
         return (t, self.inner.key(exps))
+
+
+class Weighted(MonomialOrder):
+    """Compares by the ``weights``-degree first (weights >= 0), then ``inner``."""
+
+    def __init__(self, weights, inner: MonomialOrder):
+        self.weights, self.inner = tuple(weights), inner
+        self.tag = f"weighted({self.weights};{inner.tag})"
+
+    def key(self, exps):
+        return (sum(w * e for w, e in zip(self.weights, exps)),
+                self.inner.key(exps))
 
 
 ORDERS = {"lex": Lex(), "degrevlex": DegRevLex()}

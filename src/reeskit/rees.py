@@ -13,8 +13,9 @@ largest T-degree above a floor that needs a fresh generator.  It gives
 * s_J(a, A; I): L = phi^{-1}(a A[t]) read modulo K + J at floor 0, L
   being the same t-elimination with the generators of a added.
 
-The regularity of the Rees module is read off the lead monomials of the
-same presentation (:func:`filter_regular_degree`).
+The reduction number (:func:`reduction_degree`) and the regularity of
+the Rees module (:func:`filter_regular_degree`) are read off the lead
+monomials of the same presentation.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> list:
     """Generators in ``ext_ctx`` of phi^{-1}(sub·A[t]); no ``sub`` gives K.
 
     The contraction to A[T] of (T_1 - x_1 t, ..., T_m - x_m t), the
-    quotient generators and ``sub``, under an elimination order for t.
+    quotient generators and ``sub``, graded by deg t = deg T_i = 1.
     """
     xs = [g for g in I.gens if not g.is_zero]
     ext = ext_ctx.ambient
@@ -88,30 +89,35 @@ def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> list:
                 + [lift(q) for q in ext_ctx.quotient]
                 + [lift(g) for g in sub if not g.is_zero])
 
-    return eliminate_aux(ext_ctx, build)
+    weights = (0,) * len(I.ctx.vars) + (1,) * len(tvars)
+    return eliminate_aux(ext_ctx, build, weights)
 
 
-def rees_kernel(I: Ideal) -> ReesPresentation:
-    """Presentation kernel of the Rees algebra of I (cached on I).
+def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
+    """Presentation kernel of the Rees algebra of I on the nonzero
+    elements of ``first``, then the other generators of I (cached on I
+    for each such list).
 
     The stored basis is reduced under a T-graded order and split by
     T-degree.
     """
-    if I._rees is not None:
-        return I._rees
-    ctx = I.ctx
-    m = sum(1 for g in I.gens if not g.is_zero)
-    if not m:
+    first = [g for g in first if not g.is_zero]
+    gens = tuple(first + [g for g in I.gens if not (g.is_zero or g in first)])
+    if gens in I._rees:
+        return I._rees[gens]
+    if not gens:
         raise PolyError("Rees presentation needs a nonzero ideal")
+    ctx, m = I.ctx, len(gens)
     tvars = _fresh_tvars(ctx.vars, m)
     ext = RingCtx(ctx.vars + tvars, TGraded(m, DegRevLex()), _internal=True)
     base_positions = tuple(range(len(ctx.vars)))
     ext_ctx = ext.with_quotient([embed(q, ext, base_positions)
                                  for q in ctx.quotient])
-    kernel = Ideal(ext_ctx, _preimage(I, ext_ctx, tvars))
-    pres = ReesPresentation(I, ext_ctx, tvars, kernel,
+    ordered = Ideal(ctx, gens)
+    kernel = Ideal(ext_ctx, _preimage(ordered, ext_ctx, tvars))
+    pres = ReesPresentation(ordered, ext_ctx, tvars, kernel,
                             _degree_profile(kernel, m, 1))
-    I._rees = pres
+    I._rees[gens] = pres
     return pres
 
 
@@ -216,6 +222,29 @@ def _outside_top(g, lead, split: int):
     return top
 
 
+def _lead(pres: ReesPresentation, i: int, order) -> list:
+    """Lead monomials of the reduced basis of K + (T_1..T_i), by ``order``."""
+    P = Ideal(pres.ext_ctx.with_order(order), list(pres.kernel.gens)
+              + [pres.ext_ctx.var(v) for v in pres.tvars[:i]])
+    return [h.lm for h in P.gb.elements]
+
+
+def reduction_degree(I: Ideal, seq):
+    """rn_J(I) for J = (seq) ⊆ I, the least n with I^{n+1} = J I^n; None
+    if J is no reduction.  On R(I) = A[T]/K presented on the x_i of J
+    first, degree n of A[T]/P, P = K + (T_1..T_s), is I^n/J I^{n-1}
+    (Huneke-Swanson, ch. 8); its standard monomials span it, so it
+    vanishes iff each T^mu of degree n is divisible by a lead monomial of
+    P free of ring variables.  rn is the top degree of the T^mu outside.
+    """
+    if I.is_zero:
+        return 0
+    pres = rees_kernel(I, seq)
+    lead = _lead(pres, sum(1 for g in seq if not g.is_zero),
+                 pres.ext_ctx.order)
+    return _outside_top((0,) * len(pres.ext_ctx.vars), lead, len(I.ctx.vars))
+
+
 def filter_regular_degree(I: Ideal, seq):
     """``(n, None)``: the largest n with [(x_1..x_{i-1}) I^n : x_i] ∩ I^n
     ≠ (x_1..x_{i-1}) I^{n-1} for some i, x_i the nonzero elements of
@@ -232,16 +261,11 @@ def filter_regular_degree(I: Ideal, seq):
     seq = [g for g in seq if not g.is_zero]
     if not seq:
         return -1, None
-    own = [g for g in I.gens if not g.is_zero]
-    gens = seq + [g for g in own if g not in seq]
-    pres = rees_kernel(I if gens == own else Ideal(I.ctx, gens))
+    pres = rees_kernel(I, seq)
     m, split, top = pres.tcount, len(I.ctx.vars), -1
     for i, x in enumerate(seq):
         k = split + i
-        order = TGraded(m, TGraded(m - i - 1, DegRevLex()))
-        P = Ideal(pres.ext_ctx.with_order(order), list(pres.kernel.gens)
-                  + [pres.ext_ctx.var(v) for v in pres.tvars[:i]])
-        lead = [h.lm for h in P.gb.elements]
+        lead = _lead(pres, i, TGraded(m, TGraded(m - i - 1, DegRevLex())))
         tops = [_outside_top(h[:k] + (h[k] - 1,) + h[k + 1:], lead, split)
                 for h in lead if h[k]]
         if None in tops:

@@ -2,7 +2,8 @@
 
 Skipped when sympy is unavailable; when present, reduced bases for a
 seeded sample of small ideals must coincide monomial-for-monomial in
-both supported orders.
+both supported orders, and Rees kernels must match sympy's lex
+elimination of t.
 """
 
 import random
@@ -12,7 +13,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from reeskit import DegRevLex, Lex, RingCtx, reduced_groebner  # noqa: E402
+from reeskit import (DegRevLex, Ideal, Lex, RingCtx,  # noqa: E402
+                     reduced_groebner, rees_kernel)
 
 ORDER_MAP = {"lex": (Lex(), "lex"), "degrevlex": (DegRevLex(), "grevlex")}
 
@@ -65,3 +67,25 @@ def test_reduced_bases_match_independent_engine(order_name):
             theirs_set = {_from_sympy(e, syms, ctx).monic()
                           for e in theirs.exprs}
             assert ours == theirs_set
+
+
+@pytest.mark.parametrize("names, quotient, gens", [
+    ("x,y", [], "x, y"),
+    ("x,y", [], "x^2, x*y, y^2"),
+    ("x,y", [], "x^3, y^3, x^2*y"),
+    ("u,v", ["u^4 - v^3"], "u, v"),
+    ("x,y,z", [], "x^2, y^2, x*y + z^2"),
+], ids=["m", "veronese", "huneke3", "cusp34", "wang2"])
+def test_rees_kernel_matches_lex_elimination(names, quotient, gens):
+    """sympy's lex basis with t first: its t-free elements generate K."""
+    I = Ideal(RingCtx(names, quotient=quotient), gens.split(", "))
+    pres = rees_kernel(I)
+    ext = pres.ext_ctx.ambient
+    t, *syms = sympy.symbols(("t",) + ext.vars)
+    polys = [T - _to_sympy(x, syms) * t
+             for T, x in zip(syms[len(I.ctx.vars):], I.gens)]
+    polys += [_to_sympy(q, syms) for q in I.ctx.quotient]
+    basis = sympy.groebner(polys, t, *syms, order="lex")
+    kept = [_from_sympy(e, syms, ext) for e in basis.exprs if not e.has(t)]
+    assert (Ideal(pres.ext_ctx, kept).gb.elements
+            == pres.kernel.gb.elements)

@@ -2,6 +2,7 @@
 regularity, and the d-sequence reduction theorem checker."""
 
 import pytest
+from conftest import CURVE_INSTANCES
 
 from reeskit import (Fraction, Ideal, PolyError, RingCtx, artin_rees_number,
                      check_d_sequence_reduction, d_sequence_check,
@@ -14,10 +15,39 @@ from reeskit import (Fraction, Ideal, PolyError, RingCtx, artin_rees_number,
 CTX2 = RingCtx("x,y")
 CUSP23 = monomial_curve((2, 3), ("u", "v"))
 CUSP34 = monomial_curve((3, 4), ("u", "v"))
+NODE = RingCtx("x,y,z", quotient=["x*z"])
+CROSS = RingCtx("x,y", quotient=["x*y"])
+CTX3 = RingCtx("x,y,z")
+ARTIN = RingCtx("x,y", quotient=["x^4", "y^2"])
+ARTIN2 = RingCtx("x,y", quotient=["y^3", "x^4"])
 
 
 def I_(ctx, *gens):
     return Ideal(ctx, list(gens))
+
+
+# -- the scans: independent routes for rn and id --------------------------------
+
+
+def _power_scan(J, I, cap):
+    """The least n <= cap with I^{n+1} = J·I^n, built power by power;
+    None when no degree up to the cap settles it."""
+    for n in range(cap + 1):
+        if ideal_equal(ideal_power(I, n + 1),
+                       ideal_product(J, ideal_power(I, n))):
+            return n
+    return None
+
+
+def _colon_scan(y, x, ctx, cap):
+    """The least n <= cap with x·(x, y)^{n-1} : (y^n) = (1), one colon per
+    degree; None when no degree up to the cap settles it."""
+    I, xI = I_(ctx, x, y), I_(ctx, x)
+    for n in range(1, cap + 1):
+        if ideal_colon(ideal_product(xI, ideal_power(I, n - 1)),
+                       I_(ctx, y ** n)).is_unit:
+            return n
+    return None
 
 
 # -- reductions -----------------------------------------------------------------
@@ -43,7 +73,7 @@ def test_is_reduction_unresolved_and_containment_error():
     I = I_(CTX2, x, y)
     out = is_reduction(I_(CTX2, x), I, cap=4)
     assert not out.resolved and out.cap == 4
-    assert str(out) == "unresolved(cap=4)"
+    assert str(out) == "none(not a reduction)"
     with pytest.raises(PolyError, match="not contained"):
         is_reduction(I_(CTX2, x + 1), I_(CTX2, x), cap=2)
 
@@ -106,7 +136,7 @@ def test_integral_degree_on_curves():
     sv = monomial_curve((3, 4, 5), ("a", "b", "c"))
     assert integral_degree_fraction(sv.var("b"), sv.var("a"), sv,
                                     cap=8).value == 3
-    # not integral within the cap
+    # y/x is not integral over Q[x, y]
     out = integral_degree_fraction(CTX2.var("y"), CTX2.var("x"), CTX2, cap=4)
     assert not out.resolved
 
@@ -117,6 +147,53 @@ def test_integral_degree_requires_regular_denominator():
         integral_degree_fraction(node.var("y"), node.var("x"), node)
 
 
+# (ring, I, J): the conftest curves with J = (x) ⊆ I = (x, y), where id
+# is compared too, then ideals with non-principal or non-generator J;
+# the last input is no reduction, which no cap of the scans can show.
+SCAN_CAP = 6
+READ_CASES = [
+    (monomial_curve(w, names), f"{x}, {y}", x)
+    for w, names, x, y in CURVE_INSTANCES] + [
+    (CTX2, "x^3, y^3, x^2*y", "x^3, y^3"),
+    (CTX2, "x^5, y^5, x^4*y", "x^5, y^5"),
+    (CTX2, "x^2, x*y, y^2", "x^2, y^2"),
+    (NODE, "x, z", "x + z"),
+    (CUSP23, "-u, u^2*v^2 + 2*v^2, v + 2*u*v", "-u"),
+    (CTX2, "x, y", "x"),
+]
+READ_IDS = [f"t^{w} x={x} y={y}" for w, _, x, y in CURVE_INSTANCES] + [
+    "huneke3", "huneke5", "m2", "node-x+z", "cusp23-inhomogeneous",
+    "not-a-reduction"]
+
+
+@pytest.mark.parametrize("ctx, I, J", READ_CASES, ids=READ_IDS)
+def test_exact_rn_and_id_match_the_scans(ctx, I, J):
+    I, J = Ideal(ctx, I.split(", ")), Ideal(ctx, J.split(", "))
+    rn, scan = reduction_number(I, J), _power_scan(J, I, SCAN_CAP)
+    assert rn.value == scan
+    if scan is None:
+        assert str(rn) == "none(not a reduction)"
+    if len(I.gens) == 2 and J.gens == I.gens[:1]:
+        x, y = I.gens
+        idv = integral_degree_fraction(y, x, ctx)
+        assert idv.value == _colon_scan(y, x, ctx, SCAN_CAP)
+        if scan is None:
+            assert str(idv) == "none(not integral)"
+        else:
+            assert idv.value == scan + 1
+
+
+def test_exact_read_edge_inputs():
+    zero = I_(CTX2, CTX2.zero)
+    assert reduction_number(zero, zero).value == 0  # no Rees kernel of (0)
+    nil = RingCtx("x", quotient=["x^2"])
+    assert reduction_number(I_(nil, nil.var("x")), I_(nil, nil.zero)).value == 1
+    x, y = CTX2.var("x"), CTX2.var("y")
+    assert integral_degree_fraction(CTX2.zero, x, CTX2).value == 1
+    with pytest.raises(PolyError, match="not contained"):
+        reduction_number(I_(CTX2, x), I_(CTX2, x, y))
+
+
 def test_sup_estimate_report():
     u, v = CUSP34.var("u"), CUSP34.var("v")
     fracs = [Fraction(CUSP34, v, u), Fraction(CUSP34, v ** 2, u ** 2),
@@ -125,7 +202,6 @@ def test_sup_estimate_report():
     rep = integral_degree_sup_estimate(CUSP34, fracs, ideals, cap=8)
     assert rep.max_id == 3
     assert rep.max_rn_plus_one == 3
-    assert rep.tie_holds
     empty = integral_degree_sup_estimate(CUSP34, [], [], cap=4)
     assert empty.max_id is None and empty.max_rn_plus_one is None
 
@@ -135,7 +211,7 @@ def test_sup_estimate_on_polynomial_ring():
     x = ctx.var("x")
     fracs = [Fraction(ctx, x ** 2, x), Fraction(ctx, x, ctx.one)]
     rep = integral_degree_sup_estimate(ctx, fracs, [I_(ctx, x)], cap=4)
-    assert rep.max_id == 1 and rep.tie_holds
+    assert rep.max_id == 1
 
 
 # -- Artin-Rees -----------------------------------------------------------------
@@ -274,19 +350,13 @@ def _filter_condition(I, seq, n):
 
 def _window_reg(I, J, window):
     """The window route: the largest n in rn+1..rn+window at which the
-    filter-regular condition fails, rn when it holds throughout."""
-    r = reduction_number(I, J, window).value
+    filter-regular condition fails, rn (by the power scan) when it holds
+    throughout."""
+    r = _power_scan(J, I, window)
     seq = [g for g in J.gens if not g.is_zero]
     failing = [n for n in range(r + 1, r + window + 1)
                if not _filter_condition(I, seq, n)]
     return max(failing, default=r)
-
-
-NODE = RingCtx("x,y,z", quotient=["x*z"])
-CROSS = RingCtx("x,y", quotient=["x*y"])
-CTX3 = RingCtx("x,y,z")
-ARTIN = RingCtx("x,y", quotient=["x^4", "y^2"])
-ARTIN2 = RingCtx("x,y", quotient=["y^3", "x^4"])
 
 
 # Wang n = 2, 3 with J = I (reg 0) and (x^2, y^2, z^2, xy) with

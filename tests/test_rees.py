@@ -1,13 +1,16 @@
 """Rees presentations, relation types, and the two-generated colon route."""
 
 import pytest
+from conftest import CURVE_INSTANCES
 
 from reeskit import (Ideal, PolyError, RingCtx, compose,
                      effective_relation_2gen, monomial_curve, normal_form,
                      rees_kernel, relation_type, relation_type_mod)
+from reeskit.groebner import eliminate_aux
 
 CTX2 = RingCtx("x,y")
 CTX3 = RingCtx("x,y,z")
+CUSP23 = monomial_curve((2, 3), ("u", "v"))
 CUSP34 = monomial_curve((3, 4), ("u", "v"))
 
 
@@ -149,3 +152,39 @@ def test_two_routes_agree_on_two_generated_ideals():
 def test_relation_type_rejects_zero_ideal():
     with pytest.raises(PolyError):
         relation_type(I_(CTX2, CTX2.zero))
+
+
+def _unweighted_kernel(I):
+    """K = (T_i - x_i t, quotient) ∩ A[T], eliminating t under plain
+    ``Elimination(1)``, read in the presentation's ring."""
+    pres = rees_kernel(I)
+    ext = pres.ext_ctx
+    xs = [g for g in I.gens if not g.is_zero]
+
+    def build(t, lift):
+        return ([lift(ext.var(tv)) - lift(x) * t
+                 for tv, x in zip(pres.tvars, xs)]
+                + [lift(q) for q in ext.quotient])
+
+    return Ideal(ext, eliminate_aux(ext, build))
+
+
+KERNEL_CASES = [
+    (monomial_curve(w, names), f"{x}, {y}")
+    for w, names, x, y in CURVE_INSTANCES] + [
+    (CTX2, f"x^{n}, y^{n}, x^{n - 1}*y") for n in (2, 3, 4, 5)] + [
+    (CTX3, f"x^{n}, y^{n}, x^{n - 1}*y + z^{n}") for n in (2, 3, 4)] + [
+    (CTX2, "x^2, x*y, y^2"),
+    (CTX2, "x, y"),
+    (CUSP23, "-u, u^2*v^2 + 2*v^2, v + 2*u*v"),
+]
+KERNEL_IDS = [f"t^{w} x={x} y={y}" for w, _, x, y in CURVE_INSTANCES] + [
+    f"huneke{n}" for n in (2, 3, 4, 5)] + [f"wang{n}" for n in (2, 3, 4)] + [
+    "veronese", "m", "cusp23-inhomogeneous"]
+
+
+@pytest.mark.parametrize("ctx, gens", KERNEL_CASES, ids=KERNEL_IDS)
+def test_graded_elimination_leaves_the_kernel_unchanged(ctx, gens):
+    I = Ideal(ctx, gens.split(", "))
+    assert (rees_kernel(I).kernel.gb.elements
+            == _unweighted_kernel(I).gb.elements)
