@@ -6,6 +6,10 @@ returned basis is auto-reduced, monic, and sorted by leading monomial.
 Both classical pair criteria (coprime lcm and chain) are applied.
 Resource caps abort loudly instead of letting a runaway input spin.
 
+A reduced basis depends only on the ideal and the order, so
+:func:`reduced_groebner` memoizes the ``MEMO_SIZE`` latest bases, keyed by
+variables, order, set of generator terms and caps; all layers share it.
+
 :func:`eliminate_polys` is the one elimination engine.
 :func:`eliminate_aux` runs it on a ring with one extra auxiliary
 variable in front; intersections, Rees-algebra kernels and
@@ -15,6 +19,7 @@ that knows the auxiliary variable.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -23,6 +28,8 @@ from .poly import (DegRevLex, Elimination, Poly, PolyError, RingCtx, TGraded,
 
 DEFAULT_MAX_BASIS = 4096
 DEFAULT_MAX_DEGREE = 256
+# Reduced bases kept by the memo; a small bound keeps peak memory flat.
+MEMO_SIZE = 64
 
 # The auxiliary elimination variable.  The grammar cannot spell "@", so
 # it never collides with a user variable.
@@ -182,7 +189,7 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _interreduce(polys, ctx) -> GroebnerBasis:
+def _interreduce(polys, ctx) -> tuple:
     keyf = ctx.order.key
     polys = sorted((p for p in polys if not p.is_zero),
                    key=lambda p: (keyf(p.lm), p.canonical_key()))
@@ -196,7 +203,7 @@ def _interreduce(polys, ctx) -> GroebnerBasis:
         r = normal_form(p, others) if others else p
         reduced.append(r.monic())
     reduced.sort(key=lambda p: keyf(p.lm))
-    return GroebnerBasis(ctx, tuple(reduced))
+    return tuple(reduced)
 
 
 def reduced_groebner(gens, ctx: RingCtx | None = None,
@@ -218,7 +225,19 @@ def reduced_groebner(gens, ctx: RingCtx | None = None,
     gens = [g.in_ctx(ctx) for g in gens]
     if not gens:
         return GroebnerBasis(ctx, ())
+    terms = tuple(sorted({tuple(sorted(g.terms.items())) for g in gens}))
+    elements = _buchberger(ctx.vars, ctx.order, terms, max_basis, max_degree)
+    basis = GroebnerBasis(ctx, tuple(g.in_ctx(ctx) for g in elements))
+    if SELF_CHECK and not basis.self_check():
+        raise PolyError("internal: Buchberger self-check failed")
+    return basis
 
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _buchberger(vars, order, terms, max_basis, max_degree) -> tuple:
+    """Elements of the reduced basis of the ideal of ``terms`` (the memo)."""
+    ctx = RingCtx(vars, order, _internal=True)
+    gens = [Poly(ctx, dict(t), _trust=True) for t in terms]
     keyf = ctx.order.key
     track_tblock = None
     if isinstance(ctx.order, TGraded) and ctx.order.tcount:
@@ -281,10 +300,7 @@ def reduced_groebner(gens, ctx: RingCtx | None = None,
         if not r.is_zero:
             add_poly(r)
 
-    basis = _interreduce(G, ctx)
-    if SELF_CHECK and not basis.self_check():
-        raise PolyError("internal: Buchberger self-check failed")
-    return basis
+    return _interreduce(G, ctx)
 
 
 # -- elimination ---------------------------------------------------------------

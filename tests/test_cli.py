@@ -13,9 +13,6 @@ GOLDEN = pathlib.Path(__file__).parent / "data" / "verify_all.txt"
 GOLDEN_BLOCKS = {
     tuple(line.split(" = ", 1)[1] for line in block.splitlines()[:2]): block
     for block in GOLDEN.read_text(encoding="utf-8").split("\n\n") if block}
-# veronese n = 2 takes about 5 s (its two-generated colon route); the
-# md5 of the whole `verify --all` output covers it.
-SLOW_ENTRIES = {("veronese", "2")}
 
 
 def run(capsys, *argv):
@@ -141,7 +138,7 @@ def test_golden_covers_the_registry():
     assert set(GOLDEN_BLOCKS) == entries
 
 
-@pytest.mark.parametrize("name,n", sorted(set(GOLDEN_BLOCKS) - SLOW_ENTRIES))
+@pytest.mark.parametrize("name,n", sorted(GOLDEN_BLOCKS))
 def test_verify_matches_golden_report(capsys, name, n):
     code, out, _ = run(capsys, "verify", name, "--n", n)
     assert code == 0

@@ -6,6 +6,7 @@ import pytest
 
 from reeskit import (Ideal, Lex, PolyError, ResourceLimitError, RingCtx,
                      eliminate, ideal_member, normal_form, reduced_groebner)
+from reeskit import groebner
 from reeskit.groebner import eliminate_polys, spolynomial
 
 CTX2 = RingCtx("x,y")
@@ -69,6 +70,7 @@ def test_reduced_basis_unique_under_shuffles():
     for _ in range(10):
         shuffled = gens[:]
         rng.shuffle(shuffled)
+        groebner._buchberger.cache_clear()  # rerun Buchberger, not the memo
         assert reduced_groebner(shuffled).elements == reference
 
 
@@ -125,3 +127,63 @@ def test_unit_ideal_basis():
     gb = reduced_groebner(_polys(CTX2, "x", "x + 1"))
     assert gb.is_unit
     assert [str(g) for g in gb.elements] == ["1"]
+
+
+# -- the memo ----------------------------------------------------------------
+
+MEMO_GENS = ("x^2 - y", "x*y - 1", "y^3 - x")
+
+
+def _hits():
+    return groebner._buchberger.cache_info().hits
+
+
+def test_memo_hit_equals_a_fresh_computation():
+    gens = _polys(CTX2, *MEMO_GENS)
+    groebner._buchberger.cache_clear()
+    fresh = reduced_groebner(gens)
+    hits = _hits()
+    hit = reduced_groebner(gens[::-1] + gens[:1])
+    assert _hits() == hits + 1
+    assert hit.elements == fresh.elements
+    assert [str(g) for g in hit] == [str(g) for g in fresh]
+
+
+def test_memo_hit_lives_in_the_callers_context():
+    twin = RingCtx("x,y")
+    assert twin == CTX2 and twin is not CTX2
+    first = reduced_groebner(_polys(CTX2, *MEMO_GENS))
+    hits = _hits()
+    hit = reduced_groebner(_polys(twin, *MEMO_GENS))
+    assert _hits() == hits + 1
+    assert hit.ctx is twin and all(g.ctx is twin for g in hit)
+    assert first.ctx is CTX2 and hit.elements == first.elements
+
+
+def test_memo_does_not_bypass_smaller_caps():
+    gens = _polys(CTX2, *MEMO_GENS)
+    reduced_groebner(gens)
+    with pytest.raises(ResourceLimitError):
+        reduced_groebner(gens, max_basis=2)
+    with pytest.raises(ResourceLimitError):
+        reduced_groebner(gens, max_degree=2)
+
+
+def test_memo_hit_is_self_checked(monkeypatch):
+    gens = _polys(CTX2, *MEMO_GENS)
+    reduced_groebner(gens)
+    monkeypatch.setattr(groebner, "SELF_CHECK", True)
+    monkeypatch.setattr(groebner.GroebnerBasis, "self_check", lambda b: False)
+    hits = _hits()
+    with pytest.raises(PolyError, match="self-check failed"):
+        reduced_groebner(gens)
+    assert _hits() == hits + 1
+
+
+def test_memo_stays_within_its_bound():
+    groebner._buchberger.cache_clear()
+    x = CTX2.var("x")
+    for k in range(groebner.MEMO_SIZE + 8):
+        reduced_groebner([x ** (k + 1) - 1])
+        assert groebner._buchberger.cache_info().currsize <= groebner.MEMO_SIZE
+    assert groebner._buchberger.cache_info().currsize == groebner.MEMO_SIZE

@@ -194,6 +194,16 @@ def test_exact_read_edge_inputs():
         reduction_number(I_(CTX2, x), I_(CTX2, x, y))
 
 
+def test_rn_drops_redundant_reduction_generators():
+    # x^2*y^2 lies in (x^2, y^2), so R(I) is presented on three T
+    # variables, not four, and rn is that of J = (x^2, y^2)
+    I, lean = Ideal(CTX2, ["x^2", "x*y", "y^2"]), I_(CTX2, "x^2", "y^2")
+    J = I_(CTX2, "x^2", "y^2", "x^2*y^2")
+    assert reduction_number(I, J).value == 1
+    assert [p.tcount for p in I._rees.values()] == [3]
+    assert reduction_number(Ideal(CTX2, I.gens), lean).value == 1
+
+
 def test_sup_estimate_report():
     u, v = CUSP34.var("u"), CUSP34.var("v")
     fracs = [Fraction(CUSP34, v, u), Fraction(CUSP34, v ** 2, u ** 2),
