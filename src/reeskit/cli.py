@@ -12,8 +12,8 @@ Subcommands::
     reeskit verify <name> --n <k> | --all
     reeskit list
 
-Exit codes: 0 pass/resolved, 1 input error, 2 expectation failure,
-3 no value.
+Every invariant prints a value or ``none(<reason>)``.  Exit codes:
+0 pass, 1 input or usage error, 2 expectation failure, 3 no value.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def _cmd_rn(args) -> int:
     ctx = _build_ctx(args)
     I = _parse_ideal(ctx, args.ideal)
     J = _parse_ideal(ctx, args.reduction)
-    outcome = reduction_number(I, J, args.cap)
+    outcome = reduction_number(I, J)
     return _emit_outcome([("rn", outcome)], outcome)
 
 
@@ -101,7 +101,7 @@ def _cmd_id(args) -> int:
     ctx = _build_ctx(args)
     num = ctx.parse(args.num)
     den = ctx.parse(args.den)
-    outcome = integral_degree_fraction(num, den, ctx, args.cap)
+    outcome = integral_degree_fraction(num, den, ctx)
     return _emit_outcome([("id", outcome)], outcome)
 
 
@@ -110,7 +110,7 @@ def _cmd_ar(args) -> int:
     a = _parse_ideal(ctx, args.sub)
     I = _parse_ideal(ctx, args.ideal)
     J = _parse_ideal(ctx, args.modulo) if args.modulo else Ideal(ctx, [ctx.zero])
-    report = artin_rees_number(a, I, J, args.cap)
+    report = artin_rees_number(a, I, J)
     pairs = [("s", report.s_value),
              ("rt_bound", report.rt_bound if report.rt_bound is not None
               else "unavailable"),
@@ -123,7 +123,7 @@ def _cmd_reg(args) -> int:
     ctx = _build_ctx(args)
     I = _parse_ideal(ctx, args.ideal)
     J = _parse_ideal(ctx, args.reduction)
-    outcome = reg_rees(I, J, args.cap)
+    outcome = reg_rees(I, J)
     return _emit_outcome([("reg", outcome), ("mode", outcome.witness)], outcome)
 
 
@@ -140,16 +140,12 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _run_one(name: str, n: int, cap: int) -> int:
-    report = run_example(name, n, cap)
+def _run_one(name: str, n: int) -> int:
+    report = run_example(name, n)
     print(emit_report(report.lines(), report.status))
     for line in report.failure_lines():
         print(line)
-    if report.status == "fail":
-        return EXIT_FAIL
-    if report.status == "unresolved":
-        return EXIT_NO_VALUE
-    return EXIT_OK
+    return EXIT_OK if report.passed else EXIT_FAIL
 
 
 def _cmd_verify(args) -> int:
@@ -158,7 +154,7 @@ def _cmd_verify(args) -> int:
         for name in sorted(REGISTRY):
             entry = REGISTRY[name]
             for n in range(entry.n_min, entry.n_max + 1):
-                code = _run_one(name, n, args.cap)
+                code = _run_one(name, n)
                 worst = max(worst, code)
                 print()
         return worst
@@ -166,11 +162,19 @@ def _cmd_verify(args) -> int:
         raise PolyError("verify needs an example name or --all")
     if args.n is None:
         raise PolyError("verify needs --n <k>")
-    return _run_one(args.name, args.n, args.cap)
+    return _run_one(args.name, args.n)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (2 is an expectation failure); subparsers too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reeskit",
         description="Ideal-theoretic invariants over exact rationals")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -180,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mod", help="quotient generators, ';'-separated")
         p.add_argument("--order", default="degrevlex",
                        choices=sorted(ORDERS))
-        p.add_argument("--cap", type=int, default=32)
         if ideal:
             p.add_argument("--ideal", required=True,
                            help="ideal generators, ','-separated")
@@ -227,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?")
     p.add_argument("--n", type=int)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--cap", type=int, default=32)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("list", help="list registered examples")

@@ -7,7 +7,9 @@ expectation carries a provenance source ("literature: ...",
 "derived: ...", or "trivial: ..."); the registry refuses entries
 without one.  A literature value known to disagree with the stated
 independent oracle is marked ``divergence_ok`` and reported as an
-expected divergence instead of a failure.
+expected divergence instead of a failure.  An entry passes or fails:
+every invariant is exact, and a computed None fails its expectation.
+Only the Veronese colon route is bounded, by ``VERONESE_COLON_TOP``.
 
 The local families are evaluated in affine polynomial / monomial-curve
 models; every identity tested here is between objects generated in the
@@ -29,6 +31,8 @@ from .rees import effective_relation_2gen, relation_type, relation_type_mod
 from .semigroup import monomial_fraction_degree
 
 _SOURCES = ("literature:", "derived:", "trivial:")
+
+VERONESE_COLON_TOP = 32
 
 
 @dataclass(frozen=True)
@@ -53,10 +57,6 @@ class ExpectationResult:
     ok: bool
     divergent: bool
 
-    @property
-    def unresolved(self) -> bool:
-        return self.computed is None
-
 
 @dataclass
 class ExampleReport:
@@ -70,11 +70,7 @@ class ExampleReport:
 
     @property
     def status(self) -> str:
-        if any(not (r.ok or r.divergent or r.unresolved) for r in self.results):
-            return "fail"
-        if any(r.unresolved for r in self.results):
-            return "unresolved"
-        return "pass"
+        return "pass" if self.passed else "fail"
 
     def lines(self):
         out = [("example", self.name), ("n", self.n)]
@@ -89,8 +85,7 @@ class ExampleReport:
     def failure_lines(self):
         return [f"expected {r.key} = {format_value(r.expected)}, "
                 f"got {format_value(r.computed)}"
-                for r in self.results
-                if not (r.ok or r.divergent or r.unresolved)]
+                for r in self.results if not (r.ok or r.divergent)]
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +94,7 @@ class ExampleReport:
 
 def format_value(v) -> str:
     if v is None:
-        return "unresolved"
+        return "none"
     if isinstance(v, bool):
         return "true" if v else "false"
     return str(v)
@@ -150,12 +145,12 @@ class CorpusEntry:
         self.summary = summary
         self._runner = runner
 
-    def run(self, n: int, cap: int = 32) -> ExampleReport:
+    def run(self, n: int) -> ExampleReport:
         if not self.n_min <= n <= self.n_max:
             raise ValueError(
                 f"{self.name}: n = {n} outside supported range "
                 f"[{self.n_min}, {self.n_max}]")
-        expectations, computed = self._runner(n, cap)
+        expectations, computed = self._runner(n)
         results = []
         for exp in expectations:
             got = computed[exp.key]
@@ -167,14 +162,14 @@ class CorpusEntry:
         return ExampleReport(self.name, n, results)
 
 
-def _run_huneke(n: int, cap: int):
+def _run_huneke(n: int):
     ctx = RingCtx("x,y")
     x, y = ctx.var("x"), ctx.var("y")
     jgens = [x ** n, y ** n]
     I = Ideal(ctx, jgens + [x ** (n - 1) * y])
     J = Ideal(ctx, jgens)
-    rn = reduction_number(I, J, cap)
-    rep = check_d_sequence_reduction(I, jgens, cap) if rn.resolved else None
+    rn = reduction_number(I, J)
+    rep = check_d_sequence_reduction(I, jgens) if rn.resolved else None
     expectations = [
         Expectation("rn", n - 1,
                     "literature: Huneke's family (x^n, y^n, x^{n-1}y) has "
@@ -190,7 +185,7 @@ def _run_huneke(n: int, cap: int):
     return expectations, computed
 
 
-def _run_wang(n: int, cap: int):
+def _run_wang(n: int):
     ctx = RingCtx("x,y,z")
     x, y, z = (ctx.var(v) for v in "xyz")
     I = Ideal(ctx, [x ** n, y ** n, x ** (n - 1) * y + z ** n])
@@ -200,7 +195,7 @@ def _run_wang(n: int, cap: int):
     I_mod = Ideal(ctx_mod, list(I.gens))
     m_mod = Ideal(ctx_mod, [x, y, z])
     zero_mod = Ideal(ctx_mod, [ctx.zero])
-    ar = artin_rees_number(a, I, m, cap)
+    ar = artin_rees_number(a, I, m)
     expectations = [
         Expectation("rt", 1,
                     "trivial: the three generators form a regular sequence, "
@@ -229,20 +224,20 @@ def _run_wang(n: int, cap: int):
     return expectations, computed
 
 
-def _run_eisenbud_hochster(n: int, cap: int):
+def _run_eisenbud_hochster(n: int):
     ctx = RingCtx("x,y")
     x, y = ctx.var("x"), ctx.var("y")
     f = x ** n - y ** (n + 1)
     a = Ideal(ctx, [f])
     I = Ideal(ctx, [x, y])
     zero = Ideal(ctx, [ctx.zero])
-    ar = artin_rees_number(a, I, zero, cap)
+    ar = artin_rees_number(a, I, zero)
     lhs = ideal_intersect(ideal_power(I, n), a)
     rhs = ideal_product(I, ideal_intersect(ideal_power(I, n - 1), a))
     strict = (all(ideal_member(g, lhs) for g in rhs.basis_gens)
               and not all(ideal_member(g, rhs) for g in lhs.basis_gens))
     ctx_curve = ctx.with_quotient([f])
-    idxy = integral_degree_fraction(x, y, ctx_curve, cap)
+    idxy = integral_degree_fraction(x, y, ctx_curve)
     expectations = [
         Expectation("strict_gap", True,
                     "literature: Eisenbud-Hochster slice: the generator of "
@@ -264,12 +259,12 @@ def _run_eisenbud_hochster(n: int, cap: int):
     return expectations, computed
 
 
-def _run_sally_vasconcelos(n: int, cap: int):
+def _run_sally_vasconcelos(n: int):
     names = _sv_names(n)
     weights = tuple(n + 1 + i for i in range(n + 1))
     ctx = monomial_curve(weights, names)
     u0, u1 = ctx.var(names[0]), ctx.var(names[1])
-    out = integral_degree_fraction(u1, u0, ctx, cap)
+    out = integral_degree_fraction(u1, u0, ctx)
     oracle = monomial_fraction_degree(weights, 1)
     expectations = [
         Expectation("id", n,
@@ -286,7 +281,7 @@ def _run_sally_vasconcelos(n: int, cap: int):
     return expectations, computed
 
 
-def _run_veronese(n: int, cap: int):
+def _run_veronese(n: int):
     ctx = RingCtx("x,y")
     x, y = ctx.var("x"), ctx.var("y")
     I = Ideal(ctx, [x ** 2, x * y, y ** 2])
@@ -298,7 +293,7 @@ def _run_veronese(n: int, cap: int):
         sub = Ideal(ctx, [xx, yy])
         general = relation_type(sub)
         colon_route = 1
-        for k in range(2, cap + 1):
+        for k in range(2, VERONESE_COLON_TOP + 1):
             if not effective_relation_2gen(xx, yy, k, zero):
                 colon_route = k
         sub_checks.append(general == colon_route)
@@ -317,7 +312,7 @@ def _run_veronese(n: int, cap: int):
     return expectations, computed
 
 
-def _run_node_dseq(n: int, cap: int):
+def _run_node_dseq(n: int):
     ctx = RingCtx("x,y,z", quotient=["x*z"])
     x, y = ctx.var("x"), ctx.var("y")
     expectations = [
@@ -363,11 +358,11 @@ REGISTRY = {
 }
 
 
-def run_example(name: str, n: int, cap: int = 32) -> ExampleReport:
+def run_example(name: str, n: int) -> ExampleReport:
     entry = REGISTRY.get(name)
     if entry is None:
         raise KeyError(f"unknown example {name!r}; see `reeskit list`")
-    return entry.run(n, cap)
+    return entry.run(n)
 
 
 def list_examples() -> str:

@@ -4,8 +4,9 @@ module, and the d-sequence reduction theorem checker.
 
 Reduction numbers (so id(y/x) = rn_(x)((x, y)) + 1), Artin-Rees numbers
 and the regularity are read exactly off the Rees presentation
-(:mod:`rees`), with the relation-type bound beside s.  No value is a
-decided negative with its reason: ``none(not a reduction)``,
+(:mod:`rees`), with the relation-type bound beside s.  Nothing is
+searched degree by degree, so every outcome is a value or a decided
+negative with its reason: ``none(not a reduction)``,
 ``none(not integral)`` or ``none(not filter-regular at g)``.
 """
 
@@ -20,16 +21,13 @@ from .poly import Poly, PolyError, RingCtx
 from .rees import (artin_rees_degree, filter_regular_degree, reduction_degree,
                    relation_type, relation_type_mod)
 
-DEFAULT_CAP = 32
-
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """A value, none(reason) with the reason in ``witness``, or unresolved."""
+    """A value, or none(reason) with the reason in ``witness``."""
 
     value: int | None
-    cap: int
-    witness: str | None = None
+    witness: str | None
 
     @property
     def resolved(self) -> bool:
@@ -41,35 +39,48 @@ class SearchOutcome:
     def __repr__(self):
         if self.resolved:
             return f"resolved({self.value})"
-        if self.witness:
-            return f"none({self.witness})"
-        return f"unresolved(cap={self.cap})"
+        return f"none({self.witness})"
 
 
 # ---------------------------------------------------------------------------
 # reductions
 
 
-def is_reduction(J: Ideal, I: Ideal, cap: int = DEFAULT_CAP) -> SearchOutcome:
-    """The least n with I^{n+1} = J·I^n (:func:`rees.reduction_degree`).
-
-    Requires J ⊆ I (checked on generators); ``cap`` only stamps it.
-    """
+def _check_contained(J: Ideal, I: Ideal):
     J._check_ctx(I)
     if not ideal_contains(I, J):
         raise PolyError("the candidate reduction is not contained in the ideal")
-    n = reduction_degree(I, J.gens)
-    return SearchOutcome(n, cap, "not a reduction" if n is None
+
+
+def is_reduction(J: Ideal, I: Ideal) -> SearchOutcome:
+    """The least n with I^{n+1} = J·I^n (:func:`rees.reduction_degree`).
+
+    Requires J ⊆ I (checked on generators).  rn depends on the ideal J
+    only, so each generator in the ideal of the others is dropped first:
+    one that is no generator of I would cost the presentation a T
+    variable.
+    """
+    _check_contained(J, I)
+    xs = [g for g in J.gens if not g.is_zero]
+    if len(xs) > 1:
+        for g in list(xs):
+            rest = list(xs)
+            rest.remove(g)
+            if ideal_member(g, Ideal(I.ctx, rest)):
+                xs = rest
+    n = reduction_degree(I, xs)
+    return SearchOutcome(n, "not a reduction" if n is None
                          else f"I^{n + 1} = J*I^{n}")
 
 
-def reduction_number(I: Ideal, J: Ideal, cap: int = DEFAULT_CAP) -> SearchOutcome:
-    """rn_J(I): the least n with I^{n+1} = J·I^n."""
-    return is_reduction(J, I, cap)
+def reduction_number(I: Ideal, J: Ideal, _ignored=None, /) -> SearchOutcome:
+    """rn_J(I): the least n with I^{n+1} = J·I^n.  A third argument is
+    ignored; ``bench/child.py`` still passes its former search bound."""
+    return is_reduction(J, I)
 
 
-def find_principal_reduction(I: Ideal, cap: int = DEFAULT_CAP,
-                             trials: int = 16, survey: bool = False):
+def find_principal_reduction(I: Ideal, trials: int = 16,
+                             survey: bool = False):
     """First regular g among the candidates with (g) a reduction of I.
 
     Returns ``(g, outcome)`` or None when nothing was found within the
@@ -82,7 +93,7 @@ def find_principal_reduction(I: Ideal, cap: int = DEFAULT_CAP,
     for g in candidate_elements(I, I.gens, trials):
         if not is_regular_element(g, I.ctx):
             continue
-        outcome = is_reduction(Ideal(I.ctx, [g]), I, cap)
+        outcome = is_reduction(Ideal(I.ctx, [g]), I)
         if outcome.resolved:
             found.append((g, outcome))
             if not survey:
@@ -102,21 +113,23 @@ def find_principal_reduction(I: Ideal, cap: int = DEFAULT_CAP,
 
 
 def integral_degree_fraction(y: Poly, x: Poly, ctx: RingCtx,
-                             cap: int = DEFAULT_CAP) -> SearchOutcome:
+                             _ignored=None, /) -> SearchOutcome:
     """id(y/x) = rn_(x)((x, y)) + 1, the least degree of a monic equation
-    of y/x over the ring of ``ctx``; ``cap`` only stamps the outcome.
+    of y/x over the ring of ``ctx``.
 
     The denominator must be regular.  ``ctx`` is required: a polynomial
     only knows the ambient polynomial ring, not the quotient it is read in.
+    A fourth argument is ignored; ``bench/child.py`` still passes its
+    former search bound.
     """
     x = ctx.coerce(x)
     y = ctx.coerce(y)
     if not is_regular_element(x, ctx):
         raise PolyError("the denominator must be a regular element")
-    rn = is_reduction(Ideal(ctx, [x]), Ideal(ctx, [x, y]), cap)
+    rn = is_reduction(Ideal(ctx, [x]), Ideal(ctx, [x, y]))
     if not rn.resolved:
-        return SearchOutcome(None, cap, "not integral")
-    return SearchOutcome(rn.value + 1, cap, f"rn_(x)((x,y)) = {rn.value}")
+        return SearchOutcome(None, "not integral")
+    return SearchOutcome(rn.value + 1, f"rn_(x)((x,y)) = {rn.value}")
 
 
 @dataclass
@@ -141,16 +154,16 @@ class SupEstimateReport:
         return max(vals) if vals else None
 
 
-def integral_degree_sup_estimate(ctx: RingCtx, fractions, ideals,
-                                 cap: int = DEFAULT_CAP) -> SupEstimateReport:
+def integral_degree_sup_estimate(ctx: RingCtx, fractions,
+                                 ideals) -> SupEstimateReport:
     """Lower-bound report: max id over sampled fractions and max rn+1 over
     sampled ideals with principal reductions."""
     report = SupEstimateReport()
     for frac in fractions:
-        out = integral_degree_fraction(frac.num, frac.den, ctx, cap)
+        out = integral_degree_fraction(frac.num, frac.den, ctx)
         report.fraction_ids.append((frac, out))
     for I in ideals:
-        hit = find_principal_reduction(I, cap)
+        hit = find_principal_reduction(I)
         if hit is not None:
             g, outcome = hit
             report.ideal_rns.append((I, g, outcome))
@@ -181,12 +194,8 @@ class ArtinReesReport:
     witness: str | None = None
 
 
-def artin_rees_number(a: Ideal, I: Ideal, J: Ideal,
-                      cap: int = DEFAULT_CAP) -> ArtinReesReport:
-    """s_J(a, A; I): largest n with a nonvanishing obstruction module.
-
-    Nothing is searched; ``cap`` only stamps the outcome.
-    """
+def artin_rees_number(a: Ideal, I: Ideal, J: Ideal) -> ArtinReesReport:
+    """s_J(a, A; I): largest n with a nonvanishing obstruction module."""
     s, g, window = artin_rees_degree(a, I, J)
     try:
         ctx_mod = a.ctx.with_quotient([h for h in a.gens if not h.is_zero])
@@ -195,7 +204,7 @@ def artin_rees_number(a: Ideal, I: Ideal, J: Ideal,
     except PolyError:
         rt_bound = None
     witness = None if g is None else str(g)
-    return ArtinReesReport(SearchOutcome(s, cap, witness), rt_bound,
+    return ArtinReesReport(SearchOutcome(s, witness), rt_bound,
                            window, True, witness)
 
 
@@ -240,20 +249,21 @@ def vv_check(prefix, I: Ideal, n: int) -> bool:
 # regularity of the Rees module
 
 
-def reg_rees(I: Ideal, J: Ideal, cap: int = DEFAULT_CAP) -> SearchOutcome:
+def reg_rees(I: Ideal, J: Ideal) -> SearchOutcome:
     """Regularity of the Rees module of I, via its reduction J = (x_1..x_s):
     the least r >= rn_J(I) above which the filter-regular condition of
     :func:`rees.filter_regular_degree` holds (Trung, Proc. AMS 101, 1987),
-    none when no degree bounds its failures; ``cap`` only stamps it."""
-    J._check_ctx(I)
-    rn = reduction_number(I, J, cap)
-    if not rn.resolved:
+    none when no degree bounds its failures.  rn and the filter-regular
+    degrees are both read off R(I) presented on x_1..x_s as given."""
+    _check_contained(J, I)
+    rn = reduction_degree(I, J.gens)
+    if rn is None:
         raise PolyError("not a reduction")
     top, x = filter_regular_degree(I, J.gens)
     if top is None:
-        return SearchOutcome(None, cap, f"not filter-regular at {x}")
-    reg = max(rn.value, top)
-    return SearchOutcome(reg, cap, f"exact: filter-regular above {reg}")
+        return SearchOutcome(None, f"not filter-regular at {x}")
+    reg = max(rn, top)
+    return SearchOutcome(reg, f"exact: filter-regular above {reg}")
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +303,13 @@ class DSequenceReductionReport:
         return bool(self.rt_bound_ok) and bool(self.reg_equals_rn_ok)
 
 
-def check_d_sequence_reduction(I: Ideal, j_gens,
-                               cap: int = DEFAULT_CAP) -> DSequenceReductionReport:
+def check_d_sequence_reduction(I: Ideal, j_gens) -> DSequenceReductionReport:
     """Evaluate the d-sequence reduction theorem on I and the ordered
     generators of a candidate reduction J = (j_gens)."""
     ctx = I.ctx
     seq = [ctx.coerce(g) for g in j_gens]
     J = Ideal(ctx, seq)
-    rn = reduction_number(I, J, cap)
+    rn = reduction_number(I, J)
     if not rn.resolved:
         raise PolyError("not a reduction")
     r = rn.value
@@ -327,6 +336,6 @@ def check_d_sequence_reduction(I: Ideal, j_gens,
     if report.hypotheses_hold:
         report.rt = relation_type(I)
         report.rt_bound_ok = report.rt <= r + 1
-        report.reg = reg_rees(I, J, cap)
+        report.reg = reg_rees(I, J)
         report.reg_equals_rn_ok = report.reg.resolved and report.reg.value == r
     return report

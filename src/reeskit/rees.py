@@ -236,18 +236,10 @@ def reduction_degree(I: Ideal, seq):
     (Huneke-Swanson, ch. 8); its standard monomials span it, so it
     vanishes iff each T^mu of degree n is divisible by a lead monomial of
     P free of ring variables.  rn is the top degree of the T^mu outside.
-    rn depends on J only, so each x_i in the ideal of the others is
-    dropped first: an x_i that is no generator of I costs a T variable.
     """
     if I.is_zero:
         return 0
     xs = [g for g in seq if not g.is_zero]
-    if len(xs) > 1:
-        for g in list(xs):
-            rest = list(xs)
-            rest.remove(g)
-            if ideal_member(g, Ideal(I.ctx, rest)):
-                xs = rest
     pres = rees_kernel(I, xs)
     lead = _lead(pres, len(xs), pres.ext_ctx.order)
     return _outside_top((0,) * len(pres.ext_ctx.vars), lead, len(I.ctx.vars))

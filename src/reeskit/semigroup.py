@@ -32,15 +32,13 @@ def semigroup_contains(gens, value: int) -> bool:
     return semigroup_table(gens, value)[value]
 
 
-def monomial_fraction_degree(gens, shift: int, cap: int = 64):
+def monomial_fraction_degree(gens, shift: int):
     """Integral degree of t^shift over k[<gens>]: least n >= 1 with
-    n*shift in the semigroup; None when no degree <= cap works."""
+    n*shift in the semigroup; None for shift < 0 (not integral).  It is
+    at most g = min(gens), as g*shift lies in the semigroup, so a table
+    up to g*shift decides it."""
     if shift < 0:
         return None
-    if shift == 0:
-        return 1
-    table = semigroup_table(gens, shift * cap)
-    for n in range(1, cap + 1):
-        if table[n * shift]:
-            return n
-    return None
+    g = min(gens)
+    table = semigroup_table(gens, g * shift)
+    return next(n for n in range(1, g + 1) if table[n * shift])

@@ -57,8 +57,8 @@ def curve_instances():
             "label": f"t^{weights} x={xs} y={ys}",
             "ctx": ctx, "x": x, "y": y, "ideal": I,
             "oracle": oracle,
-            "id": integral_degree_fraction(y, x, ctx, cap=12),
-            "rn": reduction_number(I, Ideal(ctx, [x]), cap=12),
+            "id": integral_degree_fraction(y, x, ctx),
+            "rn": reduction_number(I, Ideal(ctx, [x])),
             "rt": relation_type(I),
         })
     return rows

@@ -60,7 +60,7 @@ def test_rn_resolved(capsys):
 
 def test_rn_unresolved_exit_code(capsys):
     code, out, _ = run(capsys, "rn", "--vars", "x,y", "--ideal", "x, y",
-                       "--reduction", "x", "--cap", "3")
+                       "--reduction", "x")
     assert code == 3
     assert out.splitlines() == ["rn = none(not a reduction)", "status = none"]
 
@@ -112,6 +112,29 @@ def test_input_error_exit_code(capsys):
     code, _, err = run(capsys, "gb", "--vars", "x,y", "--ideal", "x + w")
     assert code == 1
     assert "input error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("rn", "--vars", "x,y", "--ideal", "x, y"),
+    ("rn", "--vars", "x,y", "--ideal", "x, y", "--reduction", "x",
+     "--bogus"),
+    ("rn", "--vars", "x,y", "--ideal", "x, y", "--reduction", "x",
+     "--cap", "3"),
+], ids=["missing-reduction", "unknown-flag", "retired-cap"])
+def test_usage_error_exits_as_input_error(capsys, argv):
+    # exit 2 is reserved for an expectation failure
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: reeskit") and "error: " in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rn", "-h"])
+    assert exc.value.code == 0
+    assert "--reduction" in capsys.readouterr().out
 
 
 def test_list_command(capsys):

@@ -30,8 +30,8 @@ def test_unknown_example_and_range_errors():
 
 def test_emit_report_formats():
     assert emit_report([("rn", 2)], "pass") == "rn = 2\nstatus = pass"
-    out = emit_report([("value", SearchOutcome(None, 32))], "unresolved")
-    assert out == "value = unresolved(cap=32)\nstatus = unresolved"
+    out = emit_report([("rn", SearchOutcome(None, "not a reduction"))], "none")
+    assert out == "rn = none(not a reduction)\nstatus = none"
     assert emit_report([("ok", True)], "pass").startswith("ok = true")
 
 

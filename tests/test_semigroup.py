@@ -26,10 +26,12 @@ def test_fraction_degree():
     assert monomial_fraction_degree([3, 4], -1) is None
 
 
-def test_fraction_degree_respects_cap():
-    # least n with n*1 in <7, 9> is 7, beyond the cap of 5
-    assert monomial_fraction_degree([7, 9], 1, cap=5) is None
-    assert monomial_fraction_degree([7, 9], 1, cap=8) == 7
+def test_fraction_degree_is_bounded_by_multiplicity():
+    # the answer is at most min(gens), so it is decided for every shift >= 0
+    assert monomial_fraction_degree([7, 9], 1) == 7
+    assert monomial_fraction_degree([67, 68], 1) == 67
+    assert monomial_fraction_degree([67, 68], 0) == 1
+    assert monomial_fraction_degree([67, 68], -3) is None
 
 
 def test_positive_generators_required():
