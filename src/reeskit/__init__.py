@@ -6,9 +6,9 @@ with exact rational Groebner bases over polynomial rings and their
 quotients, together with a registry of classical example families.
 """
 
-from .poly import (DegRevLex, Elimination, Lex, MonomialOrder, ParseError,
-                   Poly, PolyError, Rational, RingCtx, TGraded, compose,
-                   contract, embed, parse_poly, poly_str)
+from .poly import (DegRevLex, Lex, MonomialOrder, ParseError, Poly,
+                   PolyError, Rational, RingCtx, Weighted, compose, contract,
+                   embed, parse_poly, poly_str)
 from .groebner import (GroebnerBasis, ResourceLimitError, normal_form,
                        reduced_groebner, spolynomial)
 from .ideals import (Fraction, Ideal, eliminate, exact_divide, ideal_colon,

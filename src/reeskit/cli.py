@@ -26,7 +26,8 @@ from .ideals import Ideal
 from .invariants import (artin_rees_number, d_sequence_check,
                          integral_degree_fraction, reduction_number, reg_rees)
 from .poly import ORDERS, PolyError, RingCtx
-from .rees import rees_kernel, relation_type, relation_type_mod
+from .rees import (_degree_profile, rees_kernel, relation_type,
+                   relation_type_mod)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -42,10 +43,7 @@ def _split_polys(text: str):
 def _build_ctx(args) -> RingCtx:
     if not args.vars:
         raise PolyError("--vars is required")
-    order = ORDERS.get(args.order)
-    if order is None:
-        raise PolyError(f"unknown order {args.order!r}")
-    ctx = RingCtx(args.vars, order)
+    ctx = RingCtx(args.vars, ORDERS[args.order])
     if getattr(args, "mod", None):
         ctx = ctx.with_quotient(_split_polys(args.mod))
     return ctx
@@ -81,9 +79,9 @@ def _cmd_rt(args) -> int:
         value = relation_type(I)
         pairs.append(("rt", value))
     if args.explain:
-        pres = rees_kernel(I)
-        for d in sorted(pres.profile):
-            for g in pres.profile[d]:
+        profile = _degree_profile(rees_kernel(I).kernel, 1)
+        for d in sorted(profile):
+            for g in profile[d]:
                 pairs.append((f"kernel.deg{d}", g))
     print(emit_report(pairs, "pass"))
     return EXIT_OK

@@ -14,7 +14,10 @@ variables, order, set of generator terms and caps; all layers share it.
 :func:`eliminate_aux` runs it on a ring with one extra auxiliary
 variable in front; intersections, Rees-algebra kernels and
 monomial-curve rings are all built that way, and it is the only code
-that knows the auxiliary variable.
+that knows the auxiliary variable.  Every eliminating or graded order
+is a :class:`Weighted` order; whenever the input is homogeneous for its
+weights, as the graded Rees-kernel elimination is, Buchberger checks
+that every basis element stays so.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import functools
 import heapq
 from dataclasses import dataclass
 
-from .poly import (DegRevLex, Elimination, Poly, PolyError, RingCtx, TGraded,
-                   Weighted, contract, embed)
+from .poly import (DegRevLex, Poly, PolyError, RingCtx, Weighted, contract,
+                   embed)
 
 DEFAULT_MAX_BASIS = 4096
 DEFAULT_MAX_DEGREE = 256
@@ -70,6 +73,10 @@ def _mono_times(poly: Poly, exps, coeff) -> Poly:
     for e, c in poly.terms.items():
         out[tuple(x + y for x, y in zip(e, exps))] = c * coeff
     return Poly(poly.ctx, out, _trust=True)
+
+
+def _homogeneous(p: Poly, degree) -> bool:
+    return len({degree(e) for e in p.terms}) <= 1
 
 
 # -- normal form --------------------------------------------------------------
@@ -211,8 +218,8 @@ def reduced_groebner(gens, ctx: RingCtx | None = None,
                      max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Unique for a fixed order; inputs homogeneous in the trailing block
-    of a T-graded order yield a homogeneous basis (asserted).
+    Unique for a fixed order; inputs homogeneous for the weights of a
+    :class:`Weighted` order yield a homogeneous basis (asserted).
     """
     gens = [g for g in gens if g is not None and not g.is_zero]
     if ctx is None:
@@ -239,11 +246,9 @@ def _buchberger(vars, order, terms, max_basis, max_degree) -> tuple:
     ctx = RingCtx(vars, order, _internal=True)
     gens = [Poly(ctx, dict(t), _trust=True) for t in terms]
     keyf = ctx.order.key
-    track_tblock = None
-    if isinstance(ctx.order, TGraded) and ctx.order.tcount:
-        positions = tuple(range(len(ctx.vars) - ctx.order.tcount, len(ctx.vars)))
-        if all(g.is_homogeneous_in(positions) for g in gens):
-            track_tblock = positions
+    degree = ctx.order.degree if isinstance(ctx.order, Weighted) else None
+    if degree and not all(_homogeneous(g, degree) for g in gens):
+        degree = None
 
     for g in gens:
         if g.total_degree > max_degree:
@@ -261,8 +266,8 @@ def _buchberger(vars, order, terms, max_basis, max_degree) -> tuple:
         if p.total_degree > max_degree:
             raise ResourceLimitError(
                 f"intermediate degree {p.total_degree} exceeds cap {max_degree}")
-        if track_tblock is not None and not p.is_homogeneous_in(track_tblock):
-            raise PolyError("internal: trailing-block homogeneity lost")
+        if degree is not None and not _homogeneous(p, degree):
+            raise PolyError("internal: weighted homogeneity lost")
         p = p.monic()
         j = len(G)
         G.append(p)
@@ -318,10 +323,11 @@ def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None,
         raise PolyError(f"elimination block {first_k} out of range")
     if target_order is None:
         target_order = ctx.order
-        if isinstance(target_order, (Elimination, TGraded)):
+        if isinstance(target_order, Weighted):
             target_order = DegRevLex()
     target = RingCtx(ctx.vars[first_k:], target_order, _internal=True)
-    elim_ctx = RingCtx(ctx.vars, order or Elimination(first_k), _internal=True)
+    block = (1,) * first_k + (0,) * (len(ctx.vars) - first_k)
+    elim_ctx = RingCtx(ctx.vars, order or Weighted(block), _internal=True)
     gb = reduced_groebner([g.in_ctx(elim_ctx) for g in gens], ctx=elim_ctx)
     keep_positions = tuple(range(first_k, len(ctx.vars)))
     kept = []
@@ -339,11 +345,13 @@ def eliminate_aux(target: RingCtx, build, weights=None):
     of ``target`` into that ring; it returns the generators to
     eliminate t from.  No generators give no polynomials.  Generators
     homogeneous for ``weights`` on ``target.vars`` (t weighs 1) are graded
-    by them before ``Elimination(1)`` breaks ties.
+    by them before the t-elimination order breaks ties; Buchberger
+    asserts that homogeneity.
     """
     target = target.ambient
-    order = (Elimination(1) if weights is None
-             else Weighted((1,) + tuple(weights), Elimination(1)))
+    order = Weighted((1,) + (0,) * len(target.vars))
+    if weights is not None:
+        order = Weighted((1,) + tuple(weights), order)
     ring = RingCtx((_AUX,) + target.vars, order, _internal=True)
     positions = tuple(range(1, len(ring.vars)))
     gens = build(ring.var(_AUX), lambda p: embed(p, ring, positions))

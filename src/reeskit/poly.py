@@ -7,7 +7,8 @@ is an immutable map monomial -> coefficient with no zero entries, whose
 terms iterate in strictly decreasing order of the ring's monomial order.
 
 The module also provides the monomial orders used by the rest of the
-package (lex, degrevlex, elimination blocks, T-graded, weighted) and
+package (lex, degrevlex, and weighted: a non-negative weight vector
+refined by another order, which covers elimination and T-grading) and
 the text parser/printer for polynomial expressions.
 
 Grammar (ASCII, whitespace insignificant)::
@@ -55,13 +56,6 @@ class ParseError(PolyError):
 # monomial orders
 
 
-def _degrevlex_key(exps):
-    total = 0
-    for e in exps:
-        total += e
-    return (total, tuple(-e for e in reversed(exps)))
-
-
 class MonomialOrder:
     """Total, multiplicative well-order on exponent vectors.
 
@@ -96,60 +90,39 @@ class DegRevLex(MonomialOrder):
     tag = "degrevlex"
 
     def key(self, exps):
-        return _degrevlex_key(exps)
-
-
-class Elimination(MonomialOrder):
-    """Block order eliminating the first ``block`` variables.
-
-    Any monomial involving one of the first ``block`` variables exceeds
-    every monomial in the remaining ones; within each block the
-    comparison is degrevlex.
-    """
-
-    def __init__(self, block: int):
-        if block < 0:
-            raise ValueError("elimination block size must be non-negative")
-        self.block = block
-        self.tag = f"elim({block})"
-
-    def key(self, exps):
-        k = self.block
-        return (_degrevlex_key(exps[:k]), _degrevlex_key(exps[k:]))
-
-
-class TGraded(MonomialOrder):
-    """Compares by total degree in the trailing ``tcount`` variables first.
-
-    Ties are broken by ``inner`` (degrevlex on the full exponent vector
-    by default).  Reductions of polynomials homogeneous in the trailing
-    block stay homogeneous under this order.
-    """
-
-    def __init__(self, tcount: int, inner: MonomialOrder | None = None):
-        if tcount < 0:
-            raise ValueError("trailing block size must be non-negative")
-        self.tcount = tcount
-        self.inner = inner if inner is not None else DegRevLex()
-        self.tag = f"tgraded({tcount};{self.inner.tag})"
-
-    def key(self, exps):
-        t = 0
-        for e in exps[len(exps) - self.tcount:]:
-            t += e
-        return (t, self.inner.key(exps))
+        total = 0
+        for e in exps:
+            total += e
+        return (total, tuple(-e for e in reversed(exps)))
 
 
 class Weighted(MonomialOrder):
-    """Compares by the ``weights``-degree first (weights >= 0), then ``inner``."""
+    """Compares by the ``weights``-degree first, then by ``inner``
+    (degrevlex by default).
 
-    def __init__(self, weights, inner: MonomialOrder):
-        self.weights, self.inner = tuple(weights), inner
-        self.tag = f"weighted({self.weights};{inner.tag})"
+    Weights are non-negative, so this is a well-order: weight 1 on a
+    block of variables eliminates it, and weight 1 on the T-block grades
+    a Rees presentation by T-degree.  Reductions of polynomials
+    homogeneous for the weights stay homogeneous.
+    """
+
+    def __init__(self, weights, inner: MonomialOrder | None = None):
+        self.weights = tuple(weights)
+        if any(w < 0 for w in self.weights):
+            raise ValueError("weights must be non-negative")
+        self.inner = inner if inner is not None else DegRevLex()
+        # nonzero (index, weight) pairs: key is on the reduction hot path
+        self._pairs = tuple((i, w) for i, w in enumerate(self.weights) if w)
+        self.tag = f"weighted({self.weights};{self.inner.tag})"
+
+    def degree(self, exps) -> int:
+        d = 0
+        for i, w in self._pairs:
+            d += w * exps[i]
+        return d
 
     def key(self, exps):
-        return (sum(w * e for w, e in zip(self.weights, exps)),
-                self.inner.key(exps))
+        return (self.degree(exps), self.inner.key(exps))
 
 
 ORDERS = {"lex": Lex(), "degrevlex": DegRevLex()}
@@ -186,6 +159,11 @@ class RingCtx:
             raise ValueError("duplicate variable names")
         self.vars = vars
         self.order = order if order is not None else DegRevLex()
+        o = self.order
+        while isinstance(o, Weighted):
+            if len(o.weights) != len(vars):
+                raise ValueError(f"{o!r} needs {len(vars)} weights")
+            o = o.inner
         self._index = {v: i for i, v in enumerate(vars)}
         self._qgb = None
         if quotient:
@@ -361,10 +339,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def is_homogeneous_in(self, positions) -> bool:
-        degs = {sum(e[i] for i in positions) for e in self.terms}
-        return len(degs) <= 1
 
     # -- arithmetic -----------------------------------------------------------
 

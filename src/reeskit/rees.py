@@ -15,7 +15,9 @@ largest T-degree above a floor that needs a fresh generator.  It gives
 
 The reduction number (:func:`reduction_degree`) and the regularity of
 the Rees module (:func:`filter_regular_degree`) are read off the lead
-monomials of the same presentation.
+monomials of the same presentation.  Its ring is ordered by a
+:class:`Weighted` order with weight 1 on the T-block, so the T-degree of
+an element is read off the order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .groebner import _divides, eliminate_aux
 from .ideals import (Ideal, ideal_colon, ideal_intersect, ideal_member,
                      ideal_power, ideal_product, ideal_sum,
                      is_regular_element)
-from .poly import DegRevLex, Poly, PolyError, RingCtx, TGraded, embed
+from .poly import Poly, PolyError, RingCtx, Weighted, embed
 
 
 def _fresh_tvars(base_vars, count):
@@ -41,11 +43,10 @@ def _fresh_tvars(base_vars, count):
     return tuple(names)
 
 
-def _tdegree(p: Poly, tcount: int) -> int:
-    """Total degree of p in the trailing T-block; requires homogeneity."""
-    n = len(p.ctx.vars)
-    positions = tuple(range(n - tcount, n))
-    degs = {sum(e[i] for i in positions) for e in p.terms}
+def _tdegree(p: Poly) -> int:
+    """T-degree of p, the weighted degree of its order; requires homogeneity."""
+    degree = p.ctx.order.degree
+    degs = {degree(e) for e in p.terms}
     if len(degs) > 1:
         raise PolyError("presentation element is not homogeneous in the T-block")
     return degs.pop() if degs else 0
@@ -59,17 +60,17 @@ class ReesPresentation:
     ext_ctx: RingCtx
     tvars: tuple
     kernel: Ideal
-    profile: dict  # T-degree -> tuple of reduced-GB elements of that degree
 
     @property
     def tcount(self) -> int:
         return len(self.tvars)
 
 
-def _degree_profile(ideal: Ideal, tcount: int, floor: int) -> dict:
+def _degree_profile(ideal: Ideal, floor: int) -> dict:
+    """T-degree -> reduced-basis elements of ``ideal`` of that degree >= floor."""
     profile = {}
     for g in ideal.gb.elements:
-        d = _tdegree(g, tcount)
+        d = _tdegree(g)
         if d >= floor:
             profile.setdefault(d, []).append(g)
     return {d: tuple(v) for d, v in sorted(profile.items())}
@@ -98,8 +99,7 @@ def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
     elements of ``first``, then the other generators of I (cached on I
     for each such list).
 
-    The stored basis is reduced under a T-graded order and split by
-    T-degree.
+    The presentation ring is graded by T-degree.
     """
     first = [g for g in first if not g.is_zero]
     gens = tuple(first + [g for g in I.gens if not (g.is_zero or g in first)])
@@ -109,14 +109,14 @@ def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
         raise PolyError("Rees presentation needs a nonzero ideal")
     ctx, m = I.ctx, len(gens)
     tvars = _fresh_tvars(ctx.vars, m)
-    ext = RingCtx(ctx.vars + tvars, TGraded(m, DegRevLex()), _internal=True)
+    order = Weighted((0,) * len(ctx.vars) + (1,) * m)
+    ext = RingCtx(ctx.vars + tvars, order, _internal=True)
     base_positions = tuple(range(len(ctx.vars)))
     ext_ctx = ext.with_quotient([embed(q, ext, base_positions)
                                  for q in ctx.quotient])
     ordered = Ideal(ctx, gens)
     kernel = Ideal(ext_ctx, _preimage(ordered, ext_ctx, tvars))
-    pres = ReesPresentation(ordered, ext_ctx, tvars, kernel,
-                            _degree_profile(kernel, m, 1))
+    pres = ReesPresentation(ordered, ext_ctx, tvars, kernel)
     I._rees[gens] = pres
     return pres
 
@@ -132,7 +132,7 @@ def _read_modulo(pres: ReesPresentation, ideal: Ideal, J: Ideal,
     return Ideal(ideal.ctx.with_quotient(extra), list(ideal.gens))
 
 
-def _fresh_degree(ideal: Ideal, tcount: int, floor: int):
+def _fresh_degree(ideal: Ideal, floor: int):
     """``(n, g)``: the largest T-degree n > floor in which the reduced
     basis of the T-graded ``ideal`` has an element g outside the ideal of
     its elements of T-degrees floor..n-1, modulo the quotient of the
@@ -143,7 +143,7 @@ def _fresh_degree(ideal: Ideal, tcount: int, floor: int):
     degree-n elements span ideal_n over A modulo that.  Elements below
     the floor must lie in the quotient.
     """
-    profile = _degree_profile(ideal, tcount, floor)
+    profile = _degree_profile(ideal, floor)
     degrees = sorted((d for d in profile if d > floor), reverse=True)
     for n in degrees:
         lower = [g for d, els in profile.items() if d < n for g in els]
@@ -157,7 +157,7 @@ def _fresh_degree(ideal: Ideal, tcount: int, floor: int):
 def relation_type(I: Ideal) -> int:
     """rt(I): largest T-degree of a fresh kernel generator (minimum 1)."""
     pres = rees_kernel(I)
-    return _fresh_degree(pres.kernel, pres.tcount, 1)[0]
+    return _fresh_degree(pres.kernel, 1)[0]
 
 
 def relation_type_mod(I: Ideal, J: Ideal) -> int:
@@ -169,7 +169,7 @@ def relation_type_mod(I: Ideal, J: Ideal) -> int:
     I._check_ctx(J)
     pres = rees_kernel(I)
     kernel = _read_modulo(pres, pres.kernel, J)
-    return _fresh_degree(kernel, pres.tcount, 1)[0]
+    return _fresh_degree(kernel, 1)[0]
 
 
 def artin_rees_degree(a: Ideal, I: Ideal, J: Ideal):
@@ -199,8 +199,8 @@ def artin_rees_degree(a: Ideal, I: Ideal, J: Ideal):
     pres = rees_kernel(I)
     L = Ideal(pres.ext_ctx, _preimage(I, pres.ext_ctx, pres.tvars, a.gens))
     L = _read_modulo(pres, L, J, pres.kernel.gens)
-    s, g = _fresh_degree(L, pres.tcount, 0)
-    top = max((_tdegree(h, pres.tcount) for h in L.gb.elements), default=0)
+    s, g = _fresh_degree(L, 0)
+    top = max((_tdegree(h) for h in L.gb.elements), default=0)
     return s, g, top
 
 
@@ -265,7 +265,9 @@ def filter_regular_degree(I: Ideal, seq):
     m, split, top = pres.tcount, len(I.ctx.vars), -1
     for i, x in enumerate(seq):
         k = split + i
-        lead = _lead(pres, i, TGraded(m, TGraded(m - i - 1, DegRevLex())))
+        later = (0,) * (k + 1) + (1,) * (m - i - 1)
+        lead = _lead(pres, i, Weighted(pres.ext_ctx.order.weights,
+                                       Weighted(later)))
         tops = [_outside_top(h[:k] + (h[k] - 1,) + h[k + 1:], lead, split)
                 for h in lead if h[k]]
         if None in tops:

@@ -51,6 +51,17 @@ def test_rt_modulo_and_explain(capsys):
     assert any(line.startswith("kernel.deg1 = ") for line in lines)
 
 
+def test_rt_explain_lists_the_kernel_by_degree(capsys):
+    code, out, _ = run(capsys, "rt", "--vars", "x,y",
+                       "--ideal", "x^2, x*y, y^2", "--explain")
+    assert code == 0
+    assert out.splitlines() == ["rt = 2",
+                                "kernel.deg1 = y*T2 - x*T3",
+                                "kernel.deg1 = y*T1 - x*T2",
+                                "kernel.deg2 = T2^2 - T1*T3",
+                                "status = pass"]
+
+
 def test_rn_resolved(capsys):
     code, out, _ = run(capsys, "rn", "--vars", "x,y",
                        "--ideal", "x^2, y^2, x*y", "--reduction", "x^2, y^2")
@@ -120,7 +131,8 @@ def test_input_error_exit_code(capsys):
      "--bogus"),
     ("rn", "--vars", "x,y", "--ideal", "x, y", "--reduction", "x",
      "--cap", "3"),
-], ids=["missing-reduction", "unknown-flag", "retired-cap"])
+    ("gb", "--vars", "x,y", "--ideal", "x", "--order", "elim"),
+], ids=["missing-reduction", "unknown-flag", "retired-cap", "unknown-order"])
 def test_usage_error_exits_as_input_error(capsys, argv):
     # exit 2 is reserved for an expectation failure
     with pytest.raises(SystemExit) as exc:

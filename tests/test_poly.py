@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reeskit import (DegRevLex, Elimination, Lex, ParseError, PolyError,
-                     RingCtx, TGraded, parse_poly)
+from reeskit import (DegRevLex, Lex, ParseError, PolyError, RingCtx,
+                     Weighted, parse_poly)
 
 CTX3 = RingCtx("x,y,z")
 CTX2 = RingCtx("x,y")
@@ -151,7 +151,25 @@ def test_canonical_uniqueness():
 
 # -- monomial orders ---------------------------------------------------------------
 
-ALL_ORDERS = [Lex(), DegRevLex(), Elimination(1), TGraded(2)]
+def _degrevlex_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def _elimination_key(block):
+    """Reference key of the block elimination order: degrevlex on the
+    first ``block`` variables, ties broken by degrevlex on the rest."""
+    return lambda e: (_degrevlex_key(e[:block]), _degrevlex_key(e[block:]))
+
+
+def _tgraded_key(tcount, inner=_degrevlex_key):
+    """Reference key of the T-graded order: total degree in the trailing
+    ``tcount`` variables, ties broken by ``inner``."""
+    return lambda e: (sum(e[len(e) - tcount:]), inner(e))
+
+
+ALL_ORDERS = [Lex(), DegRevLex(),
+              pytest.param(Weighted((1, 0, 0)), id="elim(1)"),
+              pytest.param(Weighted((0, 1, 1)), id="tgraded(2;degrevlex)")]
 
 
 def _random_exps(rng, n=3, hi=6):
@@ -190,7 +208,7 @@ def test_degrevlex_classic_comparison():
 
 
 def test_elimination_block_dominates():
-    key = Elimination(1).key
+    key = Weighted((1, 0, 0)).key
     rng = random.Random(7)
     for _ in range(200):
         u = (rng.randrange(1, 4),) + _random_exps(rng, 2)
@@ -199,13 +217,71 @@ def test_elimination_block_dominates():
 
 
 def test_tgraded_compares_trailing_block_first():
-    key = TGraded(2).key
+    key = Weighted((0, 1, 1)).key
     # monomial with higher T-degree always wins, regardless of x-part
     assert key((9, 1, 0)) < key((0, 1, 1))
     assert key((0, 2, 0)) == key((0, 2, 0))
 
 
 def test_order_equality_by_tag():
-    assert Elimination(2) == Elimination(2)
-    assert Elimination(2) != Elimination(1)
-    assert TGraded(2) == TGraded(2, DegRevLex())
+    assert Weighted((1, 1, 0)) == Weighted((1, 1, 0))
+    assert Weighted((1, 1, 0)) != Weighted((1, 0, 0))
+    assert Weighted((0, 1, 1)) == Weighted((0, 1, 1), DegRevLex())
+    assert Weighted((0, 1, 1)) != Weighted((0, 1, 1), Weighted((0, 0, 1)))
+
+
+def _cmp(key, u, v):
+    return (key(u) > key(v)) - (key(u) < key(v))
+
+
+@st.composite
+def _exps_pairs(draw):
+    n = draw(st.integers(3, 6))
+    vec = st.tuples(*[st.integers(0, 3)] * n)
+    return draw(vec), draw(vec), draw(st.integers(0, n))
+
+
+@given(_exps_pairs())
+@settings(max_examples=300, deadline=None)
+def test_weighted_orders_pairs_as_the_reference_keys(case):
+    u, v, m = case
+    n = len(u)
+    tweights = (0,) * (n - m) + (1,) * m
+    pairs = [(Weighted((1,) + (0,) * (n - 1)), _elimination_key(1)),
+             (Weighted(tweights), _tgraded_key(m))]
+    for i in range(m):  # the filter-regular order of the i-th generator
+        later = (0,) * (n - m + i + 1) + (1,) * (m - i - 1)
+        pairs.append((Weighted(tweights, Weighted(later)),
+                      _tgraded_key(m, _tgraded_key(m - i - 1))))
+    for order, oracle in pairs:
+        assert _cmp(order.key, u, v) == _cmp(oracle, u, v)
+
+
+@given(_exps_pairs())
+@settings(max_examples=300, deadline=None)
+def test_block_weight_eliminates_like_the_block_order(case):
+    # equal on monomials that agree on the block or differ in its degree,
+    # so both eliminate the block and restrict to degrevlex on the rest
+    u, v, k = case
+    if sum(u[:k]) == sum(v[:k]) and u[:k] != v[:k]:
+        v = u[:k] + v[k:]
+    block = Weighted((1,) * k + (0,) * (len(u) - k))
+    assert _cmp(block.key, u, v) == _cmp(_elimination_key(k), u, v)
+
+
+def test_weighted_rejects_negative_weights():
+    with pytest.raises(ValueError, match="non-negative"):
+        Weighted((-1, 0), DegRevLex())
+
+
+def test_ring_rejects_weights_of_the_wrong_length():
+    with pytest.raises(ValueError, match="needs 3 weights"):
+        RingCtx("x,y,z", Weighted((1,), DegRevLex()))
+    with pytest.raises(ValueError, match="needs 3 weights"):
+        RingCtx("x,y,z", Weighted((1, 0, 0), Weighted((1,), DegRevLex())))
+
+
+def test_weighted_degree():
+    order = Weighted((0, 2, 1))
+    assert order.degree((5, 1, 3)) == 5
+    assert order.key((5, 1, 3)) == (5, DegRevLex().key((5, 1, 3)))

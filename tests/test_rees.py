@@ -7,6 +7,7 @@ from reeskit import (Ideal, PolyError, RingCtx, compose,
                      effective_relation_2gen, monomial_curve, normal_form,
                      rees_kernel, relation_type, relation_type_mod)
 from reeskit.groebner import eliminate_aux
+from reeskit.rees import _degree_profile
 
 CTX2 = RingCtx("x,y")
 CTX3 = RingCtx("x,y,z")
@@ -22,7 +23,7 @@ def test_kernel_of_regular_pair_is_koszul():
     x, y = CTX2.var("x"), CTX2.var("y")
     pres = rees_kernel(I_(CTX2, x, y))
     assert [str(g) for g in pres.kernel.gb.elements] == ["y*T1 - x*T2"]
-    assert pres.profile == {1: pres.kernel.gb.elements}
+    assert _degree_profile(pres.kernel, 1) == {1: pres.kernel.gb.elements}
 
 
 def test_kernel_of_veronese_has_quadratic_relation():
@@ -34,7 +35,7 @@ def test_kernel_of_veronese_has_quadratic_relation():
 def test_kernel_of_principal_regular_ideal_is_trivial():
     u = CUSP34.var("u")
     pres = rees_kernel(I_(CUSP34, u))
-    assert pres.profile == {}
+    assert _degree_profile(pres.kernel, 1) == {}
     assert relation_type(I_(CUSP34, u)) == 1
 
 
@@ -64,10 +65,10 @@ def test_kernel_substitution_soundness():
 
 def test_kernel_is_t_homogeneous():
     pres = rees_kernel(I_(CUSP34, CUSP34.var("u"), CUSP34.var("v")))
-    npos = len(pres.ext_ctx.vars)
-    tpos = tuple(range(npos - pres.tcount, npos))
+    order = pres.ext_ctx.order
+    assert order.weights == (0, 0) + (1,) * pres.tcount
     for g in pres.kernel.gb.elements:
-        assert g.is_homogeneous_in(tpos)
+        assert len({order.degree(e) for e in g.terms}) == 1
 
 
 def test_relation_type_examples():
@@ -156,7 +157,7 @@ def test_relation_type_rejects_zero_ideal():
 
 def _unweighted_kernel(I):
     """K = (T_i - x_i t, quotient) ∩ A[T], eliminating t under plain
-    ``Elimination(1)``, read in the presentation's ring."""
+    ``Weighted((1, 0, ..., 0))``, read in the presentation's ring."""
     pres = rees_kernel(I)
     ext = pres.ext_ctx
     xs = [g for g in I.gens if not g.is_zero]
