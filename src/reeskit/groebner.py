@@ -10,6 +10,17 @@ A reduced basis depends only on the ideal and the order, so
 :func:`reduced_groebner` memoizes the ``MEMO_SIZE`` latest bases, keyed by
 variables, order, set of generator terms and caps; all layers share it.
 
+:func:`normal_form` reduces over the integers.  Each divisor contributes
+its cached :attr:`Poly.reducer_form`: lead, integer lead coefficient and
+integer tail, its denominators cleared once.  The dividend's
+denominators are cleared too; each step then scales the work and the
+output by lc/gcd(c, lc) and subtracts an integer multiple of the tail,
+so no fraction is formed.  The product of those factors is the scale,
+and the integer remainder divided once by it (and by the dividend's
+cleared denominator) is exactly the rational remainder: every step is
+the rational step times a nonzero constant.  Terms leave a heap keyed
+once per monomial, largest first.
+
 :func:`eliminate_polys` is the one elimination engine.
 :func:`eliminate_aux` runs it on a ring with one extra auxiliary
 variable in front; intersections, Rees-algebra kernels and
@@ -24,10 +35,13 @@ from __future__ import annotations
 
 import functools
 import heapq
+import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .poly import (DegRevLex, Poly, PolyError, RingCtx, Weighted, contract,
-                   embed)
+from .poly import (DegRevLex, Lex, Poly, PolyError, RingCtx, Weighted,
+                   contract, embed)
 
 DEFAULT_MAX_BASIS = 4096
 DEFAULT_MAX_DEGREE = 256
@@ -53,10 +67,7 @@ class ResourceLimitError(PolyError):
 
 def _divides(a, b):
     """a | b for exponent tuples."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
+    return all(map(operator.le, a, b))
 
 
 def _quotient(m, d):
@@ -82,60 +93,104 @@ def _homogeneous(p: Poly, degree) -> bool:
 # -- normal form --------------------------------------------------------------
 
 
-def _prepare_reducers(elements):
+def _prepare_reducers(ctx, elements):
+    """The cached reducer forms of the nonzero ``elements`` of ring ``ctx``."""
     reducers = []
     for g in elements:
-        if g.is_zero:
-            continue
-        lead = g.lm
-        tail = tuple((e, c) for e, c in g.sorted_terms[1:])
-        reducers.append((lead, g.lc, tail))
+        if g.ctx is not ctx and not ctx.same_poly_ring(g.ctx):
+            raise PolyError(
+                "normal form: polynomial and basis ring contexts differ")
+        if g.terms:
+            reducers.append(g.reducer_form)
     return reducers
 
 
-def _reduce_terms(terms, reducers, keyf):
-    work = dict(terms)
+def _descending(order):
+    """A flat key function whose ascending order is ``order`` descending,
+    so a min-heap pops the leading monomial first."""
+    if isinstance(order, Weighted):
+        degree, inner = order.degree, _descending(order.inner)
+        return lambda e: (-degree(e),) + inner(e)
+    if isinstance(order, DegRevLex):
+        return lambda e: (-sum(e),) + e[::-1]
+    if isinstance(order, Lex):
+        return lambda e: tuple([-x for x in e])
+    raise PolyError(f"normal form: no heap key for the order {order!r}")
+
+
+def _reduce_terms(work, reducers, keyf):
+    """Remainder of the integer terms ``work`` (consumed) as ``(out, scale)``:
+    ``work ≡ out / scale`` modulo ``reducers``, ``scale > 0``.
+
+    Fraction-free: each step multiplies work and output by ``lc / g``,
+    where g = gcd(c, lc), instead of dividing by ``lc``.  Monomials leave
+    in decreasing order through a heap keyed once per monomial; an entry
+    whose monomial has cancelled is skipped.  A reduction only adds
+    monomials below the one it removes, so no popped monomial returns.
+    """
+    heap = [(keyf(m), m) for m in work]
+    heapq.heapify(heap)
+    queued = set(work)
     out = {}
-    while work:
-        m = max(work, key=keyf)
-        c = work.pop(m)
-        hit = None
+    scale = 1
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
+            continue
         for lead, lc, tail in reducers:
             if _divides(lead, m):
-                hit = (lead, lc, tail)
                 break
-        if hit is None:
+        else:
             out[m] = c
             continue
-        lead, lc, tail = hit
+        g = math.gcd(c, lc)
+        a, b = lc // g, c // g
+        if a != 1:
+            scale *= a
+            work = {e: a * v for e, v in work.items()}
+            out = {e: a * v for e, v in out.items()}
         q = _quotient(m, lead)
-        factor = c / lc
-        for e, gc in tail:
-            e2 = tuple(x + y for x, y in zip(e, q))
+        for e, t in tail:
+            e2 = tuple(map(operator.add, e, q))
             s = work.get(e2)
-            s = -factor * gc if s is None else s - factor * gc
-            if s:
-                work[e2] = s
+            if s is None:
+                work[e2] = -b * t
+                if e2 not in queued:
+                    queued.add(e2)
+                    heapq.heappush(heap, (keyf(e2), e2))
             else:
-                work.pop(e2, None)
-    return out
+                s -= b * t
+                if s:
+                    work[e2] = s
+                else:
+                    del work[e2]
+    return out, scale
 
 
 def normal_form(f: Poly, basis) -> Poly:
     """The unique remainder of ``f`` modulo ``basis``.
 
     ``basis`` may be a :class:`GroebnerBasis` or an iterable of
-    polynomials; no monomial of the result is divisible by a leading
-    monomial of ``basis``.  Linear over Q and idempotent.
+    polynomials of the ring of ``f``; no monomial of the result is
+    divisible by a leading monomial of ``basis``.  Linear over Q and
+    idempotent.  The reduction runs on integers; the exact rational
+    remainder is its integer remainder divided by the accumulated scale.
     """
-    elements = basis.elements if isinstance(basis, GroebnerBasis) else tuple(basis)
-    if isinstance(basis, GroebnerBasis) and not f.ctx.same_poly_ring(basis.ctx):
-        raise PolyError("normal form: polynomial and basis ring contexts differ")
-    reducers = _prepare_reducers(elements)
+    if isinstance(basis, GroebnerBasis):
+        if not f.ctx.same_poly_ring(basis.ctx):
+            raise PolyError(
+                "normal form: polynomial and basis ring contexts differ")
+        basis = basis.elements
+    reducers = _prepare_reducers(f.ctx, basis)
     if not reducers or f.is_zero:
         return f
-    keyf = f.ctx.order.key
-    return Poly(f.ctx, _reduce_terms(f.terms, reducers, keyf), _trust=True)
+    den = math.lcm(*(c.denominator for c in f.terms.values()))
+    work = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    out, scale = _reduce_terms(work, reducers, _descending(f.ctx.order))
+    den *= scale
+    return Poly(f.ctx, {m: Fraction(c, den) for m, c in out.items()},
+                _trust=True)
 
 
 def spolynomial(f: Poly, g: Poly) -> Poly:

@@ -25,6 +25,7 @@ coefficients in lowest terms with ``p/q`` notation, and no unary ``+``;
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -283,7 +284,7 @@ class RingCtx:
 class Poly:
     """Canonical sparse polynomial bound to the ambient ring of a context."""
 
-    __slots__ = ("ctx", "terms", "_sorted", "_hash")
+    __slots__ = ("ctx", "terms", "_sorted", "_reducer", "_hash")
 
     def __init__(self, ctx: RingCtx, terms, _trust: bool = False):
         ctx = ctx.ambient
@@ -303,6 +304,7 @@ class Poly:
         self.ctx = ctx
         self.terms = terms
         self._sorted = None
+        self._reducer = None
         self._hash = None
 
     # -- basic structure -----------------------------------------------------
@@ -322,6 +324,26 @@ class Poly:
             self._sorted = tuple(
                 sorted(self.terms.items(), key=lambda t: keyf(t[0]), reverse=True))
         return self._sorted
+
+    @property
+    def reducer_form(self):
+        """``(lm, lc, tail)`` of a nonzero polynomial scaled by a rational
+        to coprime integers with ``lc > 0``; ``tail`` holds the other
+        terms in decreasing order.  The divisor form that Groebner
+        normal forms reduce by, computed once."""
+        if self._reducer is None:
+            terms = self.sorted_terms
+            if not terms:
+                raise PolyError("the zero polynomial has no reducer form")
+            den = math.lcm(*(c.denominator for _, c in terms))
+            ints = [c.numerator * (den // c.denominator) for _, c in terms]
+            g = math.gcd(*ints)
+            if ints[0] < 0:
+                g = -g
+            self._reducer = (terms[0][0], ints[0] // g,
+                             tuple((e, a // g) for (e, _), a
+                                   in zip(terms[1:], ints[1:])))
+        return self._reducer
 
     @property
     def lm(self):

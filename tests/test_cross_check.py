@@ -1,9 +1,9 @@
 """Cross-validation of the basis engine against an independent CAS.
 
 Skipped when sympy is unavailable; when present, reduced bases for a
-seeded sample of small ideals must coincide monomial-for-monomial in
-both supported orders, and Rees kernels must match sympy's lex
-elimination of t.
+seeded sample of small ideals (and for cyclic-4 and katsura-3 in
+degrevlex) must coincide monomial-for-monomial in both supported
+orders, and Rees kernels must match sympy's lex elimination of t.
 """
 
 import random
@@ -45,28 +45,48 @@ def _from_sympy(expr, syms, ctx):
     return ctx.poly(terms)
 
 
+# Named systems per order, beside the random sample: their reduced bases
+# have growing rational coefficients.
+SYSTEMS = {
+    "degrevlex": [
+        ("a,b,c,d", ["a + b + c + d", "a*b + b*c + c*d + d*a",
+                     "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"]),
+        ("a,b,c,d", ["a + 2*b + 2*c + 2*d - 1",
+                     "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
+                     "2*a*b + 2*b*c + 2*c*d - b",
+                     "2*a*c + b^2 + 2*b*d - c"]),
+    ],
+}
+
+
+def _inputs(order, rng):
+    """(ctx, generators) pairs: a seeded random sample, then SYSTEMS."""
+    for nvars in (2, 3):
+        ctx = RingCtx(",".join("xyz"[:nvars]), order)
+        for _ in range(8):
+            gens = [_random_poly(ctx, rng) for _ in range(rng.randint(1, 3))]
+            if not all(g.is_zero for g in gens):
+                yield ctx, gens
+    for names, texts in SYSTEMS.get(order.tag, ()):
+        ctx = RingCtx(names, order)
+        yield ctx, [ctx.parse(t) for t in texts]
+
+
 @pytest.mark.parametrize("order_name", sorted(ORDER_MAP))
 def test_reduced_bases_match_independent_engine(order_name):
     order, sympy_order = ORDER_MAP[order_name]
     rng = random.Random(2718 + len(order_name))
-    for nvars in (2, 3):
-        names = "xyz"[:nvars]
-        ctx = RingCtx(",".join(names), order)
-        syms = sympy.symbols(" ".join(names))
-        syms = (syms,) if nvars == 1 else syms
-        for _ in range(8):
-            gens = [_random_poly(ctx, rng) for _ in range(rng.randint(1, 3))]
-            if all(g.is_zero for g in gens):
-                continue
-            ours = set(reduced_groebner(gens, ctx=ctx).elements)
-            theirs = sympy.groebner(
-                [_to_sympy(g, syms) for g in gens if not g.is_zero],
-                *syms, order=sympy_order)
-            # sympy returns primitive integer polynomials; renormalize to
-            # monic under the active order on our side of the fence
-            theirs_set = {_from_sympy(e, syms, ctx).monic()
-                          for e in theirs.exprs}
-            assert ours == theirs_set
+    for ctx, gens in _inputs(order, rng):
+        syms = sympy.symbols(ctx.vars)
+        ours = set(reduced_groebner(gens, ctx=ctx).elements)
+        theirs = sympy.groebner(
+            [_to_sympy(g, syms) for g in gens if not g.is_zero],
+            *syms, order=sympy_order)
+        # sympy returns primitive integer polynomials; renormalize to
+        # monic under the active order on our side of the fence
+        theirs_set = {_from_sympy(e, syms, ctx).monic()
+                      for e in theirs.exprs}
+        assert ours == theirs_set
 
 
 @pytest.mark.parametrize("names, quotient, gens", [

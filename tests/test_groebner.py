@@ -1,11 +1,14 @@
 """Groebner bases: reduction, uniqueness, elimination, resource caps."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reeskit import (Ideal, Lex, PolyError, ResourceLimitError, RingCtx,
-                     eliminate, ideal_member, normal_form, reduced_groebner)
+from reeskit import (DegRevLex, Ideal, Lex, PolyError, ResourceLimitError,
+                     RingCtx, Weighted, eliminate, ideal_member, normal_form,
+                     reduced_groebner)
 from reeskit import groebner
 from reeskit.groebner import eliminate_polys, spolynomial
 
@@ -54,6 +57,116 @@ def test_normal_form_linear_and_idempotent():
         nf = lambda p: normal_form(p, gb)
         assert nf(f + g) == nf(nf(f) + nf(g))
         assert nf(nf(f)) == nf(f)
+
+
+def test_normal_form_rejects_a_basis_of_another_ring():
+    f = RingCtx("x,y,z").parse("x*z")
+    with pytest.raises(PolyError, match="ring contexts differ"):
+        normal_form(f, [CTX2.parse("x + y")])
+    with pytest.raises(PolyError, match="ring contexts differ"):
+        normal_form(CTX2.parse("x*y"), [RingCtx("x,y", Lex()).parse("x + y")])
+
+
+# -- the integer reduction against the rational one it replaced ----------------
+
+
+def _rational_reduce_terms(terms, reducers, keyf):
+    """Reference: the reduction over Fraction coefficients that the integer
+    one replaced, picking the next term by a ``max`` scan."""
+    work = dict(terms)
+    out = {}
+    while work:
+        m = max(work, key=keyf)
+        c = work.pop(m)
+        hit = None
+        for lead, lc, tail in reducers:
+            if all(x <= y for x, y in zip(lead, m)):
+                hit = (lead, lc, tail)
+                break
+        if hit is None:
+            out[m] = c
+            continue
+        lead, lc, tail = hit
+        q = tuple(x - y for x, y in zip(m, lead))
+        factor = c / lc
+        for e, gc in tail:
+            e2 = tuple(x + y for x, y in zip(e, q))
+            s = work.get(e2)
+            s = -factor * gc if s is None else s - factor * gc
+            if s:
+                work[e2] = s
+            else:
+                work.pop(e2, None)
+    return out
+
+
+def _rational_normal_form(f, basis):
+    reducers = [(g.lm, g.lc, g.sorted_terms[1:]) for g in basis if g]
+    if not reducers or f.is_zero:
+        return f
+    return f.ctx.poly(_rational_reduce_terms(f.terms, reducers, f.ctx.order.key))
+
+
+ORACLE_RINGS = [RingCtx("x,y,z", order) for order in (
+    Lex(), DegRevLex(), Weighted((1, 0, 2), Weighted((0, 1, 0))))]
+
+
+@st.composite
+def _oracle_polys(draw, ctx):
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        exps = tuple(draw(st.integers(0, 3)) for _ in ctx.vars)
+        num = draw(st.integers(-10**6, 10**6))
+        den = draw(st.sampled_from([1, 1, 2, 3, 7, 10**9 + 7, 2**61 - 1]))
+        terms[exps] = Fraction(num, den)
+    return ctx.poly(terms)
+
+
+@st.composite
+def _oracle_cases(draw):
+    ctx = draw(st.sampled_from(ORACLE_RINGS))
+    f = draw(_oracle_polys(ctx))
+    pool = draw(st.lists(_oracle_polys(ctx), min_size=1, max_size=4))
+    reducers = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    return f, reducers
+
+
+@given(_oracle_cases())
+@settings(max_examples=300, deadline=None)
+def test_normal_form_equals_the_rational_reduction(case):
+    f, reducers = case
+    assert normal_form(f, reducers) == _rational_normal_form(f, reducers)
+
+
+@given(st.sampled_from(ORACLE_RINGS),
+       st.lists(st.tuples(*[st.integers(0, 3)] * 3), unique=True))
+@settings(max_examples=100, deadline=None)
+def test_heap_pops_in_decreasing_order(ctx, monomials):
+    heap_key = groebner._descending(ctx.order)
+    assert (sorted(monomials, key=heap_key)
+            == sorted(monomials, key=ctx.order.key, reverse=True))
+
+
+@pytest.mark.parametrize("ctx", ORACLE_RINGS, ids=lambda c: c.order.tag)
+def test_normal_form_oracle_edge_cases(ctx):
+    p = ctx.parse
+    cases = [
+        # zero f; a zero reducer is skipped
+        (ctx.zero, [p("x - y")]),
+        (p("x^2*y + z"), [ctx.zero, p("-3*x + 5/7*y")]),
+        # non-monic, negative leads and large denominators, repeated
+        (p("x^3*y - 2/3*z^2 + 1"),
+         [p("-7/1000000007*x*y + 3*z"), p("-7/1000000007*x*y + 3*z"),
+          p("4*z^2 - 9/2305843009213693951*y")]),
+    ]
+    if ctx.order == Lex():
+        # x*y + x*z - y^2 modulo x*y - y^2, x*z - y^2: y^2 cancels after
+        # the first step and reappears after the second, while its first
+        # heap entry is still queued
+        cases.append((p("x*y + x*z - y^2"), [p("x*y - y^2"), p("x*z - y^2")]))
+        assert normal_form(*cases[-1]) == p("y^2")
+    for f, reducers in cases:
+        assert normal_form(f, reducers) == _rational_normal_form(f, reducers)
 
 
 def test_buchberger_self_check():
