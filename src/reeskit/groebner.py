@@ -10,16 +10,25 @@ A reduced basis depends only on the ideal and the order, so
 :func:`reduced_groebner` memoizes the ``MEMO_SIZE`` latest bases, keyed by
 variables, order, set of generator terms and caps; all layers share it.
 
-:func:`normal_form` reduces over the integers.  Each divisor contributes
-its cached :attr:`Poly.reducer_form`: lead, integer lead coefficient and
-integer tail, its denominators cleared once.  The dividend's
-denominators are cleared too; each step then scales the work and the
-output by lc/gcd(c, lc) and subtracts an integer multiple of the tail,
-so no fraction is formed.  The product of those factors is the scale,
-and the integer remainder divided once by it (and by the dividend's
-cleared denominator) is exactly the rational remainder: every step is
-the rational step times a nonzero constant.  Terms leave a heap keyed
-once per monomial, largest first.
+Buchberger runs on integers.  It reads each polynomial through its
+cached :attr:`Poly.reducer_form`: the primitive integer form (lead,
+positive lead coefficient, tail; content and denominators cleared once)
+and the support bitmask of the lead.  No basis element is made monic
+while the loop runs.  :func:`spolynomial` is lc_g'·m_f·f̂ − lc_f'·m_g·ĝ
+for the primitive forms f̂, ĝ, with m_f, m_g lifting both leads to their
+lcm and lc' = lc / gcd(lc_f, lc_g).  :func:`normal_form` clears the
+dividend's denominators, then scales the work and the output by
+lc/gcd(c, lc) at each step and subtracts an integer multiple of the
+reducer's tail; the integer remainder divided once by the product of
+those factors is exactly the rational remainder.  Terms leave a heap
+keyed once per monomial, largest first.  A lead divides a monomial only
+if its mask is a subset of the monomial's, so the first-in-list reducer
+search and the chain criterion compare exponents only past that filter,
+and leads with disjoint masks are coprime.  The final interreduction
+reduces the minimal elements' integer forms by each other.  ``Fraction``
+values appear only at the boundary: in the polynomials the public
+functions take and return, and in the monic elements of the returned
+basis.
 
 :func:`eliminate_polys` is the one elimination engine.
 :func:`eliminate_aux` runs it on a ring with one extra auxiliary
@@ -41,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (DegRevLex, Lex, Poly, PolyError, RingCtx, Weighted,
-                   contract, embed)
+                   _support_mask, contract, embed)
 
 DEFAULT_MAX_BASIS = 4096
 DEFAULT_MAX_DEGREE = 256
@@ -72,22 +81,15 @@ def _divides(a, b):
 
 def _quotient(m, d):
     """Exponent vector of m / d (assumes d | m)."""
-    return tuple(x - y for x, y in zip(m, d))
+    return tuple(map(operator.sub, m, d))
 
 
 def _lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def _mono_times(poly: Poly, exps, coeff) -> Poly:
-    out = {}
-    for e, c in poly.terms.items():
-        out[tuple(x + y for x, y in zip(e, exps))] = c * coeff
-    return Poly(poly.ctx, out, _trust=True)
-
-
-def _homogeneous(p: Poly, degree) -> bool:
-    return len({degree(e) for e in p.terms}) <= 1
+def _homogeneous(monomials, degree) -> bool:
+    return len({degree(e) for e in monomials}) <= 1
 
 
 # -- normal form --------------------------------------------------------------
@@ -120,13 +122,17 @@ def _descending(order):
 
 def _reduce_terms(work, reducers, keyf):
     """Remainder of the integer terms ``work`` (consumed) as ``(out, scale)``:
-    ``work ≡ out / scale`` modulo ``reducers``, ``scale > 0``.
+    ``work ≡ out / scale`` modulo ``reducers``, ``scale > 0``; ``out``
+    iterates in decreasing order.
 
     Fraction-free: each step multiplies work and output by ``lc / g``,
     where g = gcd(c, lc), instead of dividing by ``lc``.  Monomials leave
     in decreasing order through a heap keyed once per monomial; an entry
     whose monomial has cancelled is skipped.  A reduction only adds
     monomials below the one it removes, so no popped monomial returns.
+    The first reducer in the list whose lead divides the monomial is
+    used; one whose lead mask is not a subset of the monomial's is
+    passed over without a divisibility test.
     """
     heap = [(keyf(m), m) for m in work]
     heapq.heapify(heap)
@@ -138,8 +144,9 @@ def _reduce_terms(work, reducers, keyf):
         c = work.pop(m, 0)
         if not c:
             continue
-        for lead, lc, tail in reducers:
-            if _divides(lead, m):
+        outside = ~_support_mask(m)
+        for lead, lc, tail, mask in reducers:
+            if not mask & outside and _divides(lead, m):
                 break
         else:
             out[m] = c
@@ -194,12 +201,32 @@ def normal_form(f: Poly, basis) -> Poly:
 
 
 def spolynomial(f: Poly, g: Poly) -> Poly:
-    """S-polynomial of f and g (both nonzero, same ring)."""
-    lf, lg = f.lm, g.lm
+    """S-polynomial of f and g (both nonzero, same ring) times a nonzero
+    rational, with integer coefficients.
+
+    It is lc_ĝ'·m_f·f̂ − lc_f̂'·m_g·ĝ for the primitive integer forms f̂, ĝ
+    (:attr:`Poly.reducer_form`), with m_f, m_g lifting the leads to their
+    lcm and lc' = lc / gcd(lc_f̂, lc_ĝ): the textbook m_f·f/lc_f −
+    m_g·g/lc_g times a positive rational, so the two have the same
+    remainders up to that factor.  No fraction is formed.
+    """
+    if not f.ctx.same_poly_ring(g.ctx):
+        raise PolyError("S-polynomial: the rings of f and g differ")
+    lf, af, tf, _ = f.reducer_form
+    lg, ag, tg, _ = g.reducer_form
     L = _lcm(lf, lg)
-    a = _mono_times(f, _quotient(L, lf), 1 / f.lc)
-    b = _mono_times(g, _quotient(L, lg), 1 / g.lc)
-    return a - b
+    d = math.gcd(af, ag)
+    out = {}
+    for lead, tail, b in ((lf, tf, ag // d), (lg, tg, -(af // d))):
+        q = _quotient(L, lead)
+        for e, c in tail:
+            e = tuple(map(operator.add, e, q))
+            v = out.get(e, 0) + b * c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return Poly(f.ctx, {e: Fraction(v) for e, v in out.items()}, _trust=True)
 
 
 # -- reduced bases ------------------------------------------------------------
@@ -251,23 +278,6 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def _interreduce(polys, ctx) -> tuple:
-    keyf = ctx.order.key
-    polys = sorted((p for p in polys if not p.is_zero),
-                   key=lambda p: (keyf(p.lm), p.canonical_key()))
-    minimal = []
-    for p in polys:
-        if not any(_divides(q.lm, p.lm) for q in minimal):
-            minimal.append(p)
-    reduced = []
-    for i, p in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(p, others) if others else p
-        reduced.append(r.monic())
-    reduced.sort(key=lambda p: keyf(p.lm))
-    return tuple(reduced)
-
-
 def reduced_groebner(gens, ctx: RingCtx | None = None,
                      order=None, *, max_basis: int = DEFAULT_MAX_BASIS,
                      max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
@@ -302,7 +312,7 @@ def _buchberger(vars, order, terms, max_basis, max_degree) -> tuple:
     gens = [Poly(ctx, dict(t), _trust=True) for t in terms]
     keyf = ctx.order.key
     degree = ctx.order.degree if isinstance(ctx.order, Weighted) else None
-    if degree and not all(_homogeneous(g, degree) for g in gens):
+    if degree and not all(_homogeneous(g.terms, degree) for g in gens):
         degree = None
 
     for g in gens:
@@ -312,40 +322,44 @@ def _buchberger(vars, order, terms, max_basis, max_degree) -> tuple:
 
     G = []
     lms = []
+    masks = []
     pending = set()
     heap = []
 
     def add_poly(p: Poly):
         if len(G) >= max_basis:
             raise ResourceLimitError(f"basis size cap {max_basis} exceeded")
-        if p.total_degree > max_degree:
+        lead, _, tail, mask = p.reducer_form
+        monomials = [lead] + [e for e, _ in tail]
+        top = max(map(sum, monomials))
+        if top > max_degree:
             raise ResourceLimitError(
-                f"intermediate degree {p.total_degree} exceeds cap {max_degree}")
-        if degree is not None and not _homogeneous(p, degree):
+                f"intermediate degree {top} exceeds cap {max_degree}")
+        if degree is not None and not _homogeneous(monomials, degree):
             raise PolyError("internal: weighted homogeneity lost")
-        p = p.monic()
         j = len(G)
         G.append(p)
-        lms.append(p.lm)
+        lms.append(lead)
+        masks.append(mask)
         for i in range(j):
-            L = _lcm(lms[i], lms[j])
-            if L == tuple(a + b for a, b in zip(lms[i], lms[j])):
+            if not masks[i] & mask:
                 continue  # coprime leading monomials: S-poly reduces to zero
-            heapq.heappush(heap, (keyf(L), i, j))
+            L = _lcm(lms[i], lead)
+            heapq.heappush(heap, (keyf(L), i, j, L))
             pending.add((i, j))
 
-    for g in sorted(set(gens), key=lambda p: p.canonical_key()):
+    for g in sorted(gens, key=lambda p: p.canonical_key()):
         add_poly(g)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
+        _, i, j, L = heapq.heappop(heap)
         if (i, j) not in pending:
             continue
         pending.discard((i, j))
-        L = _lcm(lms[i], lms[j])
+        outside = ~(masks[i] | masks[j])
         skip = False
         for k in range(len(G)):
-            if k == i or k == j:
+            if k == i or k == j or masks[k] & outside:
                 continue
             if _divides(lms[k], L):
                 pik = (i, k) if i < k else (k, i)
@@ -360,7 +374,30 @@ def _buchberger(vars, order, terms, max_basis, max_degree) -> tuple:
         if not r.is_zero:
             add_poly(r)
 
-    return _interreduce(G, ctx)
+    return _reduced(G, ctx)
+
+
+def _reduced(G, ctx) -> tuple:
+    """The reduced basis of the Groebner basis ``G``: the minimal elements
+    (no other lead divides theirs), each reduced by the others over the
+    integers and made monic, sorted by leading monomial."""
+    keyf = ctx.order.key
+    minimal = []
+    for form in sorted((g.reducer_form for g in G), key=lambda f: keyf(f[0])):
+        lead, _, _, mask = form
+        if not any(not m & ~mask and _divides(d, lead)
+                   for d, _, _, m in minimal):
+            minimal.append(form)
+    desc = _descending(ctx.order)
+    basis = []
+    for i, (lead, lc, tail, _) in enumerate(minimal):
+        work = dict(tail)
+        work[lead] = lc
+        out, _ = _reduce_terms(work, minimal[:i] + minimal[i + 1:], desc)
+        lc = out[lead]
+        basis.append(Poly(ctx, {m: Fraction(c, lc) for m, c in out.items()},
+                          _trust=True))
+    return tuple(basis)
 
 
 # -- elimination ---------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import compress
 
 Rational = Fraction
 
@@ -277,6 +278,17 @@ class RingCtx:
         raise PolyError(f"cannot interpret {obj!r} as a polynomial")
 
 
+# Bit i of a support mask stands for variable i.  Masks of rings with more
+# variables than bits ignore the rest alike, so a subset test between two
+# masks stays a necessary condition for divisibility.
+_MASK_BITS = tuple(1 << i for i in range(256))
+
+
+def _support_mask(exps) -> int:
+    """The set of variables that occur in the monomial ``exps``, as bits."""
+    return sum(compress(_MASK_BITS, exps))
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -327,10 +339,12 @@ class Poly:
 
     @property
     def reducer_form(self):
-        """``(lm, lc, tail)`` of a nonzero polynomial scaled by a rational
-        to coprime integers with ``lc > 0``; ``tail`` holds the other
-        terms in decreasing order.  The divisor form that Groebner
-        normal forms reduce by, computed once."""
+        """``(lm, lc, tail, mask)`` of a nonzero polynomial scaled by a
+        rational to coprime integers with ``lc > 0``; ``tail`` holds the
+        other terms in decreasing order, and bit i of ``mask`` is set when
+        variable i occurs in ``lm`` (:func:`_support_mask`).  The primitive
+        integer form that Groebner S-pairs and normal forms work on,
+        computed once."""
         if self._reducer is None:
             terms = self.sorted_terms
             if not terms:
@@ -340,9 +354,11 @@ class Poly:
             g = math.gcd(*ints)
             if ints[0] < 0:
                 g = -g
-            self._reducer = (terms[0][0], ints[0] // g,
+            lead = terms[0][0]
+            self._reducer = (lead, ints[0] // g,
                              tuple((e, a // g) for (e, _), a
-                                   in zip(terms[1:], ints[1:])))
+                                   in zip(terms[1:], ints[1:])),
+                             _support_mask(lead))
         return self._reducer
 
     @property

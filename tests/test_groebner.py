@@ -169,6 +169,64 @@ def test_normal_form_oracle_edge_cases(ctx):
         assert normal_form(f, reducers) == _rational_normal_form(f, reducers)
 
 
+# -- the masked reducer search -------------------------------------------------
+
+
+def _mask(p):
+    return p.reducer_form[3]
+
+
+@pytest.mark.parametrize("ctx", ORACLE_RINGS, ids=lambda c: c.order.tag)
+def test_masked_reducer_search_edge_cases(ctx):
+    p = ctx.parse
+    seven, xz, y = p("7"), p("x*z - 1"), p("y - 2")
+    xy, yy = p("x*y - 1"), p("y^2 - 3")
+    # a constant divides everything: its mask is empty
+    assert _mask(seven) == 0
+    # x*z's mask holds z, absent from every term of f
+    assert _mask(xz) == 0b101 and xz.lm == (1, 0, 1)
+    # both x*y and y^2 divide x*y^3; the second has the smaller mask
+    assert _mask(yy) == 0b010 and _mask(xy) == 0b011
+    f = p("x^3*y^2 + x*y^3 - 5/3*x^2")
+    cases = [
+        (f, [seven]),
+        (f, [xz, seven]),
+        (f, [xz, y]),
+        (f, [xy, yy]),
+        (f, [yy, xy]),
+        (f, [xz, xy, yy, y]),
+    ]
+    for f, reducers in cases:
+        assert normal_form(f, reducers) == _rational_normal_form(f, reducers)
+    assert normal_form(f, [seven]).is_zero
+
+
+# As many variables as a Rees ring: a curve block weighted 0 and a
+# T-block graded by weight 1, as in the graded kernel elimination.
+WIDE = RingCtx("t,u,v,w,T1,T2,T3,T4,T5,T6",
+               Weighted((1,) + (0,) * 9, Weighted((0,) * 4 + (1,) * 6)))
+
+
+@st.composite
+def _wide_polys(draw):
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        support = draw(st.lists(st.integers(0, len(WIDE.vars) - 1),
+                                max_size=3))
+        exps = [0] * len(WIDE.vars)
+        for i in support:
+            exps[i] += draw(st.integers(1, 2))
+        terms[tuple(exps)] = Fraction(draw(st.integers(-9, 9)),
+                                      draw(st.sampled_from([1, 2, 5])))
+    return WIDE.poly(terms)
+
+
+@given(_wide_polys(), st.lists(_wide_polys(), min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_masked_reducer_search_in_a_wide_ring(f, reducers):
+    assert normal_form(f, reducers) == _rational_normal_form(f, reducers)
+
+
 def test_buchberger_self_check():
     for texts in [("x^2", "x*y"), ("x - y^2", "y - x^2"),
                   ("x^3 - y^4", "x*y - 1")]:
@@ -225,6 +283,82 @@ def test_spolynomial_cancels_leads():
     f, g = _polys(CTX2, "x^2 + y", "x*y + 1")
     s = spolynomial(f, g)
     assert s == CTX2.parse("y^2 - x")
+
+
+def _rational_spolynomial(f, g):
+    """Reference: the textbook S-polynomial over Fraction coefficients,
+    m_f·f/lc_f − m_g·g/lc_g, the formula the integer one replaced."""
+    L = tuple(map(max, f.lm, g.lm))
+
+    def lifted(p):
+        q = tuple(a - b for a, b in zip(L, p.lm))
+        return p.ctx.poly({tuple(a + b for a, b in zip(e, q)): c / p.lc
+                           for e, c in p.terms.items()})
+
+    return lifted(f) - lifted(g)
+
+
+@st.composite
+def _spolynomial_cases(draw):
+    ctx = draw(st.sampled_from(ORACLE_RINGS))
+    nonzero = _oracle_polys(ctx).filter(bool)
+    return draw(nonzero), draw(nonzero)
+
+
+@given(_spolynomial_cases())
+@settings(max_examples=300, deadline=None)
+def test_spolynomial_is_a_rational_multiple_of_the_textbook_one(case):
+    f, g = case
+    s, textbook = spolynomial(f, g), _rational_spolynomial(f, g)
+    assert all(c.denominator == 1 for c in s.terms.values())
+    key = f.ctx.order.key
+    L = tuple(map(max, f.lm, g.lm))
+    assert all(key(e) < key(L) for e in s.terms)  # the leads cancel
+    if textbook.is_zero:
+        assert s.is_zero
+    else:
+        c = s.lc / textbook.lc
+        assert c != 0 and s == textbook.scale(c)
+
+
+# -- the pair sequence -------------------------------------------------------
+
+# Pairs formed and pairs that reduced to zero; the counts of the rational
+# Buchberger loop, which primitive basis elements and the masks keep.
+PAIR_SYSTEMS = {
+    "cyclic-4": ["a + b + c + d", "a*b + b*c + c*d + d*a",
+                 "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"],
+    "katsura-3": ["a + 2*b + 2*c + 2*d - 1", "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
+                  "2*a*b + 2*b*c + 2*c*d - b", "2*a*c + b^2 + 2*b*d - c"],
+}
+
+
+@pytest.mark.parametrize("system, order, pairs, zeros", [
+    ("cyclic-4", DegRevLex(), 11, 5),
+    ("cyclic-4", Lex(), 20, 10),
+    ("katsura-3", DegRevLex(), 10, 5),
+    ("katsura-3", Lex(), 46, 16),
+])
+def test_pair_sequence_is_pinned(monkeypatch, system, order, pairs, zeros):
+    formed, zero = [], []
+    spoly, nf = groebner.spolynomial, groebner.normal_form
+
+    def counting_spoly(f, g):
+        formed.append(spoly(f, g))
+        return formed[-1]
+
+    def counting_nf(f, basis):
+        r = nf(f, basis)
+        if formed and f is formed[-1] and r.is_zero:
+            zero.append(f)
+        return r
+
+    monkeypatch.setattr(groebner, "spolynomial", counting_spoly)
+    monkeypatch.setattr(groebner, "normal_form", counting_nf)
+    groebner._buchberger.cache_clear()
+    ctx = RingCtx("a,b,c,d", order)
+    reduced_groebner(_polys(ctx, *PAIR_SYSTEMS[system]))
+    assert (len(formed), len(zero)) == (pairs, zeros)
 
 
 def test_resource_cap_aborts_loudly():
