@@ -278,15 +278,17 @@ class RingCtx:
         raise PolyError(f"cannot interpret {obj!r} as a polynomial")
 
 
-# Bit i of a support mask stands for variable i.  Masks of rings with more
-# variables than bits ignore the rest alike, so a subset test between two
-# masks stays a necessary condition for divisibility.
+# Bit i of a support mask stands for variable i; the table serves rings of
+# up to 256 variables, larger rings build their masks bit by bit.
 _MASK_BITS = tuple(1 << i for i in range(256))
 
 
 def _support_mask(exps) -> int:
-    """The set of variables that occur in the monomial ``exps``, as bits."""
-    return sum(compress(_MASK_BITS, exps))
+    """The set of variables that occur in the monomial ``exps``, as bits:
+    exact in every ring, so disjoint masks mean coprime monomials."""
+    if len(exps) <= len(_MASK_BITS):
+        return sum(compress(_MASK_BITS, exps))
+    return sum(1 << i for i, e in enumerate(exps) if e)
 
 
 # ---------------------------------------------------------------------------

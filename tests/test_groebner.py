@@ -110,12 +110,22 @@ def _rational_normal_form(f, basis):
 ORACLE_RINGS = [RingCtx("x,y,z", order) for order in (
     Lex(), DegRevLex(), Weighted((1, 0, 2), Weighted((0, 1, 0))))]
 
+# As many variables as a Rees ring: a curve block weighted 0 and a
+# T-block graded by weight 1, as in the graded kernel elimination.
+WIDE = RingCtx("t,u,v,w,T1,T2,T3,T4,T5,T6",
+               Weighted((1,) + (0,) * 9, Weighted((0,) * 4 + (1,) * 6)))
+
 
 @st.composite
 def _oracle_polys(draw, ctx):
+    """Up to five terms, each in at most three variables."""
     terms = {}
     for _ in range(draw(st.integers(0, 5))):
-        exps = tuple(draw(st.integers(0, 3)) for _ in ctx.vars)
+        exps = [0] * len(ctx.vars)
+        for i in draw(st.lists(st.integers(0, len(ctx.vars) - 1),
+                               max_size=3)):
+            exps[i] += draw(st.integers(1, 3))
+        exps = tuple(exps)
         num = draw(st.integers(-10**6, 10**6))
         den = draw(st.sampled_from([1, 1, 2, 3, 7, 10**9 + 7, 2**61 - 1]))
         terms[exps] = Fraction(num, den)
@@ -124,7 +134,7 @@ def _oracle_polys(draw, ctx):
 
 @st.composite
 def _oracle_cases(draw):
-    ctx = draw(st.sampled_from(ORACLE_RINGS))
+    ctx = draw(st.sampled_from(ORACLE_RINGS + [WIDE]))
     f = draw(_oracle_polys(ctx))
     pool = draw(st.lists(_oracle_polys(ctx), min_size=1, max_size=4))
     reducers = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
@@ -165,66 +175,18 @@ def test_normal_form_oracle_edge_cases(ctx):
         # heap entry is still queued
         cases.append((p("x*y + x*z - y^2"), [p("x*y - y^2"), p("x*z - y^2")]))
         assert normal_form(*cases[-1]) == p("y^2")
-    for f, reducers in cases:
-        assert normal_form(f, reducers) == _rational_normal_form(f, reducers)
-
-
-# -- the masked reducer search -------------------------------------------------
-
-
-def _mask(p):
-    return p.reducer_form[3]
-
-
-@pytest.mark.parametrize("ctx", ORACLE_RINGS, ids=lambda c: c.order.tag)
-def test_masked_reducer_search_edge_cases(ctx):
-    p = ctx.parse
+    # the masked reducer search: a constant's mask is empty and it divides
+    # everything; x*z's mask holds z, absent from every term of f; both
+    # x*y and y^2 divide x*y^3, and y^2 has the smaller mask
     seven, xz, y = p("7"), p("x*z - 1"), p("y - 2")
     xy, yy = p("x*y - 1"), p("y^2 - 3")
-    # a constant divides everything: its mask is empty
-    assert _mask(seven) == 0
-    # x*z's mask holds z, absent from every term of f
-    assert _mask(xz) == 0b101 and xz.lm == (1, 0, 1)
-    # both x*y and y^2 divide x*y^3; the second has the smaller mask
-    assert _mask(yy) == 0b010 and _mask(xy) == 0b011
+    assert [g.reducer_form[3] for g in (seven, xz, xy, yy)] == [0, 5, 3, 2]
     f = p("x^3*y^2 + x*y^3 - 5/3*x^2")
-    cases = [
-        (f, [seven]),
-        (f, [xz, seven]),
-        (f, [xz, y]),
-        (f, [xy, yy]),
-        (f, [yy, xy]),
-        (f, [xz, xy, yy, y]),
-    ]
+    assert normal_form(f, [seven]).is_zero
+    cases += [(f, [seven]), (f, [xz, seven]), (f, [xz, y]), (f, [xy, yy]),
+              (f, [yy, xy]), (f, [xz, xy, yy, y])]
     for f, reducers in cases:
         assert normal_form(f, reducers) == _rational_normal_form(f, reducers)
-    assert normal_form(f, [seven]).is_zero
-
-
-# As many variables as a Rees ring: a curve block weighted 0 and a
-# T-block graded by weight 1, as in the graded kernel elimination.
-WIDE = RingCtx("t,u,v,w,T1,T2,T3,T4,T5,T6",
-               Weighted((1,) + (0,) * 9, Weighted((0,) * 4 + (1,) * 6)))
-
-
-@st.composite
-def _wide_polys(draw):
-    terms = {}
-    for _ in range(draw(st.integers(1, 5))):
-        support = draw(st.lists(st.integers(0, len(WIDE.vars) - 1),
-                                max_size=3))
-        exps = [0] * len(WIDE.vars)
-        for i in support:
-            exps[i] += draw(st.integers(1, 2))
-        terms[tuple(exps)] = Fraction(draw(st.integers(-9, 9)),
-                                      draw(st.sampled_from([1, 2, 5])))
-    return WIDE.poly(terms)
-
-
-@given(_wide_polys(), st.lists(_wide_polys(), min_size=1, max_size=6))
-@settings(max_examples=200, deadline=None)
-def test_masked_reducer_search_in_a_wide_ring(f, reducers):
-    assert normal_form(f, reducers) == _rational_normal_form(f, reducers)
 
 
 def test_buchberger_self_check():
@@ -359,6 +321,19 @@ def test_pair_sequence_is_pinned(monkeypatch, system, order, pairs, zeros):
     ctx = RingCtx("a,b,c,d", order)
     reduced_groebner(_polys(ctx, *PAIR_SYSTEMS[system]))
     assert (len(formed), len(zero)) == (pairs, zeros)
+
+
+def test_masks_cover_rings_of_any_width():
+    # x256 has mask bit 256: its pair with x256 - 1 is not coprime
+    ctx = RingCtx(",".join(f"x{i}" for i in range(257)))
+    x = ctx.var("x256")
+    assert x.reducer_form[3] == 1 << 256
+    assert reduced_groebner([x**2, x - 1]).elements == (ctx.one,)
+    # the auxiliary variable shifts x255 of a 256-variable ring to bit 256
+    target = RingCtx(",".join(f"x{i}" for i in range(256)))
+    x = target.var("x255")
+    assert groebner.eliminate_aux(
+        target, lambda t, lift: [lift(x**2), lift(x - 1)]) == [target.one]
 
 
 def test_resource_cap_aborts_loudly():
