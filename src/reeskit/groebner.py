@@ -32,8 +32,8 @@ basis.
 
 :func:`eliminate_polys` is the one elimination engine.
 :func:`eliminate_aux` runs it on a ring with one extra auxiliary
-variable in front; intersections, Rees-algebra kernels and
-monomial-curve rings are all built that way, and it is the only code
+variable in front; intersections, Rees-algebra kernels, saturations
+and monomial-curve rings are all built that way, and it is the only code
 that knows the auxiliary variable.  Every eliminating or graded order
 is a :class:`Weighted` order; whenever the input is homogeneous for its
 weights, as the graded Rees-kernel elimination is, Buchberger checks

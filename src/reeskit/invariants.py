@@ -296,12 +296,6 @@ class DSequenceReductionReport:
         return (self.d_sequence_ok and self.regular_sequence_ok
                 and self.intersection_ok)
 
-    @property
-    def conclusions_hold(self) -> bool:
-        if not self.hypotheses_hold:
-            return False
-        return bool(self.rt_bound_ok) and bool(self.reg_equals_rn_ok)
-
 
 def check_d_sequence_reduction(I: Ideal, j_gens) -> DSequenceReductionReport:
     """Evaluate the d-sequence reduction theorem on I and the ordered

@@ -13,6 +13,9 @@ largest T-degree above a floor that needs a fresh generator.  It gives
 * s_J(a, A; I): L = phi^{-1}(a A[t]) read modulo K + J at floor 0, L
   being the same t-elimination with the generators of a added.
 
+For I = (x, y) with x regular, :func:`relation_type_2gen` reaches rt(I)
+by a second route that never reads K: the colon chain (x I^{n-1} : y^n).
+
 The reduction number (:func:`reduction_degree`) and the regularity of
 the Rees module (:func:`filter_regular_degree`) are read off the lead
 monomials of the same presentation.  Its ring is ordered by a
@@ -25,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groebner import _divides, eliminate_aux
-from .ideals import (Ideal, ideal_colon, ideal_intersect, ideal_member,
-                     ideal_power, ideal_product, ideal_sum,
+from .ideals import (Ideal, ideal_colon, ideal_contains, ideal_intersect,
+                     ideal_member, ideal_power, ideal_product, ideal_sum,
                      is_regular_element)
 from .poly import Poly, PolyError, RingCtx, Weighted, embed
 
@@ -276,30 +279,80 @@ def filter_regular_degree(I: Ideal, seq):
     return top, None
 
 
-def effective_relation_2gen(x: Poly, y: Poly, n: int, J: Ideal) -> bool:
-    """Whether the module of effective n-relations of (x, y) modulo J vanishes.
-
-    For two-generated I = (x, y) with x regular this is the colon test
-    (x I^{n-1} : y^n) ⊆ ((x J I^{n-1} : y^n) ∩ J) + (x I^{n-2} : y^{n-1});
-    with J = (0) the middle term drops out.
-    """
-    if n < 2:
-        raise PolyError("effective relations are defined for degrees n >= 2")
-    ctx = J.ctx
+def _colon_chain(x: Poly, y: Poly, ctx: RingCtx):
+    """``(x, y, c)`` for I = (x, y) in ``ctx``, x checked regular, with
+    c(n, J) = (x J I^{n-1} : y^n); J = None reads as (1), so c(n) = c_n."""
     x = ctx.coerce(x)
     y = ctx.coerce(y)
     if not is_regular_element(x, ctx):
         raise PolyError("the first generator must be a regular element")
     I = Ideal(ctx, [x, y])
     xI = Ideal(ctx, [x])
-    yn = Ideal(ctx, [y ** n])
-    lhs = ideal_colon(ideal_product(xI, ideal_power(I, n - 1)), yn)
-    tail = ideal_colon(ideal_product(xI, ideal_power(I, n - 2)),
-                       Ideal(ctx, [y ** (n - 1)]))
-    if J.is_zero:
-        rhs = tail
-    else:
-        mid = ideal_colon(
-            ideal_product(ideal_product(xI, J), ideal_power(I, n - 1)), yn)
-        rhs = ideal_sum(ideal_intersect(mid, J), tail)
-    return all(ideal_member(g, rhs) for g in lhs.basis_gens)
+
+    def colon(n: int, J: Ideal | None = None) -> Ideal:
+        xJ = xI if J is None else ideal_product(xI, J)
+        return ideal_colon(ideal_product(xJ, ideal_power(I, n - 1)),
+                           Ideal(ctx, [y ** n]))
+
+    return x, y, colon
+
+
+def effective_relation_2gen(x: Poly, y: Poly, n: int, J: Ideal) -> bool:
+    """Whether the module of effective n-relations of (x, y) modulo J vanishes.
+
+    For two-generated I = (x, y) with x regular this is the colon test
+    (x I^{n-1} : y^n) ⊆ ((x J I^{n-1} : y^n) ∩ J) + (x I^{n-2} : y^{n-1});
+    with J = (0) the middle term drops out.  For J = (0),
+    :func:`relation_type_2gen` gives the largest such n with an exact stop.
+    """
+    if n < 2:
+        raise PolyError("effective relations are defined for degrees n >= 2")
+    _, _, colon = _colon_chain(x, y, J.ctx)
+    rhs = colon(n - 1)
+    if not J.is_zero:
+        rhs = ideal_sum(ideal_intersect(colon(n, J), J), rhs)
+    return ideal_contains(rhs, colon(n))
+
+
+def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
+    """rt(I) for I = (x, y) with x regular, by the colon route alone.
+
+    c_n = (x I^{n-1} : y^n) ascends with n, and degree n >= 2 carries an
+    effective relation iff c_n ≠ c_{n-1} (:func:`effective_relation_2gen`
+    with J = (0)).  a lies in c_n iff a·Z^n + (lower) vanishes at Z = y/x,
+    so c_∞ = ∪ c_n is the ideal of Z-leading coefficients of
+    L = ker(A[Z] -> A[y/x]) = ((x·Z − y) + quotient) : x^∞, read off the
+    reduced basis of L under an order that compares Z-degree first; L is
+    one elimination of s from 1 − s·x.  rt is the least n >= 1 with
+    c_n = c_∞; a single c_n = c_{n-1} is no stop (on Q[t⁴, t⁵, t⁷],
+    (t⁴, t⁵) has effective degrees 2 and 4).  Each step checks
+    c_{n-1} ⊆ c_n ⊆ c_∞ and raises PolyError if that fails.  The Rees
+    kernel is not read, so this route stays independent of
+    :func:`relation_type`.  A chain that never met c_∞ would end in
+    Buchberger's degree cap, not a hang: with c_∞ forced to (1), (x², xy)
+    raises ResourceLimitError at n = 128.
+    """
+    x, y, colon = _colon_chain(x, y, ctx)
+    (z,) = _fresh_tvars(ctx.vars, 1)
+    k = len(ctx.vars)
+    chart = RingCtx(ctx.vars + (z,), Weighted((0,) * k + (1,)), _internal=True)
+
+    def build(s, lift):
+        return ([lift(x) * lift(chart.var(z)) - lift(y), 1 - s * lift(x)]
+                + [lift(q) for q in ctx.quotient])
+
+    lcs = []
+    for g in Ideal(chart, eliminate_aux(chart, build)).gb.elements:
+        top = max(e[k] for e in g.terms)
+        lcs.append(Poly(ctx.ambient, {e[:k]: c for e, c in g.terms.items()
+                                      if e[k] == top}, _trust=True))
+    limit = Ideal(ctx, lcs)
+    prev, n = Ideal(ctx, [ctx.zero]), 1
+    while True:
+        c = colon(n)
+        if not (ideal_contains(c, prev) and ideal_contains(limit, c)):
+            raise PolyError("internal: colon chain breaks "
+                            f"c_(n-1) ⊆ c_n ⊆ c_∞ at n = {n}")
+        if ideal_contains(c, limit):
+            return n
+        prev, n = c, n + 1

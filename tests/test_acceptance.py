@@ -9,12 +9,12 @@ import random
 
 import reeskit.groebner as groebner_mod
 from reeskit import (Fraction, Ideal, RingCtx, artin_rees_number,
-                     check_d_sequence_reduction, effective_relation_2gen,
-                     eliminate, find_principal_reduction, ideal_colon,
+                     check_d_sequence_reduction, eliminate,
+                     find_principal_reduction, ideal_colon,
                      ideal_intersect, ideal_member, ideal_power,
                      ideal_product, integral_degree_fraction, monomial_curve,
                      reduced_groebner, reduction_number, reg_rees,
-                     relation_type, relation_type_mod)
+                     relation_type, relation_type_2gen, relation_type_mod)
 
 
 def _report(num, label, failures):
@@ -320,23 +320,15 @@ def test_criterion_8_veronese_relation_type():
         failures.append(f"rt = {rt}, expected 2")
     # colon-route cross-checks on two-generated sub-ideals and on a
     # two-generated instance where the relation type is visible both ways
-    zero = Ideal(ctx, [ctx.zero])
     for xx, yy, expected in [(x ** 2, x * y, 1), (x ** 2, y ** 2, 1)]:
         general = relation_type(Ideal(ctx, [xx, yy]))
-        largest = 1
-        for k in range(2, 8):
-            if not effective_relation_2gen(xx, yy, k, zero):
-                largest = k
-        if not (general == largest == expected):
+        colon = relation_type_2gen(xx, yy, ctx)
+        if not (general == colon == expected):
             failures.append(
-                f"two-route mismatch on ({xx}, {yy}): {general} vs {largest}")
+                f"two-route mismatch on ({xx}, {yy}): {general} vs {colon}")
     c34 = monomial_curve((3, 4), ("u", "v"))
     u, v = c34.var("u"), c34.var("v")
-    zc = Ideal(c34, [c34.zero])
-    largest = 1
-    for k in range(2, 8):
-        if not effective_relation_2gen(u, v, k, zc):
-            largest = k
-    if not (largest == relation_type(Ideal(c34, [u, v])) == 3):
+    colon = relation_type_2gen(u, v, c34)
+    if not (colon == relation_type(Ideal(c34, [u, v])) == 3):
         failures.append("colon route disagrees with degree analysis on (u, v)")
     _report(8, "Veronese relation type via both routes", failures)

@@ -5,7 +5,9 @@ from conftest import CURVE_INSTANCES
 
 from reeskit import (Ideal, PolyError, RingCtx, compose,
                      effective_relation_2gen, monomial_curve, normal_form,
-                     rees_kernel, relation_type, relation_type_mod)
+                     rees_kernel, relation_type, relation_type_2gen,
+                     relation_type_mod)
+from reeskit import rees
 from reeskit.groebner import eliminate_aux
 from reeskit.rees import _degree_profile
 
@@ -131,23 +133,59 @@ def test_effective_relation_requires_regular_first_generator():
     zero = I_(node, node.zero)
     with pytest.raises(PolyError, match="regular"):
         effective_relation_2gen(node.var("x"), node.var("y"), 2, zero)
+    with pytest.raises(PolyError, match="regular"):
+        relation_type_2gen(node.var("x"), node.var("y"), node)
+
+
+GAP_CURVE = monomial_curve((4, 5, 7), ("a", "b", "c"))
 
 
 def test_two_routes_agree_on_two_generated_ideals():
     # general T-degree analysis vs the colon characterization
     cases = [
         (CUSP34, "u", "v", 3),
-        (monomial_curve((2, 3), ("u", "v")), "u", "v", 2),
-    ]
+        (CUSP23, "u", "v", 2),
+        (GAP_CURVE, "a", "b", 4),
+    ] + [(monomial_curve(w, names), x, y, None)
+         for w, names, x, y in CURVE_INSTANCES]
     for ctx, xs, ys, expected in cases:
-        x, y = ctx.var(xs), ctx.var(ys)
-        assert relation_type(I_(ctx, x, y)) == expected
-        zero = I_(ctx, ctx.zero)
-        largest = 1
-        for n in range(2, 9):
-            if not effective_relation_2gen(x, y, n, zero):
-                largest = n
-        assert largest == expected
+        x, y = ctx.parse(xs), ctx.parse(ys)
+        rt = relation_type(I_(ctx, x, y))
+        assert rt == expected or expected is None
+        assert relation_type_2gen(x, y, ctx) == rt
+    # effective degrees 2 and 4 on the gap curve: c_3 = c_2 is no stop
+    a, b = GAP_CURVE.var("a"), GAP_CURVE.var("b")
+    assert effective_relation_2gen(a, b, 3, I_(GAP_CURVE, GAP_CURVE.zero))
+
+
+def test_colon_route_does_not_read_the_rees_kernel(monkeypatch):
+    # a kernel without its T-degree >= 2 elements misleads relation_type,
+    # but not the colon route
+    preimage = rees._preimage
+    monkeypatch.setattr(rees, "_preimage", lambda *args: [
+        g for g in preimage(*args) if rees._tdegree(g) < 2])
+    u, v = CUSP34.var("u"), CUSP34.var("v")
+    assert relation_type(I_(CUSP34, u, v)) == 1
+    assert relation_type_2gen(u, v, CUSP34) == 3
+
+
+def test_colon_route_rejects_a_wrong_chart(monkeypatch):
+    # without the saturation by 1 - s·x the chart's leading coefficients
+    # are (u, v^3), which misses v^2 in c_1 = (u : v)
+    eliminate = rees.eliminate_aux
+
+    def unsaturated(target, build, weights=None):
+        def without_s(s, lift):
+            k = s.lm.index(1)
+            return [g for g in build(s, lift)
+                    if all(e[k] == 0 for e in g.terms)]
+
+        return eliminate(target, without_s, weights)
+
+    monkeypatch.setattr(rees, "eliminate_aux", unsaturated)
+    u, v = CUSP34.var("u"), CUSP34.var("v")
+    with pytest.raises(PolyError, match="at n = 1"):
+        relation_type_2gen(u, v, CUSP34)
 
 
 def test_relation_type_rejects_zero_ideal():
