@@ -1,9 +1,10 @@
 """reeskit: exact ideal-theoretic invariants over Q.
 
-Reduction numbers, relation type (absolute and modulo an ideal),
-integral degree of ring fractions, and Artin-Rees numbers, computed
-with exact rational Groebner bases over polynomial rings and their
-quotients, together with a registry of classical example families.
+Reduction numbers, relation type (absolute and modulo an ideal), the
+integral degree id(y/x) of a fraction with regular denominator,
+Artin-Rees numbers and exact regularity tests of elements and ideals,
+computed with exact rational Groebner bases over polynomial rings and
+their quotients, together with a registry of classical example families.
 """
 
 from .poly import (DegRevLex, Lex, MonomialOrder, ParseError, Poly,
@@ -11,18 +12,17 @@ from .poly import (DegRevLex, Lex, MonomialOrder, ParseError, Poly,
                    embed, parse_poly, poly_str)
 from .groebner import (GroebnerBasis, ResourceLimitError, normal_form,
                        reduced_groebner, spolynomial)
-from .ideals import (Fraction, Ideal, eliminate, exact_divide, ideal_colon,
+from .ideals import (Ideal, eliminate, exact_divide, ideal_colon,
                      ideal_contains, ideal_equal, ideal_intersect,
                      ideal_member, ideal_power, ideal_product, ideal_sum,
                      is_regular_element, is_regular_ideal)
 from .rees import (ReesPresentation, effective_relation_2gen, rees_kernel,
                    relation_type, relation_type_2gen, relation_type_mod)
 from .invariants import (ArtinReesReport, DSequenceReductionReport,
-                         SearchOutcome, SupEstimateReport, artin_rees_number,
+                         SearchOutcome, artin_rees_number,
                          check_d_sequence_reduction, d_sequence_check,
                          find_principal_reduction, integral_degree_fraction,
-                         integral_degree_sup_estimate, is_reduction,
-                         reduction_number, reg_rees, vv_check)
+                         is_reduction, reduction_number, reg_rees, vv_check)
 from .semigroup import monomial_fraction_degree, semigroup_contains
 from .corpus import (REGISTRY, ExampleReport, emit_report, list_examples,
                      monomial_curve, run_example)

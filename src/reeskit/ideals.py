@@ -4,8 +4,8 @@ An :class:`Ideal` of A = Q[vars]/a is stored through representative
 generators in the ambient polynomial ring; every operation reduces to
 Groebner computations on the preimage (generators together with the
 quotient generators).  Sums, products, powers (memoized), intersections
-(auxiliary-variable elimination), colons, regularity tests, and ring
-fractions y/x with regular denominator all live here.
+(auxiliary-variable elimination), colons, and the regularity tests of
+elements and ideals all live here.
 """
 
 from __future__ import annotations
@@ -213,31 +213,42 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 # regularity
 
 
+def _annihilator_is_zero(gens, ctx: RingCtx) -> bool:
+    """Whether (gens) ≠ 0 and ann((gens)) = 0 in the ring of ``ctx``.
+
+    Upstairs that is one colon, (q : (gens)) = q ≠ (1) for the quotient
+    q; the colon is (1) iff every generator lies in q.
+    """
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return False
+    if not ctx.is_quotient:
+        return True
+    amb = ctx.ambient
+    q = Ideal(amb, ctx.quotient)
+    c = ideal_colon(q, Ideal(amb, gens))
+    return not c.is_unit and ideal_equal(c, q)
+
+
 def is_regular_element(f, ctx: RingCtx) -> bool:
     """True iff f is a non zero divisor of the ring of ``ctx``.
 
     An element that is zero in the quotient is reported as not regular.
     """
     f = ctx.coerce(f)
-    if not ctx.is_quotient:
-        return not f.is_zero
-    if normal_form(f, ctx.quotient_gb()).is_zero:
+    if ctx.is_quotient and normal_form(f, ctx.quotient_gb()).is_zero:
         return False
-    amb = ctx.ambient
-    q = Ideal(amb, ctx.quotient)
-    c = ideal_colon(q, Ideal(amb, [f]))
-    return ideal_equal(c, q)
+    return _annihilator_is_zero([f], ctx)
 
 
-def candidate_elements(I: Ideal, lead, trials: int = 16):
-    """Deterministic candidate elements of I, for searches over I.
+def candidate_elements(I: Ideal):
+    """The endless stream of candidate elements of I, for searches over I.
 
-    Yields the nonzero elements of ``lead``, then the Q-linear
-    combinations of the generators of I with coefficients 1, t, t^2, ...
-    for t = 1..trials, skipping zeros and repeats.
+    Yields the nonzero generators g_1..g_m, then g_1 + t·g_2 + ... +
+    t^(m-1)·g_m for t = 1, 2, ..., skipping zeros and repeats.
     """
     def combinations():
-        for t in range(1, trials + 1):
+        for t in itertools.count(1):
             combo = I.ctx.zero
             scale = 1
             for g in I.gens:
@@ -246,24 +257,26 @@ def candidate_elements(I: Ideal, lead, trials: int = 16):
             yield combo
 
     seen = set()
-    for g in itertools.chain(lead, combinations()):
+    for g in itertools.chain(I.gens, combinations()):
         if not g.is_zero and g not in seen:
             seen.add(g)
             yield g
 
 
-def is_regular_ideal(I: Ideal, trials: int = 16):
-    """A regular element of I, if one is found within the search budget.
+def is_regular_ideal(I: Ideal):
+    """The first regular element of :func:`candidate_elements`, or None
+    when I has none (decided: ann(I) ≠ 0).
 
-    Tries the generators, then generators of I**n for n <= 3, then
-    deterministic linear combinations of the generators; returns None
-    when nothing regular was found within the budget.
+    By prime avoidance over the associated primes P of the ring, I holds
+    a regular element iff no P contains I, i.e. iff ann(I) = 0.  The
+    search then ends: for each P the combination for t is a nonzero
+    polynomial in t over the domain A/P, so it lies in P for at most
+    m − 1 values of t.
     """
-    lead = [g for n in (1, 2, 3) for g in ideal_power(I, n).gens]
-    for g in candidate_elements(I, lead, trials):
-        if is_regular_element(g, I.ctx):
-            return g
-    return None
+    if not _annihilator_is_zero(I.gens, I.ctx):
+        return None
+    return next(g for g in candidate_elements(I)
+                if is_regular_element(g, I.ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -276,34 +289,3 @@ def eliminate(I: Ideal, first_k: int) -> Ideal:
         raise PolyError("eliminate expects a polynomial (non-quotient) context")
     target, kept = eliminate_polys(list(I.gens), I.ctx, first_k)
     return Ideal(target, kept)
-
-
-# ---------------------------------------------------------------------------
-# fractions
-
-
-class Fraction:
-    """A ring fraction num/den whose denominator is a regular element."""
-
-    __slots__ = ("ctx", "num", "den")
-
-    def __init__(self, ctx: RingCtx, num, den):
-        self.ctx = ctx
-        self.num = ctx.coerce(num)
-        self.den = ctx.coerce(den)
-        if not is_regular_element(self.den, ctx):
-            raise PolyError(f"denominator {self.den} is not a regular element")
-
-    def __mul__(self, other: "Fraction") -> "Fraction":
-        if self.ctx != other.ctx:
-            raise PolyError("fractions live in different ring contexts")
-        return Fraction(self.ctx, self.num * other.num, self.den * other.den)
-
-    def __add__(self, other: "Fraction") -> "Fraction":
-        if self.ctx != other.ctx:
-            raise PolyError("fractions live in different ring contexts")
-        num = self.num * other.den + other.num * self.den
-        return Fraction(self.ctx, num, self.den * other.den)
-
-    def __repr__(self):
-        return f"({self.num})/({self.den})"

@@ -12,14 +12,19 @@ negative with its reason: ``none(not a reduction)``,
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .ideals import (Ideal, candidate_elements, ideal_colon, ideal_contains,
-                     ideal_equal, ideal_intersect, ideal_member, ideal_power,
+from .ideals import (Ideal, _annihilator_is_zero, candidate_elements,
+                     ideal_colon, ideal_contains, ideal_equal,
+                     ideal_intersect, ideal_member, ideal_power,
                      ideal_product, is_regular_element)
 from .poly import Poly, PolyError, RingCtx
 from .rees import (artin_rees_degree, filter_regular_degree, reduction_degree,
                    relation_type, relation_type_mod)
+
+# combinations of the generators tried by find_principal_reduction
+_PRINCIPAL_TRIALS = 16
 
 
 @dataclass(frozen=True)
@@ -79,33 +84,23 @@ def reduction_number(I: Ideal, J: Ideal, _ignored=None, /) -> SearchOutcome:
     return is_reduction(J, I)
 
 
-def find_principal_reduction(I: Ideal, trials: int = 16,
-                             survey: bool = False):
+def find_principal_reduction(I: Ideal):
     """First regular g among the candidates with (g) a reduction of I.
 
-    Returns ``(g, outcome)`` or None when nothing was found within the
-    budget.  With ``survey=True`` all candidate reductions are collected
-    and their reduction numbers are asserted equal (the value of a
-    principal reduction does not depend on which one is used) before the
-    first is returned.
+    Returns ``(g, outcome)``.  None has two meanings: at once, decided,
+    when I holds no regular element (ann(I) ≠ 0); otherwise only that no
+    reduction was among the generators and the next
+    ``_PRINCIPAL_TRIALS`` elements of :func:`ideals.candidate_elements`.
     """
-    found = []
-    for g in candidate_elements(I, I.gens, trials):
-        if not is_regular_element(g, I.ctx):
-            continue
-        outcome = is_reduction(Ideal(I.ctx, [g]), I)
-        if outcome.resolved:
-            found.append((g, outcome))
-            if not survey:
-                break
-    if not found:
+    if not _annihilator_is_zero(I.gens, I.ctx):
         return None
-    values = {o.value for _, o in found}
-    if len(values) != 1:
-        raise PolyError(
-            "distinct principal reductions produced different reduction "
-            f"numbers: {sorted(values)}")
-    return found[0]
+    tried = len({g for g in I.gens if not g.is_zero}) + _PRINCIPAL_TRIALS
+    for g in itertools.islice(candidate_elements(I), tried):
+        if is_regular_element(g, I.ctx):
+            outcome = is_reduction(Ideal(I.ctx, [g]), I)
+            if outcome.resolved:
+                return g, outcome
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -130,44 +125,6 @@ def integral_degree_fraction(y: Poly, x: Poly, ctx: RingCtx,
     if not rn.resolved:
         return SearchOutcome(None, "not integral")
     return SearchOutcome(rn.value + 1, f"rn_(x)((x,y)) = {rn.value}")
-
-
-@dataclass
-class SupEstimateReport:
-    """Sampled lower bounds for the integral degree of the ring.
-
-    Both maxima are lower bounds for the supremum over all fractions /
-    all ideals; ``None`` means the sample was empty ("no data").
-    """
-
-    fraction_ids: list = field(default_factory=list)      # (Fraction, SearchOutcome)
-    ideal_rns: list = field(default_factory=list)         # (Ideal, Poly, SearchOutcome)
-
-    @property
-    def max_id(self):
-        vals = [o.value for _, o in self.fraction_ids if o.resolved]
-        return max(vals) if vals else None
-
-    @property
-    def max_rn_plus_one(self):
-        vals = [o.value + 1 for _, _, o in self.ideal_rns if o.resolved]
-        return max(vals) if vals else None
-
-
-def integral_degree_sup_estimate(ctx: RingCtx, fractions,
-                                 ideals) -> SupEstimateReport:
-    """Lower-bound report: max id over sampled fractions and max rn+1 over
-    sampled ideals with principal reductions."""
-    report = SupEstimateReport()
-    for frac in fractions:
-        out = integral_degree_fraction(frac.num, frac.den, ctx)
-        report.fraction_ids.append((frac, out))
-    for I in ideals:
-        hit = find_principal_reduction(I)
-        if hit is not None:
-            g, outcome = hit
-            report.ideal_rns.append((I, g, outcome))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -197,12 +154,11 @@ class ArtinReesReport:
 def artin_rees_number(a: Ideal, I: Ideal, J: Ideal) -> ArtinReesReport:
     """s_J(a, A; I): largest n with a nonvanishing obstruction module."""
     s, g, window = artin_rees_degree(a, I, J)
-    try:
+    rt_bound = None
+    if not all(g.is_zero for g in I.gens):
         ctx_mod = a.ctx.with_quotient([h for h in a.gens if not h.is_zero])
         rt_bound = relation_type_mod(Ideal(ctx_mod, list(I.gens)),
                                      Ideal(ctx_mod, list(J.gens)))
-    except PolyError:
-        rt_bound = None
     witness = None if g is None else str(g)
     return ArtinReesReport(SearchOutcome(s, witness), rt_bound,
                            window, True, witness)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from reeskit import (Fraction, Ideal, PolyError, RingCtx, ideal_colon,
+from reeskit import (Ideal, PolyError, RingCtx, ideal_colon,
                      ideal_equal, ideal_intersect, ideal_member, ideal_power,
                      ideal_product, ideal_sum, is_regular_element,
                      is_regular_ideal)
@@ -106,12 +106,27 @@ def test_regular_element_examples():
 def test_regular_ideal_search():
     x, y = NODE.var("x"), NODE.var("y")
     assert is_regular_ideal(I_(NODE, x, y)) == y
+    # None is decided: ann(I) = (z) ≠ 0
     assert is_regular_ideal(I_(NODE, x)) is None
-    # no generator or power generator is regular: the first combination is
+    # no generator is regular: the first combination is
     z = NODE.var("z")
     assert is_regular_ideal(I_(NODE, x, z)) == x + z
     ctx1 = RingCtx("x")
     assert is_regular_ideal(I_(ctx1, ctx1.var("x"))) == ctx1.var("x")
+    # the plane z = 0 and the line x = y = 0: each variable is a zero
+    # divisor, and (x, y) is an associated prime
+    plane = RingCtx("x,y,z", quotient=["x*z", "y*z"])
+    x, y, z = (plane.var(v) for v in "xyz")
+    assert is_regular_ideal(I_(plane, x, y, z)) == x + y + z
+    assert is_regular_ideal(I_(plane, x, y)) is None
+    artinian = RingCtx("x,y", quotient=["x^4", "y^2"])
+    assert is_regular_ideal(I_(artinian, *artinian.vars)) is None
+    cross = RingCtx("x,y", quotient=["x*y"])
+    x, y = cross.var("x"), cross.var("y")
+    assert is_regular_ideal(I_(cross, x, y)) == x + y
+    # the zero ring has no element the package calls regular
+    zero_ring = RingCtx("x", quotient=["1"])
+    assert is_regular_ideal(I_(zero_ring, zero_ring.var("x"))) is None
 
 
 def test_colon_and_intersection_containments_random():
@@ -154,13 +169,3 @@ def test_zero_and_unit_ideals_are_first_class():
     assert ideal_product(zero, one).is_zero
     assert ideal_intersect(zero, one).is_zero
     assert ideal_colon(one, I_(CTX2, CTX2.var("x"))).is_unit
-
-
-def test_fraction_requires_regular_denominator():
-    with pytest.raises(PolyError, match="not a regular element"):
-        Fraction(NODE, NODE.var("y"), NODE.var("x"))
-    b = Fraction(CURVE, CURVE.var("y"), CURVE.var("x"))
-    sq = b * b
-    assert sq.num == CURVE.var("y") ** 2 and sq.den == CURVE.var("x") ** 2
-    s = b + b
-    assert s.num == 2 * CURVE.var("y") * CURVE.var("x")

@@ -4,13 +4,13 @@ regularity, and the d-sequence reduction theorem checker."""
 import pytest
 from conftest import CURVE_INSTANCES
 
-from reeskit import (Fraction, Ideal, PolyError, RingCtx, artin_rees_number,
-                     check_d_sequence_reduction, d_sequence_check,
-                     find_principal_reduction, ideal_colon, ideal_equal,
-                     ideal_intersect, ideal_member, ideal_power,
-                     ideal_product, integral_degree_fraction,
-                     integral_degree_sup_estimate, is_reduction,
+from reeskit import (Ideal, PolyError, RingCtx, ResourceLimitError,
+                     artin_rees_number, check_d_sequence_reduction,
+                     d_sequence_check, find_principal_reduction, ideal_colon,
+                     ideal_equal, ideal_intersect, ideal_member, ideal_power,
+                     ideal_product, integral_degree_fraction, is_reduction,
                      monomial_curve, reduction_number, reg_rees, vv_check)
+from reeskit import invariants
 
 CTX2 = RingCtx("x,y")
 CUSP23 = monomial_curve((2, 3), ("u", "v"))
@@ -96,26 +96,26 @@ def test_find_principal_reduction():
     assert hit is not None
     g, out = hit
     assert g == u and out.value == 2
+    # (x, y) has analytic spread 2: no candidate is a reduction
     x = CTX2.var("x")
-    assert find_principal_reduction(I_(CTX2, x, CTX2.var("y")),
-                                    trials=4) is None
+    assert find_principal_reduction(I_(CTX2, x, CTX2.var("y"))) is None
     hit = find_principal_reduction(I_(CTX2, x))
     assert hit[0] == x and hit[1].value == 0
     # on the node neither generator is regular; the combination x + z is
-    node = RingCtx("x,y,z", quotient=["x*z"])
-    x, z = node.var("x"), node.var("z")
-    g, out = find_principal_reduction(I_(node, x, z))
+    x, z = NODE.var("x"), NODE.var("z")
+    g, out = find_principal_reduction(I_(NODE, x, z))
     assert g == x + z and repr(out) == "resolved(1)"
+    # decided at once: ann((x)) = (z), so (x) holds no regular element
+    assert find_principal_reduction(I_(NODE, x)) is None
 
 
 def test_principal_reduction_survey_agrees():
     u, v = CUSP23.var("u"), CUSP23.var("v")
     I = I_(CUSP23, u, 2 * u, v)
-    g, out = find_principal_reduction(I, trials=3, survey=True)
-    assert out.value == 1
-    # distinct generators u and 2u are both principal reductions; the survey
-    # asserts their reduction numbers agree before returning the first
-    assert g == u
+    g, out = find_principal_reduction(I)
+    assert g == u and out.value == 1
+    # the value does not depend on which principal reduction is used
+    assert is_reduction(I_(CUSP23, 2 * u), I).value == out.value
 
 
 # -- integral degree ---------------------------------------------------------------
@@ -125,6 +125,9 @@ def test_integral_degree_trivial_membership():
     x, y = CTX2.var("x"), CTX2.var("y")
     out = integral_degree_fraction(x * y, x, CTX2)
     assert out.value == 1
+    ctx = RingCtx("x")
+    x = ctx.var("x")
+    assert integral_degree_fraction(x ** 2, x, ctx).value == 1
 
 
 def test_integral_degree_on_curves():
@@ -217,26 +220,6 @@ def test_benchmark_call_shape_is_accepted():
     assert str(integral_degree_fraction(y, x, CTX2, 12)) == "none(not integral)"
 
 
-def test_sup_estimate_report():
-    u, v = CUSP34.var("u"), CUSP34.var("v")
-    fracs = [Fraction(CUSP34, v, u), Fraction(CUSP34, v ** 2, u ** 2),
-             Fraction(CUSP34, u, CUSP34.one)]
-    ideals = [I_(CUSP34, u, v)]
-    rep = integral_degree_sup_estimate(CUSP34, fracs, ideals)
-    assert rep.max_id == 3
-    assert rep.max_rn_plus_one == 3
-    empty = integral_degree_sup_estimate(CUSP34, [], [])
-    assert empty.max_id is None and empty.max_rn_plus_one is None
-
-
-def test_sup_estimate_on_polynomial_ring():
-    ctx = RingCtx("x")
-    x = ctx.var("x")
-    fracs = [Fraction(ctx, x ** 2, x), Fraction(ctx, x, ctx.one)]
-    rep = integral_degree_sup_estimate(ctx, fracs, [I_(ctx, x)])
-    assert rep.max_id == 1
-
-
 # -- Artin-Rees -----------------------------------------------------------------
 
 
@@ -293,6 +276,16 @@ def test_artin_rees_number_matches_definition(ctx, a, I, J, s, rt_bound):
         assert not _obstruction_vanishes(a, I, J, s)
     for n in range(s + 1, max(s, rt_bound or 0) + 2):
         assert _obstruction_vanishes(a, I, J, n)
+
+
+def test_artin_rees_number_lets_resource_errors_through(monkeypatch):
+    # rt_bound is None only for I = 0; an aborted bound is no answer
+    def abort(I, J):
+        raise ResourceLimitError("degree cap")
+
+    monkeypatch.setattr(invariants, "relation_type_mod", abort)
+    with pytest.raises(ResourceLimitError):
+        artin_rees_number(I_(CTX2, "x"), I_(CTX2, "x", "y"), I_(CTX2, "0"))
 
 
 # -- d-sequences and Valabrega-Valla ----------------------------------------------

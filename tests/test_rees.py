@@ -1,14 +1,14 @@
 """Rees presentations, relation types, and the two-generated colon route."""
 
 import pytest
-from conftest import CURVE_INSTANCES
+from conftest import CURVE_INSTANCES, _t_order
 
-from reeskit import (Ideal, PolyError, RingCtx, compose,
-                     effective_relation_2gen, monomial_curve, normal_form,
-                     rees_kernel, relation_type, relation_type_2gen,
-                     relation_type_mod)
+from reeskit import (Ideal, PolyError, RingCtx, Weighted, compose, embed,
+                     effective_relation_2gen, monomial_curve,
+                     monomial_fraction_degree, normal_form, rees_kernel,
+                     relation_type, relation_type_2gen, relation_type_mod)
 from reeskit import rees
-from reeskit.groebner import eliminate_aux
+from reeskit.groebner import eliminate_aux, eliminate_polys
 from reeskit.rees import _degree_profile
 
 CTX2 = RingCtx("x,y")
@@ -141,18 +141,22 @@ GAP_CURVE = monomial_curve((4, 5, 7), ("a", "b", "c"))
 
 
 def test_two_routes_agree_on_two_generated_ideals():
-    # general T-degree analysis vs the colon characterization
+    # general T-degree analysis vs the colon characterization; for
+    # monomials x, y with t-shift d >= 0, y/x = t^d is integral, so
+    # c_∞ = (1) and rt((x, y)) = rn + 1 = id(t^d), the semigroup oracle
     cases = [
-        (CUSP34, "u", "v", 3),
-        (CUSP23, "u", "v", 2),
-        (GAP_CURVE, "a", "b", 4),
-    ] + [(monomial_curve(w, names), x, y, None)
+        ((3, 4), CUSP34, "u", "v", 3),
+        ((2, 3), CUSP23, "u", "v", 2),
+        ((4, 5, 7), GAP_CURVE, "a", "b", 4),
+    ] + [(w, monomial_curve(w, names), x, y, None)
          for w, names, x, y in CURVE_INSTANCES]
-    for ctx, xs, ys, expected in cases:
+    for weights, ctx, xs, ys, expected in cases:
         x, y = ctx.parse(xs), ctx.parse(ys)
         rt = relation_type(I_(ctx, x, y))
         assert rt == expected or expected is None
-        assert relation_type_2gen(x, y, ctx) == rt
+        shift = _t_order(y, weights) - _t_order(x, weights)
+        assert relation_type_2gen(x, y, ctx) == rt == \
+            monomial_fraction_degree(weights, shift)
     # effective degrees 2 and 4 on the gap curve: c_3 = c_2 is no stop
     a, b = GAP_CURVE.var("a"), GAP_CURVE.var("b")
     assert effective_relation_2gen(a, b, 3, I_(GAP_CURVE, GAP_CURVE.zero))
@@ -208,6 +212,30 @@ def _unweighted_kernel(I):
     return Ideal(ext, eliminate_aux(ext, build))
 
 
+def _saturated_kernel(I):
+    """K = ((x_1·T_j − x_j·T_1)_j + quotient) : x_1^∞ for x_1 regular,
+    read in the presentation's ring.  Inverting x_1 makes that ideal
+    present A_{x_1}[T_1], which embeds in A_{x_1}[t]; T_i − x_i·t is
+    never formed.  The saturation is one elimination of s from
+    1 − s·x_1.  s and the ring weigh 0 and the T_i weigh 1, so every
+    generator is homogeneous and s is eliminated within each degree
+    (``eliminate_aux`` would weigh s by 1)."""
+    pres = rees_kernel(I)
+    ext = pres.ext_ctx
+    k, m = len(I.ctx.vars), pres.tcount
+    order = Weighted((0,) * (1 + k) + (1,) * m,
+                     Weighted((1,) + (0,) * (k + m)))
+    ring = RingCtx(("s",) + ext.vars, order, _internal=True)
+    positions = tuple(range(1, 1 + k + m))
+    x1, *xs = [embed(g, ring, positions) for g in I.gens if not g.is_zero]
+    t1, *ts = (ring.var(tv) for tv in pres.tvars)
+    gens = ([x1 * tj - xj * t1 for tj, xj in zip(ts, xs)]
+            + [embed(q, ring, positions) for q in ext.quotient]
+            + [1 - ring.var("s") * x1])
+    _, kept = eliminate_polys(gens, ring, 1, ext.order, order)
+    return Ideal(ext, [g.in_ctx(ext.ambient) for g in kept])
+
+
 KERNEL_CASES = [
     (monomial_curve(w, names), f"{x}, {y}")
     for w, names, x, y in CURVE_INSTANCES] + [
@@ -225,5 +253,18 @@ KERNEL_IDS = [f"t^{w} x={x} y={y}" for w, _, x, y in CURVE_INSTANCES] + [
 @pytest.mark.parametrize("ctx, gens", KERNEL_CASES, ids=KERNEL_IDS)
 def test_graded_elimination_leaves_the_kernel_unchanged(ctx, gens):
     I = Ideal(ctx, gens.split(", "))
+    kernel = rees_kernel(I).kernel.gb.elements
+    assert kernel == _unweighted_kernel(I).gb.elements
+    assert kernel == _saturated_kernel(I).gb.elements
+
+
+# inhomogeneous ideals of the (3,4) cusp on which the unweighted route
+# takes seconds: only the saturation checks them
+@pytest.mark.parametrize("gens", [
+    "u - u^2*v, u^2*v^2 - 3*v, v + v^2",
+    "u*v^2 - 2*u^2, u^2*v^2 - 2*v^2, v + u*v^2",
+])
+def test_saturation_agrees_with_the_kernel_on_slow_inputs(gens):
+    I = Ideal(CUSP34, gens.split(", "))
     assert (rees_kernel(I).kernel.gb.elements
-            == _unweighted_kernel(I).gb.elements)
+            == _saturated_kernel(I).gb.elements)
