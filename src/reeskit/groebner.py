@@ -8,7 +8,7 @@ Resource caps abort loudly instead of letting a runaway input spin.
 
 A reduced basis depends only on the ideal and the order, so
 :func:`reduced_groebner` memoizes the ``MEMO_SIZE`` latest bases, keyed by
-variables, order, set of generator terms and caps; all layers share it.
+variables, order and set of generator terms; all layers share it.
 
 Buchberger runs on integers.  It reads each polynomial through its
 cached :attr:`Poly.reducer_form`: the primitive integer form (lead,
@@ -30,14 +30,15 @@ values appear only at the boundary: in the polynomials the public
 functions take and return, and in the monic elements of the returned
 basis.
 
-:func:`eliminate_polys` is the one elimination engine.
+:func:`eliminate_polys` is the one elimination engine: the caller's
+ring carries the :class:`Weighted` elimination order.
 :func:`eliminate_aux` runs it on a ring with one extra auxiliary
 variable in front; intersections, Rees-algebra kernels, saturations
 and monomial-curve rings are all built that way, and it is the only code
-that knows the auxiliary variable.  Every eliminating or graded order
-is a :class:`Weighted` order; whenever the input is homogeneous for its
-weights, as the graded Rees-kernel elimination is, Buchberger checks
-that every basis element stays so.
+that knows the auxiliary variable.  A graded order eliminates only on
+homogeneous input, so weights that grade kept variables demand
+homogeneous generators; Buchberger checks that every basis element
+stays so.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ from fractions import Fraction
 from .poly import (DegRevLex, Lex, Poly, PolyError, RingCtx, Weighted,
                    _support_mask, contract, embed)
 
-DEFAULT_MAX_BASIS = 4096
-DEFAULT_MAX_DEGREE = 256
+MAX_BASIS = 4096
+MAX_DEGREE = 256
 # Reduced bases kept by the memo; a small bound keeps peak memory flat.
 MEMO_SIZE = 64
 
@@ -68,7 +69,7 @@ SELF_CHECK = False
 
 
 class ResourceLimitError(PolyError):
-    """A Groebner computation exceeded its configured size or degree cap."""
+    """A Groebner computation exceeded ``MAX_BASIS`` or ``MAX_DEGREE``."""
 
 
 # -- monomial helpers ---------------------------------------------------------
@@ -278,10 +279,9 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def reduced_groebner(gens, ctx: RingCtx | None = None,
-                     order=None, *, max_basis: int = DEFAULT_MAX_BASIS,
-                     max_degree: int = DEFAULT_MAX_DEGREE) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by ``gens`` under the
+    order of ``ctx`` (by default the ring of the first generator).
 
     Unique for a fixed order; inputs homogeneous for the weights of a
     :class:`Weighted` order yield a homogeneous basis (asserted).
@@ -292,13 +292,11 @@ def reduced_groebner(gens, ctx: RingCtx | None = None,
             raise PolyError("cannot infer a ring context from no generators")
         ctx = gens[0].ctx
     ctx = ctx.ambient
-    if order is not None:
-        ctx = ctx.with_order(order)
     gens = [g.in_ctx(ctx) for g in gens]
     if not gens:
         return GroebnerBasis(ctx, ())
     terms = tuple(sorted({tuple(sorted(g.terms.items())) for g in gens}))
-    elements = _buchberger(ctx.vars, ctx.order, terms, max_basis, max_degree)
+    elements = _buchberger(ctx.vars, ctx.order, terms)
     basis = GroebnerBasis(ctx, tuple(g.in_ctx(ctx) for g in elements))
     if SELF_CHECK and not basis.self_check():
         raise PolyError("internal: Buchberger self-check failed")
@@ -306,7 +304,7 @@ def reduced_groebner(gens, ctx: RingCtx | None = None,
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _buchberger(vars, order, terms, max_basis, max_degree) -> tuple:
+def _buchberger(vars, order, terms) -> tuple:
     """Elements of the reduced basis of the ideal of ``terms`` (the memo)."""
     ctx = RingCtx(vars, order, _internal=True)
     gens = [Poly(ctx, dict(t), _trust=True) for t in terms]
@@ -316,9 +314,9 @@ def _buchberger(vars, order, terms, max_basis, max_degree) -> tuple:
         degree = None
 
     for g in gens:
-        if g.total_degree > max_degree:
+        if g.total_degree > MAX_DEGREE:
             raise ResourceLimitError(
-                f"generator degree {g.total_degree} exceeds cap {max_degree}")
+                f"generator degree {g.total_degree} exceeds cap {MAX_DEGREE}")
 
     G = []
     lms = []
@@ -327,14 +325,14 @@ def _buchberger(vars, order, terms, max_basis, max_degree) -> tuple:
     heap = []
 
     def add_poly(p: Poly):
-        if len(G) >= max_basis:
-            raise ResourceLimitError(f"basis size cap {max_basis} exceeded")
+        if len(G) >= MAX_BASIS:
+            raise ResourceLimitError(f"basis size cap {MAX_BASIS} exceeded")
         lead, _, tail, mask = p.reducer_form
         monomials = [lead] + [e for e, _ in tail]
         top = max(map(sum, monomials))
-        if top > max_degree:
+        if top > MAX_DEGREE:
             raise ResourceLimitError(
-                f"intermediate degree {top} exceeds cap {max_degree}")
+                f"intermediate degree {top} exceeds cap {MAX_DEGREE}")
         if degree is not None and not _homogeneous(monomials, degree):
             raise PolyError("internal: weighted homogeneity lost")
         j = len(G)
@@ -403,30 +401,30 @@ def _reduced(G, ctx) -> tuple:
 # -- elimination ---------------------------------------------------------------
 
 
-def eliminate_polys(gens, ctx: RingCtx, first_k: int, target_order=None,
-                    order=None):
-    """Generators of (gens) ∩ Q[vars[first_k:]], with the contracted context.
+def eliminate_polys(gens, ring: RingCtx, target: RingCtx) -> list:
+    """Generators of (gens) ∩ Q[target.vars], placed in ``target``.
 
-    Returns ``(target_ctx, polys)``.  ``gens`` must live in the ambient
-    polynomial ring of ``ctx``, and ``order`` must eliminate on them.
+    ``gens`` live in the ambient polynomial ring of ``ring``, whose order
+    must eliminate the variables in front of ``target``, the trailing
+    block of its variables.  Weights of that order which grade a target
+    variable demand generators homogeneous for them; PolyError otherwise.
     """
-    ctx = ctx.ambient
-    if not 0 <= first_k < len(ctx.vars):
-        raise PolyError(f"elimination block {first_k} out of range")
-    if target_order is None:
-        target_order = ctx.order
-        if isinstance(target_order, Weighted):
-            target_order = DegRevLex()
-    target = RingCtx(ctx.vars[first_k:], target_order, _internal=True)
-    block = (1,) * first_k + (0,) * (len(ctx.vars) - first_k)
-    elim_ctx = RingCtx(ctx.vars, order or Weighted(block), _internal=True)
-    gb = reduced_groebner([g.in_ctx(elim_ctx) for g in gens], ctx=elim_ctx)
-    keep_positions = tuple(range(first_k, len(ctx.vars)))
-    kept = []
-    for g in gb.elements:
-        if all(all(e[i] == 0 for i in range(first_k)) for e in g.terms):
-            kept.append(contract(g, target, keep_positions))
-    return target, kept
+    ring = ring.ambient
+    k = len(ring.vars) - len(target.vars)
+    if k < 0 or ring.vars[k:] != target.vars:
+        raise PolyError("elimination target is not a trailing block of "
+                        f"{ring!r}")
+    gens = [g.in_ctx(ring) for g in gens]
+    order = ring.order
+    while isinstance(order, Weighted):
+        if any(order.weights[k:]) and not all(
+                _homogeneous(g.terms, order.degree) for g in gens):
+            raise PolyError(f"{order!r} eliminates only homogeneous input")
+        order = order.inner
+    keep = tuple(range(k, len(ring.vars)))
+    return [contract(g, target, keep)
+            for g in reduced_groebner(gens, ring).elements
+            if not any(any(e[:k]) for e in g.terms)]
 
 
 def eliminate_aux(target: RingCtx, build, weights=None):
@@ -436,9 +434,8 @@ def eliminate_aux(target: RingCtx, build, weights=None):
     ``lift``, which moves a polynomial over (a prefix of) the variables
     of ``target`` into that ring; it returns the generators to
     eliminate t from.  No generators give no polynomials.  Generators
-    homogeneous for ``weights`` on ``target.vars`` (t weighs 1) are graded
-    by them before the t-elimination order breaks ties; Buchberger
-    asserts that homogeneity.
+    must be homogeneous for ``weights`` on ``target.vars`` (t weighs 1),
+    which grade them before the t-elimination order breaks ties.
     """
     target = target.ambient
     order = Weighted((1,) + (0,) * len(target.vars))
@@ -447,7 +444,4 @@ def eliminate_aux(target: RingCtx, build, weights=None):
     ring = RingCtx((_AUX,) + target.vars, order, _internal=True)
     positions = tuple(range(1, len(ring.vars)))
     gens = build(ring.var(_AUX), lambda p: embed(p, ring, positions))
-    if not gens:
-        return []
-    _, kept = eliminate_polys(gens, ring, 1, target.order, order)
-    return [g.in_ctx(target) for g in kept]
+    return eliminate_polys(gens, ring, target) if gens else []

@@ -14,7 +14,7 @@ import itertools
 
 from .groebner import (GroebnerBasis, eliminate_aux, eliminate_polys,
                        normal_form, reduced_groebner)
-from .poly import Poly, PolyError, RingCtx
+from .poly import DegRevLex, Poly, PolyError, RingCtx, Weighted
 
 
 class Ideal:
@@ -287,5 +287,12 @@ def eliminate(I: Ideal, first_k: int) -> Ideal:
     """I ∩ Q[vars[first_k:]] as an ideal of the contracted polynomial ring."""
     if I.ctx.is_quotient:
         raise PolyError("eliminate expects a polynomial (non-quotient) context")
-    target, kept = eliminate_polys(list(I.gens), I.ctx, first_k)
-    return Ideal(target, kept)
+    vars, order = I.ctx.vars, I.ctx.order
+    if not 0 <= first_k < len(vars):
+        raise PolyError(f"elimination block {first_k} out of range")
+    if isinstance(order, Weighted):
+        order = DegRevLex()
+    target = RingCtx(vars[first_k:], order, _internal=True)
+    block = (1,) * first_k + (0,) * (len(vars) - first_k)
+    ring = RingCtx(vars, Weighted(block), _internal=True)
+    return Ideal(target, eliminate_polys(I.gens, ring, target))

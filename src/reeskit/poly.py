@@ -25,12 +25,11 @@ coefficients in lowest terms with ``p/q`` notation, and no unary ``+``;
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
 from itertools import compress
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -278,17 +277,16 @@ class RingCtx:
         raise PolyError(f"cannot interpret {obj!r} as a polynomial")
 
 
-# Bit i of a support mask stands for variable i; the table serves rings of
-# up to 256 variables, larger rings build their masks bit by bit.
-_MASK_BITS = tuple(1 << i for i in range(256))
+@functools.cache
+def _mask_bits(width: int) -> tuple:
+    """Bit i of a support mask stands for variable i of a ring of ``width``."""
+    return tuple(1 << i for i in range(width))
 
 
 def _support_mask(exps) -> int:
     """The set of variables that occur in the monomial ``exps``, as bits:
     exact in every ring, so disjoint masks mean coprime monomials."""
-    if len(exps) <= len(_MASK_BITS):
-        return sum(compress(_MASK_BITS, exps))
-    return sum(1 << i for i, e in enumerate(exps) if e)
+    return sum(compress(_mask_bits(len(exps)), exps))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ def test_monomial_ideal_already_reduced():
 
 
 def test_lex_eliminant():
-    gb = reduced_groebner(_polys(CTX2, "x - y^2", "y - x^2"), order=Lex())
+    gb = reduced_groebner(_polys(CTX2, "x - y^2", "y - x^2"),
+                          CTX2.with_order(Lex()))
     strs = {str(g) for g in gb.elements}
     assert "y^4 - y" in strs
 
@@ -228,7 +229,8 @@ def test_eliminate_unit_relation_contracts_to_zero():
 def test_eliminate_is_a_contraction():
     ctx = RingCtx("t,x,y")
     I = Ideal(ctx, ["x - t^3", "y - t^4", "t*x - y"])
-    target, kept = eliminate_polys(list(I.gens), ctx, 1)
+    ring = RingCtx(ctx.vars, Weighted((1, 0, 0)))
+    kept = eliminate_polys(list(I.gens), ring, RingCtx("x,y"))
     lift = RingCtx(ctx.vars, ctx.order)
     for g in kept:
         lifted = lift.parse(str(g))
@@ -238,7 +240,25 @@ def test_eliminate_is_a_contraction():
 def test_eliminate_range_checked():
     ctx = RingCtx("t,x")
     with pytest.raises(PolyError):
-        eliminate_polys([ctx.parse("t*x")], ctx, 5)
+        eliminate(Ideal(ctx, ["t*x"]), 5)
+    # the target must be the trailing block of the ring's variables
+    for target in ("t", "x,t", "s,t,x"):
+        with pytest.raises(PolyError, match="trailing block"):
+            eliminate_polys([ctx.parse("t*x")], ctx, RingCtx(target))
+
+
+def test_graded_elimination_needs_homogeneous_generators():
+    target = RingCtx("x,y")
+    x, y = target.var("x"), target.var("y")
+
+    def build(t, lift):
+        return [lift(2 * x**2 - y) + t, lift(1 - y**2) + t]
+
+    # weights grading x, y order t below x^2, so t is not eliminated
+    with pytest.raises(PolyError, match="homogeneous"):
+        groebner.eliminate_aux(target, build, weights=(1, 1))
+    assert groebner.eliminate_aux(target, build) == [
+        target.parse("x^2 + 1/2*y^2 - 1/2*y - 1/2")]
 
 
 def test_spolynomial_cancels_leads():
@@ -336,13 +356,15 @@ def test_masks_cover_rings_of_any_width():
         target, lambda t, lift: [lift(x**2), lift(x - 1)]) == [target.one]
 
 
-def test_resource_cap_aborts_loudly():
+def test_resource_cap_aborts_loudly(monkeypatch):
     ctx = RingCtx("x,y,z")
     gens = _polys(ctx, "x^5*y - z^3 + x", "y^4 - x*z + 1", "z^4 - x^2*y^2")
-    with pytest.raises(ResourceLimitError):
-        reduced_groebner(gens, max_basis=2)
-    with pytest.raises(ResourceLimitError):
-        reduced_groebner(gens, max_degree=3)
+    for cap, value in (("MAX_BASIS", 2), ("MAX_DEGREE", 3)):
+        with monkeypatch.context() as m:
+            m.setattr(groebner, cap, value)
+            groebner._buchberger.cache_clear()
+            with pytest.raises(ResourceLimitError, match="cap"):
+                reduced_groebner(gens)
 
 
 def test_unit_ideal_basis():
@@ -380,15 +402,6 @@ def test_memo_hit_lives_in_the_callers_context():
     assert _hits() == hits + 1
     assert hit.ctx is twin and all(g.ctx is twin for g in hit)
     assert first.ctx is CTX2 and hit.elements == first.elements
-
-
-def test_memo_does_not_bypass_smaller_caps():
-    gens = _polys(CTX2, *MEMO_GENS)
-    reduced_groebner(gens)
-    with pytest.raises(ResourceLimitError):
-        reduced_groebner(gens, max_basis=2)
-    with pytest.raises(ResourceLimitError):
-        reduced_groebner(gens, max_degree=2)
 
 
 def test_memo_hit_is_self_checked(monkeypatch):

@@ -1,12 +1,16 @@
 """Rees presentations, relation types, and the two-generated colon route."""
 
+import itertools
+
 import pytest
 from conftest import CURVE_INSTANCES, _t_order
+from hypothesis import assume, given, settings, strategies as st
 
 from reeskit import (Ideal, PolyError, RingCtx, Weighted, compose, embed,
-                     effective_relation_2gen, monomial_curve,
-                     monomial_fraction_degree, normal_form, rees_kernel,
-                     relation_type, relation_type_2gen, relation_type_mod)
+                     effective_relation_2gen, is_regular_element,
+                     monomial_curve, monomial_fraction_degree, normal_form,
+                     rees_kernel, relation_type, relation_type_2gen,
+                     relation_type_mod)
 from reeskit import rees
 from reeskit.groebner import eliminate_aux, eliminate_polys
 from reeskit.rees import _degree_profile
@@ -232,8 +236,7 @@ def _saturated_kernel(I):
     gens = ([x1 * tj - xj * t1 for tj, xj in zip(ts, xs)]
             + [embed(q, ring, positions) for q in ext.quotient]
             + [1 - ring.var("s") * x1])
-    _, kept = eliminate_polys(gens, ring, 1, ext.order, order)
-    return Ideal(ext, [g.in_ctx(ext.ambient) for g in kept])
+    return Ideal(ext, eliminate_polys(gens, ring, ext))
 
 
 KERNEL_CASES = [
@@ -266,5 +269,27 @@ def test_graded_elimination_leaves_the_kernel_unchanged(ctx, gens):
 ])
 def test_saturation_agrees_with_the_kernel_on_slow_inputs(gens):
     I = Ideal(CUSP34, gens.split(", "))
+    assert (rees_kernel(I).kernel.gb.elements
+            == _saturated_kernel(I).gb.elements)
+
+
+@st.composite
+def _inhomogeneous_ideals(draw):
+    """2-3 generators, each a sum of two monomials of degree <= 2 with
+    coefficients 1..3, over the (2,3) cusp, the (3,4) cusp or Q[x,y,z]."""
+    ctx = draw(st.sampled_from([CUSP23, CUSP34, CTX3]))
+    n = len(ctx.vars)
+    monomials = [e for e in itertools.product(range(3), repeat=n)
+                 if sum(e) <= 2]
+    term = st.tuples(st.sampled_from(monomials), st.integers(1, 3))
+    gens = [ctx.poly(dict([draw(term)])) + ctx.poly(dict([draw(term)]))
+            for _ in range(draw(st.integers(2, 3)))]
+    return Ideal(ctx, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_inhomogeneous_ideals())
+def test_saturation_agrees_with_the_kernel_on_random_ideals(I):
+    assume(is_regular_element(I.gens[0], I.ctx))
     assert (rees_kernel(I).kernel.gb.elements
             == _saturated_kernel(I).gb.elements)
