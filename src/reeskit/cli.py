@@ -111,9 +111,7 @@ def _cmd_ar(args) -> int:
     report = artin_rees_number(a, I, J)
     pairs = [("s", report.s_value),
              ("rt_bound", report.rt_bound if report.rt_bound is not None
-              else "unavailable"),
-             ("exact", report.exact),
-             ("window", report.window)]
+              else "unavailable")]
     return _emit_outcome(pairs, report.s_value)
 
 

@@ -207,16 +207,12 @@ def _run_wang(n: int):
         Expectation("s_m", n,
                     "literature: the Artin-Rees number modulo the maximal "
                     "ideal equals the fiber relation type n"),
-        Expectation("ar_exact", True,
-                    "trivial: the relation-type bound resolves, so the "
-                    "Artin-Rees search is exact"),
     ]
     computed = {
         "rt": relation_type(I),
         "rt_mod_a": relation_type_mod(I_mod, zero_mod),
         "rt_fiber": relation_type_mod(I_mod, m_mod),
         "s_m": ar.s_value.value,
-        "ar_exact": ar.exact,
     }
     return expectations, computed
 
@@ -242,8 +238,7 @@ def _run_eisenbud_hochster(n: int):
                     "I·(I^{n-1} ∩ (f))"),
         Expectation("s", n,
                     "derived: the order-n generator forces obstructions in "
-                    "degrees 1..n and none beyond (window certified by the "
-                    "relation-type bound)"),
+                    "degrees 1..n and none beyond"),
         Expectation("id_x_over_y", n,
                     "derived: numerical semigroup <n, n+1>: least k with "
                     "k·1 in the semigroup is n"),

@@ -351,8 +351,6 @@ def _buchberger(vars, order, terms) -> tuple:
 
     while heap:
         _, i, j, L = heapq.heappop(heap)
-        if (i, j) not in pending:
-            continue
         pending.discard((i, j))
         outside = ~(masks[i] | masks[j])
         skip = False

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .groebner import (GroebnerBasis, eliminate_aux, eliminate_polys,
-                       normal_form, reduced_groebner)
+                       reduced_groebner)
 from .poly import DegRevLex, Poly, PolyError, RingCtx, Weighted
 
 
@@ -60,8 +60,8 @@ class Ideal:
     @property
     def is_zero(self) -> bool:
         if self.ctx.is_quotient:
-            return all(normal_form(g, self.ctx.quotient_gb()).is_zero
-                       for g in self.gens)
+            q = Ideal(self.ctx.ambient, self.ctx.quotient)
+            return all(ideal_member(g, q) for g in self.gens)
         return all(g.is_zero for g in self.gens)
 
     @property
@@ -235,10 +235,7 @@ def is_regular_element(f, ctx: RingCtx) -> bool:
 
     An element that is zero in the quotient is reported as not regular.
     """
-    f = ctx.coerce(f)
-    if ctx.is_quotient and normal_form(f, ctx.quotient_gb()).is_zero:
-        return False
-    return _annihilator_is_zero([f], ctx)
+    return _annihilator_is_zero([ctx.coerce(f)], ctx)
 
 
 def candidate_elements(I: Ideal):

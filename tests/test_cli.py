@@ -91,8 +91,7 @@ def test_ar_command(capsys):
     code, out, _ = run(capsys, "ar", "--vars", "x,y", "--sub", "x^3 - y^4",
                        "--ideal", "x, y")
     assert code == 0
-    lines = out.splitlines()
-    assert "s = 3" in lines and "exact = true" in lines
+    assert out.splitlines() == ["s = 3", "rt_bound = 3", "status = pass"]
 
 
 def test_reg_command(capsys):
@@ -171,6 +170,12 @@ def test_golden_covers_the_registry():
     entries = {(name, str(n)) for name, e in REGISTRY.items()
                for n in range(e.n_min, e.n_max + 1)}
     assert set(GOLDEN_BLOCKS) == entries
+
+
+def test_verify_all_matches_golden_file(capsys):
+    code, out, _ = run(capsys, "verify", "--all")
+    assert code == 0
+    assert out == GOLDEN.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("name,n", sorted(GOLDEN_BLOCKS))

@@ -218,6 +218,11 @@ def test_eliminate_toric_kernel():
         I = Ideal(RingCtx("t,x,y", order), ["x - t^3", "y - t^4"])
         out = [str(g) for g in eliminate(I, 0).gb.elements]
         assert out == [str(g) for g in I.gb.elements]
+    # a Weighted ring order gives a DegRevLex target
+    ring = RingCtx("t,x,y", Weighted((1, 2, 3)))
+    out = eliminate(Ideal(ring, ["x - t^3", "y - t^4"]), 1)
+    assert out.ctx.order == DegRevLex()
+    assert [str(g) for g in out.gb.elements] == ["x^4 - y^3"]
 
 
 def test_eliminate_unit_relation_contracts_to_zero():

