@@ -31,7 +31,8 @@ functions take and return, and in the monic elements of the returned
 basis.
 
 :func:`eliminate_polys` is the one elimination engine: the caller's
-ring carries the :class:`Weighted` elimination order.
+ring carries the :class:`Weighted` elimination order, and the kept
+elements come back as a basis that an ideal can adopt.
 :func:`eliminate_aux` runs it on a ring with one extra auxiliary
 variable in front; intersections, Rees-algebra kernels, saturations
 and monomial-curve rings are all built that way, and it is the only code
@@ -62,9 +63,9 @@ MEMO_SIZE = 64
 # it never collides with a user variable.
 _AUX = "@t"
 
-# When True, every reduced basis returned by this module re-verifies the
-# Buchberger criterion before being handed out (used by the verification
-# suite; expensive, so off by default).
+# When True, every GroebnerBasis, computed or adopted, re-verifies the
+# Buchberger criterion when it is built (used by the verification suite;
+# expensive, so off by default).
 SELF_CHECK = False
 
 
@@ -240,6 +241,10 @@ class GroebnerBasis:
     ctx: RingCtx
     elements: tuple
 
+    def __post_init__(self):
+        if SELF_CHECK and not self.self_check():
+            raise PolyError("internal: Buchberger self-check failed")
+
     @property
     def is_zero(self) -> bool:
         return not self.elements
@@ -297,10 +302,7 @@ def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
         return GroebnerBasis(ctx, ())
     terms = tuple(sorted({tuple(sorted(g.terms.items())) for g in gens}))
     elements = _buchberger(ctx.vars, ctx.order, terms)
-    basis = GroebnerBasis(ctx, tuple(g.in_ctx(ctx) for g in elements))
-    if SELF_CHECK and not basis.self_check():
-        raise PolyError("internal: Buchberger self-check failed")
-    return basis
+    return GroebnerBasis(ctx, tuple(g.in_ctx(ctx) for g in elements))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
@@ -399,13 +401,17 @@ def _reduced(G, ctx) -> tuple:
 # -- elimination ---------------------------------------------------------------
 
 
-def eliminate_polys(gens, ring: RingCtx, target: RingCtx) -> list:
-    """Generators of (gens) ∩ Q[target.vars], placed in ``target``.
+def eliminate_polys(gens, ring: RingCtx, target: RingCtx) -> GroebnerBasis:
+    """The reduced basis of (gens) ∩ Q[target.vars].
 
     ``gens`` live in the ambient polynomial ring of ``ring``, whose order
     must eliminate the variables in front of ``target``, the trailing
     block of its variables.  Weights of that order which grade a target
     variable demand generators homogeneous for them; PolyError otherwise.
+    The kept elements of the reduced basis of (gens) are reduced under
+    the ring's order restricted to ``target.vars`` (Cox–Little–O'Shea,
+    §3.1), which labels the basis: each :class:`Weighted` layer drops
+    its leading weights, and a layer left all-zero goes.
     """
     ring = ring.ambient
     k = len(ring.vars) - len(target.vars)
@@ -413,25 +419,29 @@ def eliminate_polys(gens, ring: RingCtx, target: RingCtx) -> list:
         raise PolyError("elimination target is not a trailing block of "
                         f"{ring!r}")
     gens = [g.in_ctx(ring) for g in gens]
-    order = ring.order
+    layers, order = [], ring.order
     while isinstance(order, Weighted):
-        if any(order.weights[k:]) and not all(
-                _homogeneous(g.terms, order.degree) for g in gens):
-            raise PolyError(f"{order!r} eliminates only homogeneous input")
+        if any(order.weights[k:]):
+            if not all(_homogeneous(g.terms, order.degree) for g in gens):
+                raise PolyError(f"{order!r} eliminates only homogeneous input")
+            layers.append(order.weights[k:])
         order = order.inner
+    for weights in reversed(layers):
+        order = Weighted(weights, order)
+    label = target.ambient.with_order(order)
     keep = tuple(range(k, len(ring.vars)))
-    return [contract(g, target, keep)
-            for g in reduced_groebner(gens, ring).elements
-            if not any(any(e[:k]) for e in g.terms)]
+    return GroebnerBasis(label, tuple(
+        contract(g, label, keep) for g in reduced_groebner(gens, ring)
+        if not any(any(e[:k]) for e in g.terms)))
 
 
-def eliminate_aux(target: RingCtx, build, weights=None):
-    """Generators of (build(t, lift)) ∩ Q[target.vars], placed in ``target``.
+def eliminate_aux(target: RingCtx, build, weights=None) -> GroebnerBasis:
+    """The reduced basis of (build(t, lift)) ∩ Q[target.vars].
 
     ``build`` receives the auxiliary variable t of Q[t, target.vars] and
     ``lift``, which moves a polynomial over (a prefix of) the variables
     of ``target`` into that ring; it returns the generators to
-    eliminate t from.  No generators give no polynomials.  Generators
+    eliminate t from.  No generators give the empty basis.  Generators
     must be homogeneous for ``weights`` on ``target.vars`` (t weighs 1),
     which grade them before the t-elimination order breaks ties.
     """
@@ -442,4 +452,4 @@ def eliminate_aux(target: RingCtx, build, weights=None):
     ring = RingCtx((_AUX,) + target.vars, order, _internal=True)
     positions = tuple(range(1, len(ring.vars)))
     gens = build(ring.var(_AUX), lambda p: embed(p, ring, positions))
-    return eliminate_polys(gens, ring, target) if gens else []
+    return eliminate_polys(gens, ring, target)

@@ -3,9 +3,10 @@
 An :class:`Ideal` of A = Q[vars]/a is stored through representative
 generators in the ambient polynomial ring; every operation reduces to
 Groebner computations on the preimage (generators together with the
-quotient generators).  Sums, products, powers (memoized), intersections
+quotient generators).  Sums, products, powers, intersections
 (auxiliary-variable elimination), colons, and the regularity tests of
-elements and ideals all live here.
+elements and ideals all live here.  An ideal caches only its own
+reduced basis; the Gröbner memo serves everything derived from it.
 """
 
 from __future__ import annotations
@@ -22,29 +23,26 @@ class Ideal:
 
     The generator list is never empty (the zero ideal is ``(0)``); the
     reduced Groebner basis of the preimage is computed lazily and
-    cached.  Ideals are immutable values.
+    cached, or adopted when ``gens`` is a :class:`GroebnerBasis` under
+    the ring's order that contains the quotient.  Ideals are immutable.
     """
 
-    __slots__ = ("ctx", "gens", "_gb", "_powers", "_rees")
+    __slots__ = ("ctx", "gens", "_gb")
 
     def __init__(self, ctx: RingCtx, gens):
         self.ctx = ctx
-        polys = []
-        for g in gens:
-            p = ctx.coerce(g)
-            polys.append(p)
-        if not polys:
-            polys = [ctx.zero]
-        self.gens = tuple(polys)
+        self.gens = tuple(map(ctx.coerce, gens)) or (ctx.zero,)
         self._gb = None
-        self._powers = None
-        self._rees = {}
+        if (isinstance(gens, GroebnerBasis) and gens.ctx.same_poly_ring(ctx)
+                and all(q in gens.elements or gens.contains(q)
+                        for q in ctx.quotient)):
+            self._gb = GroebnerBasis(ctx.ambient, self.gens if gens else ())
 
     # -- canonical data ----------------------------------------------------
 
     @property
     def gb(self) -> GroebnerBasis:
-        """Reduced Groebner basis of the preimage ideal (cached)."""
+        """Reduced Groebner basis of the preimage ideal (cached or adopted)."""
         if self._gb is None:
             self._gb = reduced_groebner(
                 list(self.gens) + list(self.ctx.quotient),
@@ -115,17 +113,13 @@ def ideal_product(I: Ideal, J: Ideal) -> Ideal:
 
 
 def ideal_power(I: Ideal, n: int) -> Ideal:
-    """I**n, with all lower powers memoized on the ideal (I**0 = (1))."""
+    """I**n, a product of n copies of I (I**0 = (1))."""
     if n < 0:
         raise PolyError("negative ideal power")
-    if I._powers is None:
-        I._powers = {0: Ideal(I.ctx, [I.ctx.one]), 1: I}
-    powers = I._powers
-    top = max(powers)
-    while top < n:
-        powers[top + 1] = ideal_product(powers[top], I)
-        top += 1
-    return powers[n]
+    power = I if n else Ideal(I.ctx, [I.ctx.one])
+    for _ in range(n - 1):
+        power = ideal_product(power, I)
+    return power
 
 
 def ideal_member(f, I: Ideal) -> bool:
@@ -150,8 +144,8 @@ def ideal_contains(I: Ideal, J: Ideal) -> bool:
 # intersection and colon
 
 
-def _intersect_preimages(gens_a, gens_b, ctx: RingCtx):
-    """Generators of (gens_a) ∩ (gens_b) inside the ambient polynomial ring."""
+def _intersect_preimages(gens_a, gens_b, ctx: RingCtx) -> GroebnerBasis:
+    """The degrevlex basis of (gens_a) ∩ (gens_b) in the ambient ring."""
     def build(t, lift):
         one_minus_t = 1 - t
         return ([t * lift(g) for g in gens_a if not g.is_zero]
@@ -160,12 +154,12 @@ def _intersect_preimages(gens_a, gens_b, ctx: RingCtx):
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via the auxiliary-variable trick t·I + (1−t)·J."""
+    """I ∩ J via the auxiliary-variable trick t·I + (1−t)·J; in a
+    degrevlex ring the result adopts the elimination's basis."""
     I._check_ctx(J)
     if I.is_zero or J.is_zero:
         return Ideal(I.ctx, [I.ctx.zero])
-    gens = _intersect_preimages(I.basis_gens, J.basis_gens, I.ctx)
-    return Ideal(I.ctx, gens)
+    return Ideal(I.ctx, _intersect_preimages(I.basis_gens, J.basis_gens, I.ctx))
 
 
 def exact_divide(h: Poly, g: Poly) -> Poly:

@@ -21,7 +21,7 @@ from .ideals import (Ideal, _annihilator_is_zero, candidate_elements,
                      ideal_product, is_regular_element)
 from .poly import Poly, PolyError, RingCtx
 from .rees import (artin_rees_degree, filter_regular_degree, reduction_degree,
-                   relation_type, relation_type_mod)
+                   rees_kernel, relation_type, relation_type_mod)
 
 # combinations of the generators tried by find_principal_reduction
 _PRINCIPAL_TRIALS = 16
@@ -73,7 +73,7 @@ def is_reduction(J: Ideal, I: Ideal) -> SearchOutcome:
             rest.remove(g)
             if ideal_member(g, Ideal(I.ctx, rest)):
                 xs = rest
-    n = reduction_degree(I, xs)
+    n = 0 if I.is_zero else reduction_degree(rees_kernel(I, xs))
     return SearchOutcome(n, "not a reduction" if n is None
                          else f"I^{n + 1} = J*I^{n}")
 
@@ -87,11 +87,14 @@ def reduction_number(I: Ideal, J: Ideal, _ignored=None, /) -> SearchOutcome:
 def find_principal_reduction(I: Ideal):
     """First regular g among the candidates with (g) a reduction of I.
 
-    Returns ``(g, outcome)``.  None has two meanings: at once, decided,
-    when I holds no regular element (ann(I) ≠ 0); otherwise only that no
-    reduction was among the generators and the next
-    ``_PRINCIPAL_TRIALS`` elements of :func:`ideals.candidate_elements`.
+    Returns ``(g, outcome)``; the unit ideal gives g = 1 at once.  None
+    has two meanings: at once, decided, when I holds no regular element
+    (ann(I) ≠ 0); otherwise only that no reduction was among the
+    generators and the next ``_PRINCIPAL_TRIALS`` elements of
+    :func:`ideals.candidate_elements`.
     """
+    if I.is_unit:
+        return I.ctx.one, is_reduction(Ideal(I.ctx, [I.ctx.one]), I)
     if not _annihilator_is_zero(I.gens, I.ctx):
         return None
     tried = len({g for g in I.gens if not g.is_zero}) + _PRINCIPAL_TRIALS
@@ -204,12 +207,15 @@ def reg_rees(I: Ideal, J: Ideal) -> SearchOutcome:
     the least r >= rn_J(I) above which the filter-regular condition of
     :func:`rees.filter_regular_degree` holds (Trung, Proc. AMS 101, 1987),
     none when no degree bounds its failures.  rn and the filter-regular
-    degrees are both read off R(I) presented on x_1..x_s as given."""
+    degrees are both read off one R(I), presented on x_1..x_s as given."""
     _check_contained(J, I)
-    rn = reduction_degree(I, J.gens)
+    if I.is_zero:
+        return SearchOutcome(0, "exact: filter-regular above 0")
+    pres = rees_kernel(I, J.gens)
+    rn = reduction_degree(pres)
     if rn is None:
         raise PolyError("not a reduction")
-    top, x = filter_regular_degree(I, J.gens)
+    top, x = filter_regular_degree(pres)
     if top is None:
         return SearchOutcome(None, f"not filter-regular at {x}")
     reg = max(rn, top)

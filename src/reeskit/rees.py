@@ -20,14 +20,14 @@ The reduction number (:func:`reduction_degree`) and the regularity of
 the Rees module (:func:`filter_regular_degree`) are read off the lead
 monomials of the same presentation.  Its ring is ordered by a
 :class:`Weighted` order with weight 1 on the T-block, so the T-degree of
-an element is read off the order.
+an element is read off the order; K adopts its elimination's basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import _divides, eliminate_aux
+from .groebner import GroebnerBasis, _divides, eliminate_aux
 from .ideals import (Ideal, ideal_colon, ideal_contains, ideal_intersect,
                      ideal_member, ideal_power, ideal_product, ideal_sum,
                      is_regular_element)
@@ -57,12 +57,14 @@ def _tdegree(p: Poly) -> int:
 
 @dataclass(frozen=True)
 class ReesPresentation:
-    """T-graded kernel of the symmetric presentation of a Rees algebra."""
+    """T-graded kernel of the symmetric presentation of a Rees algebra on
+    the generators of ``ideal``, the first ``nfirst`` of them a reduction's."""
 
     ideal: Ideal
     ext_ctx: RingCtx
     tvars: tuple
     kernel: Ideal
+    nfirst: int
 
     @property
     def tcount(self) -> int:
@@ -79,8 +81,8 @@ def _degree_profile(ideal: Ideal, floor: int) -> dict:
     return {d: tuple(v) for d, v in sorted(profile.items())}
 
 
-def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> list:
-    """Generators in ``ext_ctx`` of phi^{-1}(sub·A[t]); no ``sub`` gives K.
+def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> GroebnerBasis:
+    """The reduced basis in ``ext_ctx`` of phi^{-1}(sub·A[t]) (K for no sub).
 
     The contraction to A[T] of (T_1 - x_1 t, ..., T_m - x_m t), the
     quotient generators and ``sub``, graded by deg t = deg T_i = 1.
@@ -99,15 +101,13 @@ def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> list:
 
 def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
     """Presentation kernel of the Rees algebra of I on the nonzero
-    elements of ``first``, then the other generators of I (cached on I
-    for each such list).
+    elements of ``first``, then the other generators of I.
 
-    The presentation ring is graded by T-degree.
+    The presentation ring is graded by T-degree.  Nothing is cached: a
+    rebuilt presentation costs one hit of the Gröbner memo.
     """
     first = [g for g in first if not g.is_zero]
-    gens = tuple(first + [g for g in I.gens if not (g.is_zero or g in first)])
-    if gens in I._rees:
-        return I._rees[gens]
+    gens = first + [g for g in I.gens if not (g.is_zero or g in first)]
     if not gens:
         raise PolyError("Rees presentation needs a nonzero ideal")
     ctx, m = I.ctx, len(gens)
@@ -119,9 +119,7 @@ def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
                                  for q in ctx.quotient])
     ordered = Ideal(ctx, gens)
     kernel = Ideal(ext_ctx, _preimage(ordered, ext_ctx, tvars))
-    pres = ReesPresentation(ordered, ext_ctx, tvars, kernel)
-    I._rees[gens] = pres
-    return pres
+    return ReesPresentation(ordered, ext_ctx, tvars, kernel, len(first))
 
 
 def _read_modulo(pres: ReesPresentation, ideal: Ideal, J: Ideal,
@@ -229,41 +227,36 @@ def _lead(pres: ReesPresentation, i: int, order) -> list:
     return [h.lm for h in P.gb.elements]
 
 
-def reduction_degree(I: Ideal, seq):
-    """rn_J(I) for J = (seq) ⊆ I, the least n with I^{n+1} = J I^n; None
-    if J is no reduction.  On R(I) = A[T]/K presented on the x_i of J
-    first, degree n of A[T]/P, P = K + (T_1..T_s), is I^n/J I^{n-1}
-    (Huneke-Swanson, ch. 8); its standard monomials span it, so it
-    vanishes iff each T^mu of degree n is divisible by a lead monomial of
-    P free of ring variables.  rn is the top degree of the T^mu outside.
+def reduction_degree(pres: ReesPresentation):
+    """rn_J(I) for R(I) = A[T]/K presented on the generators x_1..x_s of
+    J ⊆ I first (s = ``pres.nfirst``), the least n with
+    I^{n+1} = J I^n; None if J is no reduction.  Degree n of A[T]/P,
+    P = K + (T_1..T_s), is I^n/J I^{n-1} (Huneke-Swanson, ch. 8); its
+    standard monomials span it, so it vanishes iff each T^mu of degree n
+    is divisible by a lead monomial of P free of ring variables.  rn is
+    the top degree of the T^mu outside.
     """
-    if I.is_zero:
-        return 0
-    xs = [g for g in seq if not g.is_zero]
-    pres = rees_kernel(I, xs)
-    lead = _lead(pres, len(xs), pres.ext_ctx.order)
-    return _outside_top((0,) * len(pres.ext_ctx.vars), lead, len(I.ctx.vars))
+    lead = _lead(pres, pres.nfirst, pres.ext_ctx.order)
+    return _outside_top((0,) * len(pres.ext_ctx.vars), lead,
+                        len(pres.ideal.ctx.vars))
 
 
-def filter_regular_degree(I: Ideal, seq):
+def filter_regular_degree(pres: ReesPresentation):
     """``(n, None)``: the largest n with [(x_1..x_{i-1}) I^n : x_i] ∩ I^n
-    ≠ (x_1..x_{i-1}) I^{n-1} for some i, x_i the nonzero elements of
-    ``seq`` ⊆ I (-1 if none); ``(None, x_i)`` if x_i fails in every large
-    degree (not filter-regular).  On R(I) = A[T]/K, T_i -> x_i t, that
-    quotient is degree n of Q_i/P_i, P_i = K + (T_1..T_{i-1}) and
-    Q_i = P_i : T_i.  Ordered by T-degree, then degree in T_{i+1}.., the
-    reduced basis of P_i is T_1..T_{i-1} and elements free of them, whose
-    lead monomial T_i divides only if T_i divides the element; hence
-    LT(Q_i) = LT(P_i) : T_i (Eisenbud, Prop. 15.12).  Q_i and P_i differ
-    in degree n iff their lead monomials do, and a monomial of LT(Q_i)
-    outside LT(P_i) stays outside without its A-part.  Q_1 = K for x_1 regular.
+    ≠ (x_1..x_{i-1}) I^{n-1} for some i, x_i the first ``pres.nfirst``
+    generators of R(I) (-1 if none); ``(None, x_i)`` if x_i fails in
+    every large degree (not filter-regular).  On R(I) = A[T]/K,
+    T_i -> x_i t, that quotient is degree n of Q_i/P_i, P_i = K +
+    (T_1..T_{i-1}) and Q_i = P_i : T_i.  Ordered by T-degree, then degree
+    in T_{i+1}.., the reduced basis of P_i is T_1..T_{i-1} and elements
+    free of them, whose lead monomial T_i divides only if T_i divides the
+    element; hence LT(Q_i) = LT(P_i) : T_i (Eisenbud, Prop. 15.12).  Q_i
+    and P_i differ in degree n iff their lead monomials do, and a monomial
+    of LT(Q_i) outside LT(P_i) stays outside without its A-part.  Q_1 = K
+    for x_1 regular.
     """
-    seq = [g for g in seq if not g.is_zero]
-    if not seq:
-        return -1, None
-    pres = rees_kernel(I, seq)
-    m, split, top = pres.tcount, len(I.ctx.vars), -1
-    for i, x in enumerate(seq):
+    m, split, top = pres.tcount, len(pres.ideal.ctx.vars), -1
+    for i, x in enumerate(pres.ideal.gens[:pres.nfirst]):
         k = split + i
         later = (0,) * (k + 1) + (1,) * (m - i - 1)
         lead = _lead(pres, i, Weighted(pres.ext_ctx.order.weights,
@@ -330,6 +323,8 @@ def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
     raises ResourceLimitError at n = 128.
     """
     x, y, colon = _colon_chain(x, y, ctx)
+    if y.is_zero:
+        return 1  # R((x)) = A[xt] has no relations
     (z,) = _fresh_tvars(ctx.vars, 1)
     k = len(ctx.vars)
     chart = RingCtx(ctx.vars + (z,), Weighted((0,) * k + (1,)), _internal=True)

@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from reeskit import REGISTRY
+from reeskit import REGISTRY, groebner
 from reeskit.cli import main
 
 # `reeskit verify --all` output, byte for byte: one block per registry
@@ -172,7 +172,12 @@ def test_golden_covers_the_registry():
     assert set(GOLDEN_BLOCKS) == entries
 
 
-def test_verify_all_matches_golden_file(capsys):
+@pytest.mark.parametrize("self_check", [False, True],
+                         ids=["self-check-off", "self-check-on"])
+def test_verify_all_matches_golden_file(capsys, monkeypatch, self_check):
+    # with self-checks on, every basis the registry computes or adopts
+    # is checked against the Buchberger criterion
+    monkeypatch.setattr(groebner, "SELF_CHECK", self_check)
     code, out, _ = run(capsys, "verify", "--all")
     assert code == 0
     assert out == GOLDEN.read_text(encoding="utf-8")

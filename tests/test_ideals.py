@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from reeskit import (Ideal, PolyError, RingCtx, exact_divide, ideal_colon,
-                     ideal_equal, ideal_intersect, ideal_member, ideal_power,
-                     ideal_product, ideal_sum, is_regular_element,
-                     is_regular_ideal)
+from reeskit import (Ideal, Lex, PolyError, RingCtx, exact_divide,
+                     ideal_colon, ideal_equal, ideal_intersect, ideal_member,
+                     ideal_power, ideal_product, ideal_sum, is_regular_element,
+                     is_regular_ideal, reduced_groebner)
+from reeskit import groebner
 
 CTX2 = RingCtx("x,y")
 CURVE = RingCtx("x,y", quotient=["x^4 - y^3"])
@@ -65,6 +66,25 @@ def test_intersect_examples():
     assert ideal_intersect(I_(ctx, t), I_(ctx, x)) == I_(ctx, t * x)
     assert ideal_intersect(I_(ctx, t - 1), I_(ctx, t + 1)) == \
         I_(ctx, t ** 2 - 1)
+
+
+@pytest.mark.parametrize("ctx, adopts", [
+    (CTX2, True), (CURVE, True), (RingCtx("x,y", Lex()), False)],
+    ids=["degrevlex", "quotient", "lex"])
+def test_intersection_adopts_the_elimination_basis(ctx, adopts):
+    # the elimination hands over its degrevlex basis, so reading the
+    # intersection's basis runs Buchberger only in the lex ring, whose
+    # reduced basis differs: (y^6, x*y - y^3, x^3) against
+    # (y^3 - x*y, x^3, x^2*y^2)
+    I, J = I_(ctx, "x^2 - y", "x*y"), I_(ctx, "y^2 - x", "x^3")
+    groebner._buchberger.cache_clear()
+    meet = ideal_intersect(I, J)
+    runs = groebner._buchberger.cache_info().misses
+    basis = meet.gb.elements
+    assert (groebner._buchberger.cache_info().misses == runs) == adopts
+    groebner._buchberger.cache_clear()
+    assert basis == reduced_groebner(
+        list(meet.gens) + list(ctx.quotient), ctx).elements
 
 
 def test_colon_examples():

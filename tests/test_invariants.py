@@ -10,7 +10,7 @@ from reeskit import (Ideal, PolyError, RingCtx, ResourceLimitError,
                      ideal_equal, ideal_intersect, ideal_member, ideal_power,
                      ideal_product, integral_degree_fraction, is_reduction,
                      monomial_curve, reduction_number, reg_rees, vv_check)
-from reeskit import invariants
+from reeskit import invariants, rees
 
 CTX2 = RingCtx("x,y")
 CUSP23 = monomial_curve((2, 3), ("u", "v"))
@@ -24,6 +24,21 @@ ARTIN2 = RingCtx("x,y", quotient=["y^3", "x^4"])
 
 def I_(ctx, *gens):
     return Ideal(ctx, list(gens))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The T-variable counts of the Rees presentations built, in order."""
+    tcounts, build = [], rees.rees_kernel
+
+    def recording(*args):
+        pres = build(*args)
+        tcounts.append(pres.tcount)
+        return pres
+
+    for module in (rees, invariants):
+        monkeypatch.setattr(module, "rees_kernel", recording)
+    return tcounts
 
 
 # -- the scans: independent routes for rn and id --------------------------------
@@ -107,6 +122,11 @@ def test_find_principal_reduction():
     assert g == x + z and repr(out) == "resolved(1)"
     # decided at once: ann((x)) = (z), so (x) holds no regular element
     assert find_principal_reduction(I_(NODE, x)) is None
+    # (x, x - 1) = (1): no combination x + t·(x - 1) is a unit, so the
+    # unit ideal is answered before the candidates are read
+    x = CTX2.var("x")
+    g, out = find_principal_reduction(I_(CTX2, x, x - 1))
+    assert g == 1 and repr(out) == "resolved(0)"
 
 
 def test_principal_reduction_survey_agrees():
@@ -196,13 +216,13 @@ def test_exact_read_edge_inputs():
         reduction_number(I_(CTX2, x), I_(CTX2, x, y))
 
 
-def test_rn_drops_redundant_reduction_generators():
+def test_rn_drops_redundant_reduction_generators(built):
     # x^2*y^2 lies in (x^2, y^2), so R(I) is presented on three T
     # variables, not four, and rn is that of J = (x^2, y^2)
     I, lean = Ideal(CTX2, ["x^2", "x*y", "y^2"]), I_(CTX2, "x^2", "y^2")
     J = I_(CTX2, "x^2", "y^2", "x^2*y^2")
     assert reduction_number(I, J).value == 1
-    assert [p.tcount for p in I._rees.values()] == [3]
+    assert built == [3]
     assert reduction_number(Ideal(CTX2, I.gens), lean).value == 1
 
 
@@ -417,13 +437,13 @@ def test_reg_rees_not_filter_regular():
     assert str(out) == "none(not filter-regular at y)"
 
 
-def test_reg_rees_builds_one_presentation():
+def test_reg_rees_builds_one_presentation(built):
     # rn is read on J's generators as given, off the presentation the
     # filter-regular read needs anyway: R(I) on four T variables
     I = Ideal(CTX2, ["x^2", "x*y", "y^2"])
     J = I_(CTX2, "x^2", "y^2", "x^2*y^2")
     assert reg_rees(I, J).value == 1
-    assert [p.tcount for p in I._rees.values()] == [4]
+    assert built == [4]
     assert reduction_number(I, J).value == 1
 
 

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 from reeskit import (Ideal, PolyError, RingCtx, Weighted, compose, embed,
                      effective_relation_2gen, is_regular_element,
                      monomial_curve, monomial_fraction_degree, normal_form,
-                     rees_kernel, relation_type, relation_type_2gen,
-                     relation_type_mod)
-from reeskit import rees
+                     reduced_groebner, rees_kernel, relation_type,
+                     relation_type_2gen, relation_type_mod)
+from reeskit import groebner, rees
 from reeskit.groebner import eliminate_aux, eliminate_polys
 from reeskit.rees import _degree_profile
 
@@ -161,6 +161,11 @@ def test_two_routes_agree_on_two_generated_ideals():
         shift = _t_order(y, weights) - _t_order(x, weights)
         assert relation_type_2gen(x, y, ctx) == rt == \
             monomial_fraction_degree(weights, shift)
+    # a zero second generator: R((x)) has no relations on either route
+    for ctx, xs in ((CTX2, "x"), (CUSP34, "u")):
+        x = ctx.parse(xs)
+        assert relation_type_2gen(x, ctx.zero, ctx) == 1
+        assert relation_type(I_(ctx, x, ctx.zero)) == 1
     # effective degrees 2 and 4 on the gap curve: c_3 = c_2 is no stop
     a, b = GAP_CURVE.var("a"), GAP_CURVE.var("b")
     assert effective_relation_2gen(a, b, 3, I_(GAP_CURVE, GAP_CURVE.zero))
@@ -256,7 +261,13 @@ KERNEL_IDS = [f"t^{w} x={x} y={y}" for w, _, x, y in CURVE_INSTANCES] + [
 @pytest.mark.parametrize("ctx, gens", KERNEL_CASES, ids=KERNEL_IDS)
 def test_graded_elimination_leaves_the_kernel_unchanged(ctx, gens):
     I = Ideal(ctx, gens.split(", "))
-    kernel = rees_kernel(I).kernel.gb.elements
+    groebner._buchberger.cache_clear()
+    pres = rees_kernel(I)
+    # the kernel adopts its elimination's basis: reading it runs no
+    # Buchberger, so a wrong label cannot switch the hand-off off unseen
+    runs = groebner._buchberger.cache_info().misses
+    kernel = pres.kernel.gb.elements
+    assert groebner._buchberger.cache_info().misses == runs
     assert kernel == _unweighted_kernel(I).gb.elements
     assert kernel == _saturated_kernel(I).gb.elements
 
@@ -291,5 +302,10 @@ def _inhomogeneous_ideals(draw):
 @given(_inhomogeneous_ideals())
 def test_saturation_agrees_with_the_kernel_on_random_ideals(I):
     assume(is_regular_element(I.gens[0], I.ctx))
-    assert (rees_kernel(I).kernel.gb.elements
-            == _saturated_kernel(I).gb.elements)
+    kernel = rees_kernel(I).kernel
+    assert kernel.gb.elements == _saturated_kernel(I).gb.elements
+    # the adopted basis is the one Buchberger computes afresh
+    groebner._buchberger.cache_clear()
+    assert kernel.gb.elements == reduced_groebner(
+        list(kernel.gens) + list(kernel.ctx.quotient),
+        kernel.ctx.ambient).elements
