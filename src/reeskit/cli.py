@@ -43,7 +43,7 @@ def _split_polys(text: str):
 def _build_ctx(args) -> RingCtx:
     if not args.vars:
         raise PolyError("--vars is required")
-    ctx = RingCtx(args.vars, ORDERS[args.order])
+    ctx = RingCtx(args.vars)
     if getattr(args, "mod", None):
         ctx = ctx.with_quotient(_split_polys(args.mod))
     return ctx
@@ -60,7 +60,7 @@ def _emit_outcome(pairs, outcome) -> int:
 
 
 def _cmd_gb(args) -> int:
-    ctx = _build_ctx(args)
+    ctx = _build_ctx(args).with_order(ORDERS[args.order])
     I = _parse_ideal(ctx, args.ideal)
     for g in I.gb.elements:
         print(g)
@@ -178,14 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, ideal=True):
         p.add_argument("--vars", help="comma-separated variable names")
         p.add_argument("--mod", help="quotient generators, ';'-separated")
-        p.add_argument("--order", default="degrevlex",
-                       choices=sorted(ORDERS))
         if ideal:
             p.add_argument("--ideal", required=True,
                            help="ideal generators, ','-separated")
 
     p = sub.add_parser("gb", help="reduced Groebner basis")
     common(p)
+    p.add_argument("--order", default="degrevlex", choices=sorted(ORDERS))
     p.set_defaults(func=_cmd_gb)
 
     p = sub.add_parser("rt", help="relation type (optionally modulo an ideal)")

@@ -30,16 +30,16 @@ values appear only at the boundary: in the polynomials the public
 functions take and return, and in the monic elements of the returned
 basis.
 
-:func:`eliminate_polys` is the one elimination engine: the caller's
-ring carries the :class:`Weighted` elimination order, and the kept
-elements come back as a basis that an ideal can adopt.
-:func:`eliminate_aux` runs it on a ring with one extra auxiliary
-variable in front; intersections, Rees-algebra kernels, saturations
-and monomial-curve rings are all built that way, and it is the only code
-that knows the auxiliary variable.  A graded order eliminates only on
-homogeneous input, so weights that grade kept variables demand
-homogeneous generators; Buchberger checks that every basis element
-stays so.
+:func:`eliminate_polys` is the one elimination engine and the only
+code that chooses an elimination order: it builds the order from the
+target ring, front block first and the target's order within, so the
+kept elements come back as the target's reduced basis, which an ideal
+can adopt.  A :class:`Weighted` target grades first only where every
+generator is homogeneous for its weights, which is where a graded order
+eliminates.  :func:`eliminate_aux` runs it with one auxiliary variable
+in front; intersections, Rees-algebra kernels, saturations and
+monomial-curve rings are all built that way, and it is the only code
+that knows the auxiliary variable.
 """
 
 from __future__ import annotations
@@ -401,55 +401,55 @@ def _reduced(G, ctx) -> tuple:
 # -- elimination ---------------------------------------------------------------
 
 
-def eliminate_polys(gens, ring: RingCtx, target: RingCtx) -> GroebnerBasis:
-    """The reduced basis of (gens) ∩ Q[target.vars].
+def _refine(order, k: int):
+    """``order`` on k more variables in front, weighing 0 in each
+    :class:`Weighted` layer (Lex and DegRevLex need no change)."""
+    if isinstance(order, Weighted):
+        return Weighted((0,) * k + order.weights, _refine(order.inner, k))
+    return order
 
-    ``gens`` live in the ambient polynomial ring of ``ring``, whose order
-    must eliminate the variables in front of ``target``, the trailing
-    block of its variables.  Weights of that order which grade a target
-    variable demand generators homogeneous for them; PolyError otherwise.
-    The kept elements of the reduced basis of (gens) are reduced under
-    the ring's order restricted to ``target.vars`` (Cox–Little–O'Shea,
-    §3.1), which labels the basis: each :class:`Weighted` layer drops
-    its leading weights, and a layer left all-zero goes.
+
+def eliminate_polys(gens, front, target: RingCtx) -> GroebnerBasis:
+    """The reduced basis of (gens) ∩ Q[target.vars] under ``target.order``.
+
+    ``gens`` live in Q[front, target.vars]; the variables named in
+    ``front`` are eliminated (PolyError if the rings differ).  The order
+    weighs the front 1 and breaks ties by ``target.order``, so the kept
+    elements are the target's reduced basis (Cox–Little–O'Shea, §3.1).
+    When ``target.order`` is :class:`Weighted` with weights w and every
+    generator is homogeneous for (1, ..., 1, w), that grading comes
+    first and the front block breaks ties within each degree.
     """
-    ring = ring.ambient
-    k = len(ring.vars) - len(target.vars)
-    if k < 0 or ring.vars[k:] != target.vars:
-        raise PolyError("elimination target is not a trailing block of "
-                        f"{ring!r}")
-    gens = [g.in_ctx(ring) for g in gens]
-    layers, order = [], ring.order
-    while isinstance(order, Weighted):
-        if any(order.weights[k:]):
-            if not all(_homogeneous(g.terms, order.degree) for g in gens):
-                raise PolyError(f"{order!r} eliminates only homogeneous input")
-            layers.append(order.weights[k:])
-        order = order.inner
-    for weights in reversed(layers):
-        order = Weighted(weights, order)
-    label = target.ambient.with_order(order)
-    keep = tuple(range(k, len(ring.vars)))
-    return GroebnerBasis(label, tuple(
-        contract(g, label, keep) for g in reduced_groebner(gens, ring)
+    target = target.ambient
+    front, k = tuple(front), len(front)
+    vars = front + target.vars
+    if any(g.ctx.vars != vars for g in gens):
+        raise PolyError(f"elimination generators outside Q[{','.join(vars)}]")
+    block = (1,) * k + (0,) * len(target.vars)
+    order = Weighted(block, _refine(target.order, k))
+    if isinstance(target.order, Weighted):
+        graded = Weighted((1,) * k + target.order.weights,
+                          Weighted(block, _refine(target.order.inner, k)))
+        if all(_homogeneous(g.terms, graded.degree) for g in gens):
+            order = graded
+    ring = RingCtx(vars, order, _internal=True)
+    keep = tuple(range(k, len(vars)))
+    return GroebnerBasis(target, tuple(
+        contract(g, target, keep) for g in reduced_groebner(gens, ring)
         if not any(any(e[:k]) for e in g.terms)))
 
 
-def eliminate_aux(target: RingCtx, build, weights=None) -> GroebnerBasis:
-    """The reduced basis of (build(t, lift)) ∩ Q[target.vars].
+def eliminate_aux(target: RingCtx, build) -> GroebnerBasis:
+    """The reduced basis of (build(t, lift)) ∩ Q[target.vars] under
+    ``target.order`` (:func:`eliminate_polys`).
 
     ``build`` receives the auxiliary variable t of Q[t, target.vars] and
     ``lift``, which moves a polynomial over (a prefix of) the variables
     of ``target`` into that ring; it returns the generators to
-    eliminate t from.  No generators give the empty basis.  Generators
-    must be homogeneous for ``weights`` on ``target.vars`` (t weighs 1),
-    which grade them before the t-elimination order breaks ties.
+    eliminate t from.  No generators give the empty basis.
     """
     target = target.ambient
-    order = Weighted((1,) + (0,) * len(target.vars))
-    if weights is not None:
-        order = Weighted((1,) + tuple(weights), order)
-    ring = RingCtx((_AUX,) + target.vars, order, _internal=True)
+    ring = RingCtx((_AUX,) + target.vars, _internal=True)
     positions = tuple(range(1, len(ring.vars)))
     gens = build(ring.var(_AUX), lambda p: embed(p, ring, positions))
-    return eliminate_polys(gens, ring, target)
+    return eliminate_polys(gens, (_AUX,), target)

@@ -145,7 +145,7 @@ def ideal_contains(I: Ideal, J: Ideal) -> bool:
 
 
 def _intersect_preimages(gens_a, gens_b, ctx: RingCtx) -> GroebnerBasis:
-    """The degrevlex basis of (gens_a) ∩ (gens_b) in the ambient ring."""
+    """The reduced basis of (gens_a) ∩ (gens_b) in the ambient ring."""
     def build(t, lift):
         one_minus_t = 1 - t
         return ([t * lift(g) for g in gens_a if not g.is_zero]
@@ -154,8 +154,8 @@ def _intersect_preimages(gens_a, gens_b, ctx: RingCtx) -> GroebnerBasis:
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via the auxiliary-variable trick t·I + (1−t)·J; in a
-    degrevlex ring the result adopts the elimination's basis."""
+    """I ∩ J via the auxiliary-variable trick t·I + (1−t)·J; the result
+    adopts the elimination's basis."""
     I._check_ctx(J)
     if I.is_zero or J.is_zero:
         return Ideal(I.ctx, [I.ctx.zero])
@@ -284,6 +284,4 @@ def eliminate(I: Ideal, first_k: int) -> Ideal:
     if isinstance(order, Weighted):
         order = DegRevLex()
     target = RingCtx(vars[first_k:], order, _internal=True)
-    block = (1,) * first_k + (0,) * (len(vars) - first_k)
-    ring = RingCtx(vars, Weighted(block), _internal=True)
-    return Ideal(target, eliminate_polys(I.gens, ring, target))
+    return Ideal(target, eliminate_polys(I.gens, vars[:first_k], target))

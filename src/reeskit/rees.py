@@ -20,7 +20,7 @@ The reduction number (:func:`reduction_degree`) and the regularity of
 the Rees module (:func:`filter_regular_degree`) are read off the lead
 monomials of the same presentation.  Its ring is ordered by a
 :class:`Weighted` order with weight 1 on the T-block, so the T-degree of
-an element is read off the order; K adopts its elimination's basis.
+an element is read off the order; K comes back reduced in that order.
 """
 
 from __future__ import annotations
@@ -95,8 +95,7 @@ def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> GroebnerBasis:
                 + [lift(q) for q in ext_ctx.quotient]
                 + [lift(g) for g in sub if not g.is_zero])
 
-    weights = (0,) * len(I.ctx.vars) + (1,) * len(tvars)
-    return eliminate_aux(ext_ctx, build, weights)
+    return eliminate_aux(ext_ctx, build)
 
 
 def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
@@ -297,7 +296,9 @@ def effective_relation_2gen(x: Poly, y: Poly, n: int, J: Ideal) -> bool:
     """
     if n < 2:
         raise PolyError("effective relations are defined for degrees n >= 2")
-    _, _, colon = _colon_chain(x, y, J.ctx)
+    _, y, colon = _colon_chain(x, y, J.ctx)
+    if y.is_zero:
+        return True  # R((x)) = A[xt] has no relations
     rhs = colon(n - 1)
     if not J.is_zero:
         rhs = ideal_sum(ideal_intersect(colon(n, J), J), rhs)
@@ -312,8 +313,8 @@ def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
     with J = (0)).  a lies in c_n iff a·Z^n + (lower) vanishes at Z = y/x,
     so c_∞ = ∪ c_n is the ideal of Z-leading coefficients of
     L = ker(A[Z] -> A[y/x]) = ((x·Z − y) + quotient) : x^∞, read off the
-    reduced basis of L under an order that compares Z-degree first; L is
-    one elimination of s from 1 − s·x.  rt is the least n >= 1 with
+    reduced basis of L in the chart's order, Z-degree first, which its
+    elimination of s from 1 − s·x returns.  rt is the least n >= 1 with
     c_n = c_∞; a single c_n = c_{n-1} is no stop (on Q[t⁴, t⁵, t⁷],
     (t⁴, t⁵) has effective degrees 2 and 4).  Each step checks
     c_{n-1} ⊆ c_n ⊆ c_∞ and raises PolyError if that fails.  The Rees
@@ -334,7 +335,7 @@ def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
                 + [lift(q) for q in ctx.quotient])
 
     lcs = []
-    for g in Ideal(chart, eliminate_aux(chart, build)).gb.elements:
+    for g in eliminate_aux(chart, build):
         top = max(e[k] for e in g.terms)
         lcs.append(Poly(ctx.ambient, {e[:k]: c for e, c in g.terms.items()
                                       if e[k] == top}, _trust=True))

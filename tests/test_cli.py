@@ -131,7 +131,10 @@ def test_input_error_exit_code(capsys):
     ("rn", "--vars", "x,y", "--ideal", "x, y", "--reduction", "x",
      "--cap", "3"),
     ("gb", "--vars", "x,y", "--ideal", "x", "--order", "elim"),
-], ids=["missing-reduction", "unknown-flag", "retired-cap", "unknown-order"])
+    ("rn", "--vars", "x,y", "--ideal", "x, y", "--reduction", "x",
+     "--order", "lex"),
+], ids=["missing-reduction", "unknown-flag", "retired-cap", "unknown-order",
+        "order-outside-gb"])
 def test_usage_error_exits_as_input_error(capsys, argv):
     # exit 2 is reserved for an expectation failure
     with pytest.raises(SystemExit) as exc:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reeskit import (DegRevLex, Ideal, Lex, PolyError, ResourceLimitError,
-                     RingCtx, Weighted, eliminate, ideal_member, normal_form,
-                     reduced_groebner)
+                     RingCtx, Weighted, contract, eliminate, embed,
+                     ideal_member, normal_form, reduced_groebner)
 from reeskit import groebner
 from reeskit.groebner import eliminate_polys, spolynomial
 
@@ -234,8 +234,7 @@ def test_eliminate_unit_relation_contracts_to_zero():
 def test_eliminate_is_a_contraction():
     ctx = RingCtx("t,x,y")
     I = Ideal(ctx, ["x - t^3", "y - t^4", "t*x - y"])
-    ring = RingCtx(ctx.vars, Weighted((1, 0, 0)))
-    kept = eliminate_polys(list(I.gens), ring, RingCtx("x,y"))
+    kept = eliminate_polys(list(I.gens), ("t",), RingCtx("x,y"))
     lift = RingCtx(ctx.vars, ctx.order)
     for g in kept:
         lifted = lift.parse(str(g))
@@ -246,24 +245,82 @@ def test_eliminate_range_checked():
     ctx = RingCtx("t,x")
     with pytest.raises(PolyError):
         eliminate(Ideal(ctx, ["t*x"]), 5)
-    # the target must be the trailing block of the ring's variables
-    for target in ("t", "x,t", "s,t,x"):
-        with pytest.raises(PolyError, match="trailing block"):
-            eliminate_polys([ctx.parse("t*x")], ctx, RingCtx(target))
+    # the generators must live in Q[front, target.vars]
+    for front, target in ((("x",), "t"), (("t",), "t,x"), (("s",), "x"),
+                          ((), "x")):
+        with pytest.raises(PolyError, match="generators outside"):
+            eliminate_polys([ctx.parse("t*x")], front, RingCtx(target))
 
 
-def test_graded_elimination_needs_homogeneous_generators():
+def test_weighted_target_grades_only_homogeneous_input():
     target = RingCtx("x,y")
     x, y = target.var("x"), target.var("y")
 
     def build(t, lift):
         return [lift(2 * x**2 - y) + t, lift(1 - y**2) + t]
 
-    # weights grading x, y order t below x^2, so t is not eliminated
-    with pytest.raises(PolyError, match="homogeneous"):
-        groebner.eliminate_aux(target, build, weights=(1, 1))
-    assert list(groebner.eliminate_aux(target, build).elements) == [
+    plain = groebner.eliminate_aux(target, build)
+    assert list(plain.elements) == [
         target.parse("x^2 + 1/2*y^2 - 1/2*y - 1/2")]
+    # grading by t, x, y weighing 1 would order t below x^2 and keep the
+    # wrong ideal; the input is not homogeneous, so t is eliminated first
+    weighted = RingCtx("x,y", Weighted((1, 1)))
+    basis = groebner.eliminate_aux(weighted, build)
+    assert basis.ctx.order == weighted.order
+    assert basis.elements == reduced_groebner(plain, weighted).elements
+
+
+ELIMINATION_ORDERS = [Lex(), DegRevLex(), Weighted((1, 2)),
+                      Weighted((0, 1), Weighted((1, 0), Lex()))]
+
+
+@st.composite
+def _eliminations(draw):
+    """A target Q[x,y] under one of ``ELIMINATION_ORDERS`` and 1-3
+    binomials c·t^a·m + d·t^b·n (m, n monomials of degree <= 2), as
+    ``(target, [((a, m, c), (b, n, d)), ...])``; when ``homogeneous`` is
+    drawn, t lifts m and n to one degree for t weighing 1 and the
+    target's weights (total degree outside a Weighted order)."""
+    order = draw(st.sampled_from(ELIMINATION_ORDERS))
+    grade = order.degree if isinstance(order, Weighted) else sum
+    homogeneous = draw(st.booleans())
+    monomial = st.sampled_from([(i, j) for i in range(3) for j in range(3)
+                                if i + j <= 2])
+    coefficient = st.integers(-3, 3).filter(bool)
+    binomials = []
+    for _ in range(draw(st.integers(1, 3))):
+        m, n = draw(monomial), draw(monomial)
+        if homogeneous:
+            top = max(grade(m), grade(n))
+            a, b = top - grade(m), top - grade(n)
+        else:
+            a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        binomials.append(((a, m, draw(coefficient)),
+                          (b, n, draw(coefficient))))
+    return RingCtx("x,y", order), binomials
+
+
+def _binomials(binomials, t, lift, target):
+    return [c * t**a * lift(target.poly({m: 1}))
+            + d * t**b * lift(target.poly({n: 1}))
+            for (a, m, c), (b, n, d) in binomials]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_eliminations())
+def test_elimination_returns_the_basis_in_the_target_order(case):
+    target, binomials = case
+    basis = groebner.eliminate_aux(
+        target, lambda t, lift: _binomials(binomials, t, lift, target))
+    assert basis.ctx.order == target.order
+    # independently: lex with s first eliminates s, then the kept
+    # elements are recomputed under the target's order
+    lex = RingCtx("s,x,y", Lex())
+    gens = _binomials(binomials, lex.var("s"),
+                      lambda p: embed(p, lex, (1, 2)), target)
+    kept = [contract(g, target, (1, 2)) for g in reduced_groebner(gens, lex)
+            if not any(e[0] for e in g.terms)]
+    assert basis.elements == reduced_groebner(kept, target).elements
 
 
 def test_spolynomial_cancels_leads():

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from reeskit import (Ideal, Lex, PolyError, RingCtx, exact_divide,
+from reeskit import (Ideal, Lex, PolyError, RingCtx, eliminate, exact_divide,
                      ideal_colon, ideal_equal, ideal_intersect, ideal_member,
                      ideal_power, ideal_product, ideal_sum, is_regular_element,
-                     is_regular_ideal, reduced_groebner)
-from reeskit import groebner
+                     is_regular_ideal, reduced_groebner, rees_kernel,
+                     relation_type_2gen)
+from reeskit import groebner, rees
 
 CTX2 = RingCtx("x,y")
 CURVE = RingCtx("x,y", quotient=["x^4 - y^3"])
@@ -68,23 +69,56 @@ def test_intersect_examples():
         I_(ctx, t ** 2 - 1)
 
 
-@pytest.mark.parametrize("ctx, adopts", [
-    (CTX2, True), (CURVE, True), (RingCtx("x,y", Lex()), False)],
-    ids=["degrevlex", "quotient", "lex"])
-def test_intersection_adopts_the_elimination_basis(ctx, adopts):
-    # the elimination hands over its degrevlex basis, so reading the
-    # intersection's basis runs Buchberger only in the lex ring, whose
-    # reduced basis differs: (y^6, x*y - y^3, x^3) against
-    # (y^3 - x*y, x^3, x^2*y^2)
-    I, J = I_(ctx, "x^2 - y", "x*y"), I_(ctx, "y^2 - x", "x^3")
+def _hands_over(ideal):
+    """Whether reading the basis of ``ideal`` runs no Buchberger, with
+    the memo emptied first, and gives the basis a fresh
+    ``reduced_groebner`` computes."""
     groebner._buchberger.cache_clear()
-    meet = ideal_intersect(I, J)
     runs = groebner._buchberger.cache_info().misses
-    basis = meet.gb.elements
-    assert (groebner._buchberger.cache_info().misses == runs) == adopts
+    basis = ideal.gb.elements
+    adopted = groebner._buchberger.cache_info().misses == runs
     groebner._buchberger.cache_clear()
-    assert basis == reduced_groebner(
-        list(meet.gens) + list(ctx.quotient), ctx).elements
+    fresh = reduced_groebner(list(ideal.gens) + list(ideal.ctx.quotient),
+                             ideal.ctx.ambient)
+    return adopted and basis == fresh.elements
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CURVE, RingCtx("x,y", Lex())],
+                         ids=["degrevlex", "quotient", "lex"])
+def test_intersection_adopts_the_elimination_basis(ctx):
+    # the elimination hands over its basis in the ring's own order, so
+    # reading the intersection's basis runs no Buchberger, in the lex
+    # ring too, whose reduced basis differs: (y^6, x*y - y^3, x^3)
+    # against (y^3 - x*y, x^3, x^2*y^2)
+    I, J = I_(ctx, "x^2 - y", "x*y"), I_(ctx, "y^2 - x", "x^3")
+    assert _hands_over(ideal_intersect(I, J))
+
+
+def _chart(monkeypatch):
+    """The chart of the colon route for (x, y) on the (3,4) cusp
+    ``CURVE``, as an ideal of the chart ring built from the basis of its
+    elimination."""
+    charts = []
+    eliminate_aux = rees.eliminate_aux
+
+    def recording(target, build):
+        basis = eliminate_aux(target, build)
+        charts.append(Ideal(target, basis))
+        return basis
+
+    monkeypatch.setattr(rees, "eliminate_aux", recording)
+    relation_type_2gen(CURVE.var("x"), CURVE.var("y"), CURVE)
+    (chart,) = charts
+    return chart
+
+
+@pytest.mark.parametrize("build", [
+    _chart,
+    lambda _: rees_kernel(I_(CURVE.with_order(Lex()), "x", "y^2")).kernel,
+    lambda _: eliminate(I_(RingCtx("t,x,y", Lex()), "x - t^3", "y - t^4"), 1),
+], ids=["chart", "rees-kernel", "eliminate-lex"])
+def test_eliminations_hand_over_their_basis(monkeypatch, build):
+    assert _hands_over(build(monkeypatch))
 
 
 def test_colon_examples():

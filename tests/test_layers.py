@@ -1,9 +1,11 @@
 """The package's layering: each module imports only the layers below it."""
 
 import ast
+import inspect
 import pathlib
 
 import reeskit
+from reeskit import groebner
 
 LAYERS = ["poly", "groebner", "ideals", "rees", "invariants", "semigroup",
           "corpus", "cli"]
@@ -32,3 +34,12 @@ def test_modules_import_only_lower_layers():
         if upward:
             problems.append(f"{name} imports {sorted(upward)}")
     assert not problems, "; ".join(problems)
+
+
+def test_elimination_entry_points_take_no_order():
+    # groebner builds the elimination order from the target ring; an
+    # order, ring or weights parameter would hand that choice back
+    for entry, params in ((groebner.eliminate_aux, ["target", "build"]),
+                          (groebner.eliminate_polys,
+                           ["gens", "front", "target"])):
+        assert list(inspect.signature(entry).parameters) == params

@@ -6,13 +6,12 @@ import pytest
 from conftest import CURVE_INSTANCES, _t_order
 from hypothesis import assume, given, settings, strategies as st
 
-from reeskit import (Ideal, PolyError, RingCtx, Weighted, compose, embed,
-                     effective_relation_2gen, is_regular_element,
+from reeskit import (Ideal, PolyError, RingCtx, Weighted, compose, contract,
+                     embed, effective_relation_2gen, is_regular_element,
                      monomial_curve, monomial_fraction_degree, normal_form,
                      reduced_groebner, rees_kernel, relation_type,
                      relation_type_2gen, relation_type_mod)
 from reeskit import groebner, rees
-from reeskit.groebner import eliminate_aux, eliminate_polys
 from reeskit.rees import _degree_profile
 
 CTX2 = RingCtx("x,y")
@@ -130,6 +129,10 @@ def test_effective_relation_examples():
     m = I_(CUSP34, u, v)
     assert not effective_relation_2gen(u, v, 3, m)
     assert relation_type_mod(I_(CUSP34, u, v), m) == 3
+    # R((x)) = A[xt] has no relations modulo any J
+    for z, J in ((x, zero2), (x, I_(CTX2, x, y)), (u, zero_c), (u, m)):
+        for n in (2, 3):
+            assert effective_relation_2gen(z, z.ctx.zero, n, J)
 
 
 def test_effective_relation_requires_regular_first_generator():
@@ -187,13 +190,13 @@ def test_colon_route_rejects_a_wrong_chart(monkeypatch):
     # are (u, v^3), which misses v^2 in c_1 = (u : v)
     eliminate = rees.eliminate_aux
 
-    def unsaturated(target, build, weights=None):
+    def unsaturated(target, build):
         def without_s(s, lift):
             k = s.lm.index(1)
             return [g for g in build(s, lift)
                     if all(e[k] == 0 for e in g.terms)]
 
-        return eliminate(target, without_s, weights)
+        return eliminate(target, without_s)
 
     monkeypatch.setattr(rees, "eliminate_aux", unsaturated)
     u, v = CUSP34.var("u"), CUSP34.var("v")
@@ -206,19 +209,33 @@ def test_relation_type_rejects_zero_ideal():
         relation_type(I_(CTX2, CTX2.zero))
 
 
+def _s_free_part(ext, order, build):
+    """(build(ring)) ∩ Q[ext.vars] as an ideal of ``ext``, for ring =
+    Q[s, ext.vars] under ``order``, which must eliminate s: the s-free
+    elements of one reduced basis, contracted by hand and recomputed in
+    ``ext``, so no elimination entry point of the package is used."""
+    ring = RingCtx(("s",) + ext.vars, order, _internal=True)
+    keep = tuple(range(1, len(ring.vars)))
+    return Ideal(ext, [contract(g, ext, keep)
+                       for g in reduced_groebner(build(ring), ring)
+                       if not any(e[0] for e in g.terms)])
+
+
 def _unweighted_kernel(I):
-    """K = (T_i - x_i t, quotient) ∩ A[T], eliminating t under plain
+    """K = (T_i - x_i s, quotient) ∩ A[T], eliminating s under plain
     ``Weighted((1, 0, ..., 0))``, read in the presentation's ring."""
     pres = rees_kernel(I)
     ext = pres.ext_ctx
     xs = [g for g in I.gens if not g.is_zero]
+    positions = tuple(range(1, 1 + len(ext.vars)))
 
-    def build(t, lift):
-        return ([lift(ext.var(tv)) - lift(x) * t
+    def build(ring):
+        s = ring.var("s")
+        return ([ring.var(tv) - embed(x, ring, positions) * s
                  for tv, x in zip(pres.tvars, xs)]
-                + [lift(q) for q in ext.quotient])
+                + [embed(q, ring, positions) for q in ext.quotient])
 
-    return Ideal(ext, eliminate_aux(ext, build))
+    return _s_free_part(ext, Weighted((1,) + (0,) * len(ext.vars)), build)
 
 
 def _saturated_kernel(I):
@@ -228,20 +245,23 @@ def _saturated_kernel(I):
     never formed.  The saturation is one elimination of s from
     1 − s·x_1.  s and the ring weigh 0 and the T_i weigh 1, so every
     generator is homogeneous and s is eliminated within each degree
-    (``eliminate_aux`` would weigh s by 1)."""
+    (the package's elimination would weigh s by 1)."""
     pres = rees_kernel(I)
     ext = pres.ext_ctx
     k, m = len(I.ctx.vars), pres.tcount
     order = Weighted((0,) * (1 + k) + (1,) * m,
                      Weighted((1,) + (0,) * (k + m)))
-    ring = RingCtx(("s",) + ext.vars, order, _internal=True)
     positions = tuple(range(1, 1 + k + m))
-    x1, *xs = [embed(g, ring, positions) for g in I.gens if not g.is_zero]
-    t1, *ts = (ring.var(tv) for tv in pres.tvars)
-    gens = ([x1 * tj - xj * t1 for tj, xj in zip(ts, xs)]
-            + [embed(q, ring, positions) for q in ext.quotient]
-            + [1 - ring.var("s") * x1])
-    return Ideal(ext, eliminate_polys(gens, ring, ext))
+
+    def build(ring):
+        x1, *xs = [embed(g, ring, positions) for g in I.gens
+                   if not g.is_zero]
+        t1, *ts = (ring.var(tv) for tv in pres.tvars)
+        return ([x1 * tj - xj * t1 for tj, xj in zip(ts, xs)]
+                + [embed(q, ring, positions) for q in ext.quotient]
+                + [1 - ring.var("s") * x1])
+
+    return _s_free_part(ext, order, build)
 
 
 KERNEL_CASES = [
