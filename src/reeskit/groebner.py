@@ -10,25 +10,31 @@ A reduced basis depends only on the ideal and the order, so
 :func:`reduced_groebner` memoizes the ``MEMO_SIZE`` latest bases, keyed by
 variables, order and set of generator terms; all layers share it.
 
-Buchberger runs on integers.  It reads each polynomial through its
-cached :attr:`Poly.reducer_form`: the primitive integer form (lead,
-positive lead coefficient, tail; content and denominators cleared once)
-and the support bitmask of the lead.  No basis element is made monic
-while the loop runs.  :func:`spolynomial` is lc_g'·m_f·f̂ − lc_f'·m_g·ĝ
-for the primitive forms f̂, ĝ, with m_f, m_g lifting both leads to their
-lcm and lc' = lc / gcd(lc_f, lc_g).  :func:`normal_form` clears the
-dividend's denominators, then scales the work and the output by
-lc/gcd(c, lc) at each step and subtracts an integer multiple of the
-reducer's tail; the integer remainder divided once by the product of
-those factors is exactly the rational remainder.  Terms leave a heap
-keyed once per monomial, largest first.  A lead divides a monomial only
-if its mask is a subset of the monomial's, so the first-in-list reducer
-search and the chain criterion compare exponents only past that filter,
-and leads with disjoint masks are coprime.  The final interreduction
-reduces the minimal elements' integer forms by each other.  ``Fraction``
-values appear only at the boundary: in the polynomials the public
-functions take and return, and in the monic elements of the returned
-basis.
+Buchberger runs on integers.  Its basis is a list of reducer forms
+(:attr:`Poly.reducer_form`): the primitive integer form (lead, positive
+lead coefficient, tail; content and denominators cleared) and the
+support bitmask of the lead.  No basis element is made monic while the
+loop runs.  Each pair step calls the integer kernels directly:
+:func:`_spair` forms lc_g'·m_f·f̂ − lc_f'·m_g·ĝ for the forms f̂, ĝ, with
+m_f, m_g lifting both leads to their lcm and lc' = lc / gcd(lc_f, lc_g),
+as an integer term dict; :func:`_reduce_terms` reduces it against the
+basis list, scaling the work and the output by lc/gcd(c, lc) at each step
+and subtracting an integer multiple of the reducer's tail; and a nonzero
+remainder is made primitive (:func:`~reeskit.poly._primitive_form`) and
+joins the basis.  Terms leave a heap keyed once per monomial, largest
+first.  A lead divides a monomial only if its mask is a subset of the
+monomial's, so the first-in-list reducer search and the chain criterion
+compare exponents only past that filter, and leads with disjoint masks
+are coprime.  The final interreduction reduces the minimal elements'
+integer forms by each other.  ``Fraction`` values appear only at the
+boundary: in the public :func:`spolynomial` and :func:`normal_form`,
+wrappers over the same kernels that the loop does not call (the integer
+remainder divided once by the accumulated scale is exactly the rational
+remainder), and in the monic elements of the returned basis.
+
+:func:`counting` opens a scope whose :class:`Stats` counts
+:func:`reduced_groebner` calls, Buchberger runs, and the S-pairs formed,
+pruned by each criterion and reduced to zero.
 
 :func:`eliminate_polys` is the one elimination engine and the only
 code that chooses an elimination order: it builds the order from the
@@ -44,6 +50,8 @@ that knows the auxiliary variable.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import heapq
 import math
@@ -52,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (DegRevLex, Lex, Poly, PolyError, RingCtx, Weighted,
-                   _support_mask, contract, embed)
+                   _primitive_form, _support_mask, contract, embed)
 
 MAX_BASIS = 4096
 MAX_DEGREE = 256
@@ -71,6 +79,33 @@ SELF_CHECK = False
 
 class ResourceLimitError(PolyError):
     """A Groebner computation exceeded ``MAX_BASIS`` or ``MAX_DEGREE``."""
+
+
+@dataclass
+class Stats:
+    """Gröbner work done inside one :func:`counting` scope."""
+
+    calls: int    # reduced_groebner calls, memo hits included
+    runs: int     # Buchberger runs: memo misses
+    pairs: int    # S-pairs formed and reduced
+    coprime: int  # pairs pruned by the coprime criterion
+    chain: int    # pairs pruned by the chain criterion
+    zero: int     # S-pairs reduced to zero
+
+
+_STATS = contextvars.ContextVar("groebner_stats", default=None)
+
+
+@contextlib.contextmanager
+def counting():
+    """Count the Gröbner work of the block in a fresh :class:`Stats`; the
+    innermost open scope gets the counts."""
+    stats = Stats(0, 0, 0, 0, 0, 0)
+    token = _STATS.set(stats)
+    try:
+        yield stats
+    finally:
+        _STATS.reset(token)
 
 
 # -- monomial helpers ---------------------------------------------------------
@@ -204,18 +239,24 @@ def normal_form(f: Poly, basis) -> Poly:
 
 def spolynomial(f: Poly, g: Poly) -> Poly:
     """S-polynomial of f and g (both nonzero, same ring) times a nonzero
-    rational, with integer coefficients.
-
-    It is lc_ĝ'·m_f·f̂ − lc_f̂'·m_g·ĝ for the primitive integer forms f̂, ĝ
-    (:attr:`Poly.reducer_form`), with m_f, m_g lifting the leads to their
-    lcm and lc' = lc / gcd(lc_f̂, lc_ĝ): the textbook m_f·f/lc_f −
-    m_g·g/lc_g times a positive rational, so the two have the same
-    remainders up to that factor.  No fraction is formed.
-    """
+    rational, with integer coefficients (:func:`_spair` of their reducer
+    forms)."""
     if not f.ctx.same_poly_ring(g.ctx):
         raise PolyError("S-polynomial: the rings of f and g differ")
-    lf, af, tf, _ = f.reducer_form
-    lg, ag, tg, _ = g.reducer_form
+    return Poly(f.ctx, {e: Fraction(v) for e, v in
+                        _spair(f.reducer_form, g.reducer_form).items()},
+                _trust=True)
+
+
+def _spair(f, g) -> dict:
+    """The integer terms of lc_ĝ'·m_f·f̂ − lc_f̂'·m_g·ĝ for the reducer
+    forms f̂, ĝ (:attr:`Poly.reducer_form`), with m_f, m_g lifting the
+    leads to their lcm and lc' = lc / gcd(lc_f̂, lc_ĝ): the textbook
+    m_f·f/lc_f − m_g·g/lc_g times a positive rational, so the two have
+    the same remainders up to that factor.  No fraction is formed.
+    """
+    lf, af, tf, _ = f
+    lg, ag, tg, _ = g
     L = _lcm(lf, lg)
     d = math.gcd(af, ag)
     out = {}
@@ -228,7 +269,7 @@ def spolynomial(f: Poly, g: Poly) -> Poly:
                 out[e] = v
             else:
                 del out[e]
-    return Poly(f.ctx, {e: Fraction(v) for e, v in out.items()}, _trust=True)
+    return out
 
 
 # -- reduced bases ------------------------------------------------------------
@@ -291,6 +332,9 @@ def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
     Unique for a fixed order; inputs homogeneous for the weights of a
     :class:`Weighted` order yield a homogeneous basis (asserted).
     """
+    stats = _STATS.get()
+    if stats is not None:
+        stats.calls += 1
     gens = [g for g in gens if g is not None and not g.is_zero]
     if ctx is None:
         if not gens:
@@ -311,25 +355,22 @@ def _buchberger(vars, order, terms) -> tuple:
     ctx = RingCtx(vars, order, _internal=True)
     gens = [Poly(ctx, dict(t), _trust=True) for t in terms]
     keyf = ctx.order.key
+    desc = _descending(ctx.order)
     degree = ctx.order.degree if isinstance(ctx.order, Weighted) else None
     if degree and not all(_homogeneous(g.terms, degree) for g in gens):
         degree = None
+    stats = _STATS.get()
+    pairs = coprime = chain = zero = 0
 
-    for g in gens:
-        if g.total_degree > MAX_DEGREE:
-            raise ResourceLimitError(
-                f"generator degree {g.total_degree} exceeds cap {MAX_DEGREE}")
-
-    G = []
-    lms = []
-    masks = []
+    G = []  # reducer forms
     pending = set()
     heap = []
 
-    def add_poly(p: Poly):
+    def add_form(form):
+        nonlocal coprime
         if len(G) >= MAX_BASIS:
             raise ResourceLimitError(f"basis size cap {MAX_BASIS} exceeded")
-        lead, _, tail, mask = p.reducer_form
+        lead, _, tail, mask = form
         monomials = [lead] + [e for e, _ in tail]
         top = max(map(sum, monomials))
         if top > MAX_DEGREE:
@@ -338,50 +379,64 @@ def _buchberger(vars, order, terms) -> tuple:
         if degree is not None and not _homogeneous(monomials, degree):
             raise PolyError("internal: weighted homogeneity lost")
         j = len(G)
-        G.append(p)
-        lms.append(lead)
-        masks.append(mask)
-        for i in range(j):
-            if not masks[i] & mask:
-                continue  # coprime leading monomials: S-poly reduces to zero
-            L = _lcm(lms[i], lead)
+        for i, (lead_i, _, _, mask_i) in enumerate(G):
+            if not mask_i & mask:
+                coprime += 1  # coprime leading monomials: reduces to zero
+                continue
+            L = _lcm(lead_i, lead)
             heapq.heappush(heap, (keyf(L), i, j, L))
             pending.add((i, j))
+        G.append(form)
 
-    for g in sorted(gens, key=lambda p: p.canonical_key()):
-        add_poly(g)
+    try:
+        for g in gens:
+            if g.total_degree > MAX_DEGREE:
+                raise ResourceLimitError(f"generator degree {g.total_degree} "
+                                         f"exceeds cap {MAX_DEGREE}")
+        for g in sorted(gens, key=lambda p: p.canonical_key()):
+            add_form(g.reducer_form)
 
-    while heap:
-        _, i, j, L = heapq.heappop(heap)
-        pending.discard((i, j))
-        outside = ~(masks[i] | masks[j])
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j or masks[k] & outside:
+        while heap:
+            _, i, j, L = heapq.heappop(heap)
+            pending.discard((i, j))
+            outside = ~(G[i][3] | G[j][3])
+            skip = False
+            for k, (lead_k, _, _, mask_k) in enumerate(G):
+                if k == i or k == j or mask_k & outside:
+                    continue
+                if _divides(lead_k, L):
+                    pik = (i, k) if i < k else (k, i)
+                    pjk = (j, k) if j < k else (k, j)
+                    if pik not in pending and pjk not in pending:
+                        skip = True
+                        break
+            if skip:
+                chain += 1
                 continue
-            if _divides(lms[k], L):
-                pik = (i, k) if i < k else (k, i)
-                pjk = (j, k) if j < k else (k, j)
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        s = spolynomial(G[i], G[j])
-        r = normal_form(s, G)
-        if not r.is_zero:
-            add_poly(r)
+            pairs += 1
+            out, _ = _reduce_terms(_spair(G[i], G[j]), G, desc)
+            if out:
+                add_form(_primitive_form(list(out.items())))
+            else:
+                zero += 1
+    finally:
+        if stats is not None:
+            stats.runs += 1
+            stats.pairs += pairs
+            stats.coprime += coprime
+            stats.chain += chain
+            stats.zero += zero
 
     return _reduced(G, ctx)
 
 
 def _reduced(G, ctx) -> tuple:
-    """The reduced basis of the Groebner basis ``G``: the minimal elements
-    (no other lead divides theirs), each reduced by the others over the
-    integers and made monic, sorted by leading monomial."""
+    """The reduced basis of the Groebner basis of reducer forms ``G``: the
+    minimal elements (no other lead divides theirs), each reduced by the
+    others over the integers and made monic, sorted by leading monomial."""
     keyf = ctx.order.key
     minimal = []
-    for form in sorted((g.reducer_form for g in G), key=lambda f: keyf(f[0])):
+    for form in sorted(G, key=lambda f: keyf(f[0])):
         lead, _, _, mask = form
         if not any(not m & ~mask and _divides(d, lead)
                    for d, _, _, m in minimal):
@@ -418,13 +473,16 @@ def eliminate_polys(gens, front, target: RingCtx) -> GroebnerBasis:
     elements are the target's reduced basis (Cox–Little–O'Shea, §3.1).
     When ``target.order`` is :class:`Weighted` with weights w and every
     generator is homogeneous for (1, ..., 1, w), that grading comes
-    first and the front block breaks ties within each degree.
+    first and the front block breaks ties within each degree.  With no
+    front it is :func:`reduced_groebner` under ``target.order`` itself.
     """
     target = target.ambient
     front, k = tuple(front), len(front)
     vars = front + target.vars
     if any(g.ctx.vars != vars for g in gens):
         raise PolyError(f"elimination generators outside Q[{','.join(vars)}]")
+    if not k:
+        return reduced_groebner(gens, target)
     block = (1,) * k + (0,) * len(target.vars)
     order = Weighted(block, _refine(target.order, k))
     if isinstance(target.order, Weighted):

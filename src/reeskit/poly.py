@@ -281,6 +281,18 @@ def _support_mask(exps) -> int:
     return sum(compress(_mask_bits(len(exps)), exps))
 
 
+def _primitive_form(terms) -> tuple:
+    """``(lead, lc, tail, mask)`` of the nonzero integer ``terms``, a list
+    of (monomial, coefficient) in decreasing order, divided by their
+    content and by the sign that makes ``lc > 0``."""
+    lead, lc = terms[0]
+    g = math.gcd(*(c for _, c in terms))
+    if lc < 0:
+        g = -g
+    return (lead, lc // g, tuple((e, c // g) for e, c in terms[1:]),
+            _support_mask(lead))
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 
@@ -342,15 +354,8 @@ class Poly:
             if not terms:
                 raise PolyError("the zero polynomial has no reducer form")
             den = math.lcm(*(c.denominator for _, c in terms))
-            ints = [c.numerator * (den // c.denominator) for _, c in terms]
-            g = math.gcd(*ints)
-            if ints[0] < 0:
-                g = -g
-            lead = terms[0][0]
-            self._reducer = (lead, ints[0] // g,
-                             tuple((e, a // g) for (e, _), a
-                                   in zip(terms[1:], ints[1:])),
-                             _support_mask(lead))
+            self._reducer = _primitive_form(
+                [(e, c.numerator * (den // c.denominator)) for e, c in terms])
         return self._reducer
 
     @property

@@ -1,5 +1,6 @@
 """Groebner bases: reduction, uniqueness, elimination, resource caps."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from reeskit import (DegRevLex, Ideal, Lex, PolyError, ResourceLimitError,
                      ideal_member, normal_form, reduced_groebner)
 from reeskit import groebner
 from reeskit.groebner import eliminate_polys, spolynomial
+from reeskit.poly import _primitive_form
 
 CTX2 = RingCtx("x,y")
 
@@ -365,6 +367,34 @@ def test_spolynomial_is_a_rational_multiple_of_the_textbook_one(case):
         assert c != 0 and s == textbook.scale(c)
 
 
+@st.composite
+def _pair_step_cases(draw):
+    ctx = draw(st.sampled_from(ORACLE_RINGS + [WIDE]))
+    nonzero = _oracle_polys(ctx).filter(bool)
+    return (draw(nonzero), draw(nonzero),
+            draw(st.lists(nonzero, min_size=1, max_size=5)))
+
+
+@given(_pair_step_cases())
+@settings(max_examples=300, deadline=None)
+def test_integer_pair_step_equals_the_fraction_route(case):
+    # the Buchberger loop's step on reducer forms against the public
+    # Fraction-valued spolynomial and normal_form
+    f, g, G = case
+    out, _ = groebner._reduce_terms(
+        groebner._spair(f.reducer_form, g.reducer_form),
+        [h.reducer_form for h in G], groebner._descending(f.ctx.order))
+    r = normal_form(spolynomial(f, g), G)
+    assert bool(out) == bool(r)
+    if out:
+        form = lead, lc, tail, _ = _primitive_form(list(out.items()))
+        assert form == r.reducer_form
+        # primitive, with the positive lead first: r up to a rational
+        p = f.ctx.poly({lead: lc, **dict(tail)})
+        assert lc > 0 and math.gcd(lc, *(c for _, c in tail)) == 1
+        assert p.lm == lead and p == r.scale(lc / r.lc)
+
+
 # -- the pair sequence -------------------------------------------------------
 
 # Pairs formed and pairs that reduced to zero; the counts of the rational
@@ -377,32 +407,52 @@ PAIR_SYSTEMS = {
 }
 
 
+# Pairs pruned by the coprime and by the chain criterion.
+PAIRS_PRUNED = {
+    ("cyclic-4", "degrevlex"): (10, 24), ("cyclic-4", "lex"): (18, 53),
+    ("katsura-3", "degrevlex"): (21, 5), ("katsura-3", "lex"): (195, 320),
+}
+
+
 @pytest.mark.parametrize("system, order, pairs, zeros", [
     ("cyclic-4", DegRevLex(), 11, 5),
     ("cyclic-4", Lex(), 20, 10),
     ("katsura-3", DegRevLex(), 10, 5),
     ("katsura-3", Lex(), 46, 16),
 ])
-def test_pair_sequence_is_pinned(monkeypatch, system, order, pairs, zeros):
-    formed, zero = [], []
-    spoly, nf = groebner.spolynomial, groebner.normal_form
-
-    def counting_spoly(f, g):
-        formed.append(spoly(f, g))
-        return formed[-1]
-
-    def counting_nf(f, basis):
-        r = nf(f, basis)
-        if formed and f is formed[-1] and r.is_zero:
-            zero.append(f)
-        return r
-
-    monkeypatch.setattr(groebner, "spolynomial", counting_spoly)
-    monkeypatch.setattr(groebner, "normal_form", counting_nf)
+def test_pair_sequence_is_pinned(system, order, pairs, zeros):
+    coprime, chain = PAIRS_PRUNED[system, order.tag]
     groebner._buchberger.cache_clear()
     ctx = RingCtx("a,b,c,d", order)
-    reduced_groebner(_polys(ctx, *PAIR_SYSTEMS[system]))
-    assert (len(formed), len(zero)) == (pairs, zeros)
+    with groebner.counting() as stats:
+        reduced_groebner(_polys(ctx, *PAIR_SYSTEMS[system]))
+    assert (stats.calls, stats.runs) == (1, 1)
+    assert (stats.pairs, stats.zero) == (pairs, zeros)
+    assert (stats.coprime, stats.chain) == (coprime, chain)
+    # every pair of the final basis is formed or pruned exactly once
+    size = len(PAIR_SYSTEMS[system]) + pairs - zeros
+    assert pairs + coprime + chain == size * (size - 1) // 2
+
+
+def test_counting_is_scoped_and_survives_a_resource_error(monkeypatch):
+    gens = _polys(RingCtx("a,b,c,d"), *PAIR_SYSTEMS["cyclic-4"])
+    groebner._buchberger.cache_clear()
+    reduced_groebner(gens)  # no scope is open: nothing is counted
+    assert groebner._STATS.get() is None
+    with groebner.counting() as stats:
+        reduced_groebner(gens)
+        reduced_groebner(gens)
+    assert (stats.calls, stats.runs, stats.pairs) == (2, 0, 0)
+    assert groebner._STATS.get() is None
+    monkeypatch.setattr(groebner, "MAX_BASIS", 6)
+    groebner._buchberger.cache_clear()
+    with groebner.counting() as stats:
+        with pytest.raises(ResourceLimitError, match="cap"):
+            reduced_groebner(gens)
+    # the aborted run reports its pairs: the third nonzero remainder of
+    # the four generators hits the cap
+    assert (stats.runs, stats.pairs - stats.zero) == (1, 3)
+    assert stats.coprime + stats.chain > 0
 
 
 def test_masks_cover_rings_of_any_width():

@@ -121,6 +121,16 @@ def test_eliminations_hand_over_their_basis(monkeypatch, build):
     assert _hands_over(build(monkeypatch))
 
 
+def test_eliminating_no_variable_runs_no_buchberger():
+    # the ring's own order is the memo key, so the basis just read is a hit
+    I = I_(RingCtx("t,x,y"), "x - t^3", "y - t^4")
+    groebner._buchberger.cache_clear()
+    basis = I.gb.elements
+    with groebner.counting() as stats:
+        assert eliminate(I, 0).gb.elements == basis
+    assert stats.runs == 0 and stats.calls > 0
+
+
 def test_colon_examples():
     x, y = CTX2.var("x"), CTX2.var("y")
     assert ideal_colon(I_(CTX2, x * y), I_(CTX2, y)) == I_(CTX2, x)

@@ -5,7 +5,7 @@ import inspect
 import pathlib
 
 import reeskit
-from reeskit import groebner
+from reeskit import RingCtx, groebner, reduced_groebner
 
 LAYERS = ["poly", "groebner", "ideals", "rees", "invariants", "semigroup",
           "corpus", "cli"]
@@ -43,3 +43,22 @@ def test_elimination_entry_points_take_no_order():
                           (groebner.eliminate_polys,
                            ["gens", "front", "target"])):
         assert list(inspect.signature(entry).parameters) == params
+
+
+def test_buchberger_pair_step_stays_on_integers(monkeypatch):
+    # the loop reduces reducer forms directly; the public Fraction-valued
+    # spolynomial and normal_form are for callers outside it
+    ctx = RingCtx("a,b,c,d")
+    cyclic4 = [ctx.parse(t) for t in (
+        "a + b + c + d", "a*b + b*c + c*d + d*a",
+        "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1")]
+    groebner._buchberger.cache_clear()
+    expected = reduced_groebner(cyclic4).elements
+
+    def public(*args):
+        raise AssertionError("the pair step left the integer forms")
+
+    monkeypatch.setattr(groebner, "spolynomial", public)
+    monkeypatch.setattr(groebner, "normal_form", public)
+    groebner._buchberger.cache_clear()
+    assert reduced_groebner(cyclic4).elements == expected
