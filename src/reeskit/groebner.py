@@ -7,8 +7,8 @@ Both classical pair criteria (coprime lcm and chain) are applied.
 Resource caps abort loudly instead of letting a runaway input spin.
 
 A reduced basis depends only on the ideal and the order, so
-:func:`reduced_groebner` memoizes the ``MEMO_SIZE`` latest bases, keyed by
-variables, order and set of generator terms; all layers share it.
+:func:`reduced_groebner` memoizes the ``MEMO_SIZE`` latest bases as monic
+term tuples, keyed by the order and the set of generator reducer forms.
 
 Buchberger runs on integers.  Its basis is a list of reducer forms
 (:attr:`Poly.reducer_form`): the primitive integer form (lead, positive
@@ -335,29 +335,29 @@ def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
     stats = _STATS.get()
     if stats is not None:
         stats.calls += 1
-    gens = [g for g in gens if g is not None and not g.is_zero]
+    gens = [g for g in gens if not g.is_zero]
     if ctx is None:
         if not gens:
             raise PolyError("cannot infer a ring context from no generators")
         ctx = gens[0].ctx
     ctx = ctx.ambient
-    gens = [g.in_ctx(ctx) for g in gens]
     if not gens:
         return GroebnerBasis(ctx, ())
-    terms = tuple(sorted({tuple(sorted(g.terms.items())) for g in gens}))
-    elements = _buchberger(ctx.vars, ctx.order, terms)
-    return GroebnerBasis(ctx, tuple(g.in_ctx(ctx) for g in elements))
+    forms = frozenset(g.in_ctx(ctx).reducer_form for g in gens)
+    return GroebnerBasis(ctx, tuple(Poly(ctx, dict(t), _trust=True)
+                                    for t in _buchberger(ctx.order, forms)))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _buchberger(vars, order, terms) -> tuple:
-    """Elements of the reduced basis of the ideal of ``terms`` (the memo)."""
-    ctx = RingCtx(vars, order, _internal=True)
-    gens = [Poly(ctx, dict(t), _trust=True) for t in terms]
-    keyf = ctx.order.key
-    desc = _descending(ctx.order)
-    degree = ctx.order.degree if isinstance(ctx.order, Weighted) else None
-    if degree and not all(_homogeneous(g.terms, degree) for g in gens):
+def _buchberger(order, forms) -> tuple:
+    """The reduced basis under ``order`` of the ideal of the reducer forms
+    ``forms``, as monic term tuples in decreasing order (the memo); the
+    key ignores scaling and variable names."""
+    keyf = order.key
+    desc = _descending(order)
+    degree = order.degree if isinstance(order, Weighted) else None
+    if degree and not all(_homogeneous([f[0]] + [e for e, _ in f[2]], degree)
+                          for f in forms):
         degree = None
     stats = _STATS.get()
     pairs = coprime = chain = zero = 0
@@ -375,7 +375,7 @@ def _buchberger(vars, order, terms) -> tuple:
         top = max(map(sum, monomials))
         if top > MAX_DEGREE:
             raise ResourceLimitError(
-                f"intermediate degree {top} exceeds cap {MAX_DEGREE}")
+                f"total degree {top} exceeds cap {MAX_DEGREE}")
         if degree is not None and not _homogeneous(monomials, degree):
             raise PolyError("internal: weighted homogeneity lost")
         j = len(G)
@@ -389,12 +389,9 @@ def _buchberger(vars, order, terms) -> tuple:
         G.append(form)
 
     try:
-        for g in gens:
-            if g.total_degree > MAX_DEGREE:
-                raise ResourceLimitError(f"generator degree {g.total_degree} "
-                                         f"exceeds cap {MAX_DEGREE}")
-        for g in sorted(gens, key=lambda p: p.canonical_key()):
-            add_form(g.reducer_form)
+        for form in sorted(forms, key=lambda f: [
+                (keyf(e), c) for e, c in ((f[0], f[1]),) + f[2]]):
+            add_form(form)
 
         while heap:
             _, i, j, L = heapq.heappop(heap)
@@ -427,29 +424,29 @@ def _buchberger(vars, order, terms) -> tuple:
             stats.chain += chain
             stats.zero += zero
 
-    return _reduced(G, ctx)
+    return _reduced(G, order)
 
 
-def _reduced(G, ctx) -> tuple:
+def _reduced(G, order) -> tuple:
     """The reduced basis of the Groebner basis of reducer forms ``G``: the
     minimal elements (no other lead divides theirs), each reduced by the
-    others over the integers and made monic, sorted by leading monomial."""
-    keyf = ctx.order.key
+    others over the integers and made monic, as term tuples in
+    decreasing order, sorted by leading monomial."""
+    keyf = order.key
     minimal = []
     for form in sorted(G, key=lambda f: keyf(f[0])):
         lead, _, _, mask = form
         if not any(not m & ~mask and _divides(d, lead)
                    for d, _, _, m in minimal):
             minimal.append(form)
-    desc = _descending(ctx.order)
+    desc = _descending(order)
     basis = []
     for i, (lead, lc, tail, _) in enumerate(minimal):
         work = dict(tail)
         work[lead] = lc
         out, _ = _reduce_terms(work, minimal[:i] + minimal[i + 1:], desc)
         lc = out[lead]
-        basis.append(Poly(ctx, {m: Fraction(c, lc) for m, c in out.items()},
-                          _trust=True))
+        basis.append(tuple((m, Fraction(c, lc)) for m, c in out.items()))
     return tuple(basis)
 
 

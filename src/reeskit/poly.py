@@ -478,11 +478,6 @@ class Poly:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
-    def canonical_key(self):
-        """Deterministic sort key: term-by-term (order key, coefficient)."""
-        keyf = self.ctx.order.key
-        return tuple((keyf(e), c) for e, c in self.sorted_terms)
-
     # -- movement between contexts ----------------------------------------------
 
     def in_ctx(self, ctx: RingCtx) -> "Poly":

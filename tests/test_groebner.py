@@ -491,17 +491,13 @@ def test_unit_ideal_basis():
 MEMO_GENS = ("x^2 - y", "x*y - 1", "y^3 - x")
 
 
-def _hits():
-    return groebner._buchberger.cache_info().hits
-
-
 def test_memo_hit_equals_a_fresh_computation():
     gens = _polys(CTX2, *MEMO_GENS)
     groebner._buchberger.cache_clear()
     fresh = reduced_groebner(gens)
-    hits = _hits()
-    hit = reduced_groebner(gens[::-1] + gens[:1])
-    assert _hits() == hits + 1
+    with groebner.counting() as stats:
+        hit = reduced_groebner(gens[::-1] + gens[:1])
+    assert (stats.calls, stats.runs) == (1, 0)
     assert hit.elements == fresh.elements
     assert [str(g) for g in hit] == [str(g) for g in fresh]
 
@@ -510,11 +506,31 @@ def test_memo_hit_lives_in_the_callers_context():
     twin = RingCtx("x,y")
     assert twin == CTX2 and twin is not CTX2
     first = reduced_groebner(_polys(CTX2, *MEMO_GENS))
-    hits = _hits()
-    hit = reduced_groebner(_polys(twin, *MEMO_GENS))
-    assert _hits() == hits + 1
+    with groebner.counting() as stats:
+        hit = reduced_groebner(_polys(twin, *MEMO_GENS))
+    assert (stats.calls, stats.runs) == (1, 0)
     assert hit.ctx is twin and all(g.ctx is twin for g in hit)
     assert first.ctx is CTX2 and hit.elements == first.elements
+
+
+@pytest.mark.parametrize("ring, scale, runs", [
+    (CTX2, 2, 0),
+    (CTX2, Fraction(-3, 4), 0),
+    (RingCtx("u,v"), 1, 0),
+    (RingCtx("x,y", Lex()), 1, 1),
+], ids=["scaled-by-2", "scaled-by--3/4", "renamed", "lex"])
+def test_memo_key_is_the_order_and_the_integer_forms(ring, scale, runs):
+    # the key holds the generators' primitive integer forms and the
+    # order: scaling and variable names hit one entry, another order not
+    groebner._buchberger.cache_clear()
+    first = reduced_groebner(_polys(CTX2, *MEMO_GENS))
+    gens = [ring.poly(g.terms).scale(scale) for g in _polys(CTX2, *MEMO_GENS)]
+    with groebner.counting() as stats:
+        gb = reduced_groebner(gens)
+    assert (stats.calls, stats.runs) == (1, runs)
+    assert gb.ctx is ring and all(g.ctx is ring for g in gb)
+    if not runs:
+        assert [g.terms for g in gb] == [g.terms for g in first]
 
 
 def test_memo_hit_is_self_checked(monkeypatch):
@@ -522,10 +538,10 @@ def test_memo_hit_is_self_checked(monkeypatch):
     reduced_groebner(gens)
     monkeypatch.setattr(groebner, "SELF_CHECK", True)
     monkeypatch.setattr(groebner.GroebnerBasis, "self_check", lambda b: False)
-    hits = _hits()
-    with pytest.raises(PolyError, match="self-check failed"):
-        reduced_groebner(gens)
-    assert _hits() == hits + 1
+    with groebner.counting() as stats:
+        with pytest.raises(PolyError, match="self-check failed"):
+            reduced_groebner(gens)
+    assert (stats.calls, stats.runs) == (1, 0)
 
 
 def test_memo_stays_within_its_bound():

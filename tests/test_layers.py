@@ -45,13 +45,14 @@ def test_elimination_entry_points_take_no_order():
         assert list(inspect.signature(entry).parameters) == params
 
 
+CYCLIC4 = ("a + b + c + d", "a*b + b*c + c*d + d*a",
+           "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1")
+
+
 def test_buchberger_pair_step_stays_on_integers(monkeypatch):
     # the loop reduces reducer forms directly; the public Fraction-valued
     # spolynomial and normal_form are for callers outside it
-    ctx = RingCtx("a,b,c,d")
-    cyclic4 = [ctx.parse(t) for t in (
-        "a + b + c + d", "a*b + b*c + c*d + d*a",
-        "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1")]
+    cyclic4 = [RingCtx("a,b,c,d").parse(t) for t in CYCLIC4]
     groebner._buchberger.cache_clear()
     expected = reduced_groebner(cyclic4).elements
 
@@ -62,3 +63,20 @@ def test_buchberger_pair_step_stays_on_integers(monkeypatch):
     monkeypatch.setattr(groebner, "normal_form", public)
     groebner._buchberger.cache_clear()
     assert reduced_groebner(cyclic4).elements == expected
+
+
+def test_buchberger_builds_no_ring_and_no_polynomial(monkeypatch):
+    # the memo maps the order and integer forms to monic term tuples;
+    # reduced_groebner alone turns them into polynomials of the caller's ring
+    ctx = RingCtx("a,b,c,d")
+    cyclic4 = [ctx.parse(t) for t in CYCLIC4]
+    expected = [g.sorted_terms for g in reduced_groebner(cyclic4)]
+
+    def build(*args, **kwargs):
+        raise AssertionError("Buchberger built a ring or a polynomial")
+
+    groebner._buchberger.cache_clear()
+    monkeypatch.setattr(groebner, "RingCtx", build)
+    monkeypatch.setattr(groebner, "Poly", build)
+    forms = frozenset(g.reducer_form for g in cyclic4)
+    assert list(groebner._buchberger(ctx.order, forms)) == expected
