@@ -33,8 +33,9 @@ remainder divided once by the accumulated scale is exactly the rational
 remainder), and in the monic elements of the returned basis.
 
 :func:`counting` opens a scope whose :class:`Stats` counts
-:func:`reduced_groebner` calls, Buchberger runs, and the S-pairs formed,
-pruned by each criterion and reduced to zero.
+:func:`reduced_groebner` calls, Buchberger runs, the S-pairs formed,
+pruned by each criterion and reduced to zero, and the Rees presentations
+that :mod:`reeskit.rees` builds.
 
 :func:`eliminate_polys` is the one elimination engine and the only
 code that chooses an elimination order: it builds the order from the
@@ -56,7 +57,7 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .poly import (DegRevLex, Lex, Poly, PolyError, RingCtx, Weighted,
@@ -78,7 +79,14 @@ SELF_CHECK = False
 
 
 class ResourceLimitError(PolyError):
-    """A Groebner computation exceeded ``MAX_BASIS`` or ``MAX_DEGREE``."""
+    """A Groebner computation exceeded ``MAX_BASIS`` or ``MAX_DEGREE``.
+
+    ``stats`` is a copy of the innermost :func:`counting` scope's
+    :class:`Stats` at the abort, the failing run's counts included
+    (None outside every scope).
+    """
+
+    stats = None
 
 
 @dataclass
@@ -91,6 +99,7 @@ class Stats:
     coprime: int  # pairs pruned by the coprime criterion
     chain: int    # pairs pruned by the chain criterion
     zero: int     # S-pairs reduced to zero
+    presentations: int  # Rees presentations built (rees_kernel misses)
 
 
 _STATS = contextvars.ContextVar("groebner_stats", default=None)
@@ -100,7 +109,7 @@ _STATS = contextvars.ContextVar("groebner_stats", default=None)
 def counting():
     """Count the Gröbner work of the block in a fresh :class:`Stats`; the
     innermost open scope gets the counts."""
-    stats = Stats(0, 0, 0, 0, 0, 0)
+    stats = Stats(0, 0, 0, 0, 0, 0, 0)
     token = _STATS.set(stats)
     try:
         yield stats
@@ -344,8 +353,14 @@ def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
     if not gens:
         return GroebnerBasis(ctx, ())
     forms = frozenset(g.in_ctx(ctx).reducer_form for g in gens)
+    try:
+        basis = _buchberger(ctx.order, forms)
+    except ResourceLimitError as exc:
+        if stats is not None:  # the run has added its counts
+            exc.stats = replace(stats)
+        raise
     return GroebnerBasis(ctx, tuple(Poly(ctx, dict(t), _trust=True)
-                                    for t in _buchberger(ctx.order, forms)))
+                                    for t in basis))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)

@@ -447,12 +447,30 @@ def test_counting_is_scoped_and_survives_a_resource_error(monkeypatch):
     monkeypatch.setattr(groebner, "MAX_BASIS", 6)
     groebner._buchberger.cache_clear()
     with groebner.counting() as stats:
-        with pytest.raises(ResourceLimitError, match="cap"):
+        with pytest.raises(ResourceLimitError, match="cap") as info:
             reduced_groebner(gens)
+        aborted = info.value.stats
+        reduced_groebner(gens[:1])
     # the aborted run reports its pairs: the third nonzero remainder of
     # the four generators hits the cap
-    assert (stats.runs, stats.pairs - stats.zero) == (1, 3)
-    assert stats.coprime + stats.chain > 0
+    assert (aborted.calls, aborted.runs, aborted.pairs - aborted.zero) == (
+        1, 1, 3)
+    assert aborted.coprime + aborted.chain > 0
+    # the error holds a copy taken at the abort; the scope counts on
+    assert (stats.calls, stats.runs) == (2, 2)
+    assert stats.pairs == aborted.pairs
+    # nested scopes: the innermost one counts and is copied
+    groebner._buchberger.cache_clear()
+    with groebner.counting() as outer:
+        with groebner.counting() as inner:
+            with pytest.raises(ResourceLimitError) as info:
+                reduced_groebner(gens)
+    assert info.value.stats == inner and outer.runs == 0
+    # outside every scope the error carries no counts
+    groebner._buchberger.cache_clear()
+    with pytest.raises(ResourceLimitError) as info:
+        reduced_groebner(gens)
+    assert info.value.stats is None
 
 
 def test_masks_cover_rings_of_any_width():

@@ -6,11 +6,13 @@ import pytest
 from conftest import CURVE_INSTANCES, _t_order
 from hypothesis import assume, given, settings, strategies as st
 
-from reeskit import (Ideal, PolyError, RingCtx, Weighted, compose, contract,
-                     embed, effective_relation_2gen, is_regular_element,
+from reeskit import (Ideal, PolyError, ResourceLimitError, RingCtx, Weighted,
+                     compose, contract, embed, effective_relation_2gen,
+                     integral_degree_fraction, is_regular_element,
                      monomial_curve, monomial_fraction_degree, normal_form,
-                     reduced_groebner, rees_kernel, relation_type,
-                     relation_type_2gen, relation_type_mod)
+                     reduced_groebner, reduction_number, reg_rees,
+                     rees_kernel, relation_type, relation_type_2gen,
+                     relation_type_mod)
 from reeskit import groebner, rees
 from reeskit.rees import _degree_profile
 
@@ -209,6 +211,79 @@ def test_relation_type_rejects_zero_ideal():
         relation_type(I_(CTX2, CTX2.zero))
 
 
+# -- the presentation cache -----------------------------------------------------
+
+
+def test_one_curve_instance_builds_one_presentation():
+    # id, rn and rt of (x, y) with (x) first all read R((x, y))
+    u, v = CUSP34.var("u"), CUSP34.var("v")
+    I = I_(CUSP34, u, v)
+    rees._present.cache_clear()
+    with groebner.counting() as stats:
+        assert integral_degree_fraction(v, u, CUSP34).value == 3
+        assert reduction_number(I, I_(CUSP34, u)).value == 2
+        assert relation_type(I) == 3
+    assert stats.presentations == 1
+
+
+def test_presentation_hit_is_self_checked(monkeypatch):
+    I = I_(CUSP34, CUSP34.var("u"), CUSP34.var("v"))
+    rees_kernel(I)
+    monkeypatch.setattr(groebner, "SELF_CHECK", True)
+    monkeypatch.setattr(groebner.GroebnerBasis, "self_check", lambda b: False)
+    with groebner.counting() as stats:
+        with pytest.raises(PolyError, match="self-check failed"):
+            rees_kernel(I)
+    assert stats.presentations == 1
+
+
+def test_presentation_key_holds_the_quotient():
+    plain = RingCtx("u,v")
+    rees._present.cache_clear()
+    with groebner.counting() as stats:
+        cusp = rees_kernel(I_(CUSP34, "u", "v")).kernel.gb.elements
+        flat = rees_kernel(I_(plain, "u", "v")).kernel.gb.elements
+    assert stats.presentations == 2
+    assert [str(g) for g in flat] == ["v*T1 - u*T2"]
+    assert len(cusp) > 1
+
+
+def test_presentation_is_shared_by_reduction_prefixes():
+    I = I_(CTX2, "x", "y")
+    rees._present.cache_clear()
+    with groebner.counting() as stats:
+        first = rees_kernel(I, [CTX2.var("x")])
+        plain = rees_kernel(I)
+    assert stats.presentations == 1
+    assert (first.nfirst, plain.nfirst) == (1, 0)
+    assert first.kernel is plain.kernel
+
+
+def test_presentation_key_keeps_the_generator_order():
+    I = Ideal(CTX2, ["x^2", "x*y", "y^2"])
+    rees._present.cache_clear()
+    with groebner.counting() as stats:
+        assert reg_rees(I, I_(CTX2, "x^2", "y^2")).value == 1
+        assert reg_rees(I, I_(CTX2, "y^2", "x^2")).value == 1
+    assert stats.presentations == 2
+
+
+def test_failed_presentation_build_is_not_cached(monkeypatch):
+    # the cusp's quotient u^4 - v^3 is past a degree cap of 3
+    I = I_(CUSP34, CUSP34.var("u"), CUSP34.var("v"))
+    rees._present.cache_clear()
+    groebner._buchberger.cache_clear()
+    monkeypatch.setattr(groebner, "MAX_DEGREE", 3)
+    with groebner.counting():
+        with pytest.raises(ResourceLimitError, match="cap 3") as info:
+            rees_kernel(I)
+    assert (info.value.stats.presentations, info.value.stats.runs) == (1, 1)
+    monkeypatch.undo()
+    with groebner.counting() as stats:
+        rees_kernel(I)
+    assert stats.presentations == 1
+
+
 def _s_free_part(ext, order, build):
     """(build(ring)) ∩ Q[ext.vars] as an ideal of ``ext``, for ring =
     Q[s, ext.vars] under ``order``, which must eliminate s: the s-free
@@ -281,6 +356,7 @@ KERNEL_IDS = [f"t^{w} x={x} y={y}" for w, _, x, y in CURVE_INSTANCES] + [
 @pytest.mark.parametrize("ctx, gens", KERNEL_CASES, ids=KERNEL_IDS)
 def test_graded_elimination_leaves_the_kernel_unchanged(ctx, gens):
     I = Ideal(ctx, gens.split(", "))
+    rees._present.cache_clear()
     groebner._buchberger.cache_clear()
     pres = rees_kernel(I)
     # the kernel adopts its elimination's basis: reading it runs no
@@ -322,6 +398,7 @@ def _inhomogeneous_ideals(draw):
 @given(_inhomogeneous_ideals())
 def test_saturation_agrees_with_the_kernel_on_random_ideals(I):
     assume(is_regular_element(I.gens[0], I.ctx))
+    rees._present.cache_clear()  # build the kernel, do not recall it
     kernel = rees_kernel(I).kernel
     assert kernel.gb.elements == _saturated_kernel(I).gb.elements
     # the adopted basis is the one Buchberger computes afresh
