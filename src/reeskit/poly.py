@@ -528,19 +528,6 @@ def contract(poly: Poly, target: RingCtx, positions) -> Poly:
     return Poly(target, out, _trust=True)
 
 
-def compose(poly: Poly, target: RingCtx, images) -> Poly:
-    """Substitute ``images[i]`` (a Poly over ``target``) for variable i."""
-    target = target.ambient
-    result = target.zero
-    for e, c in poly.terms.items():
-        term = target.const(c)
-        for i, x in enumerate(e):
-            if x:
-                term = term * images[i] ** x
-        result = result + term
-    return result
-
-
 # ---------------------------------------------------------------------------
 # parser
 

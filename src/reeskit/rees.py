@@ -16,11 +16,11 @@ largest T-degree above a floor that needs a fresh generator.  It gives
 For I = (x, y) with x regular, :func:`relation_type_2gen` reaches rt(I)
 by a second route that never reads K: the colon chain (x I^{n-1} : y^n).
 
-The reduction number (:func:`reduction_degree`) and the regularity of
-the Rees module (:func:`filter_regular_degree`) are read off the lead
-monomials of the same presentation.  Its ring is ordered by a
-:class:`Weighted` order with weight 1 on the T-block, so the T-degree of
-an element is read off the order; K comes back reduced in that order.
+The presentation ring is ordered by T-degree, then reverse
+lexicographically on the T-block with T_1 last; K comes back reduced in
+that order.  So in(K + (T_1..T_i)) = in(K) + (T_1..T_i): the reduction
+number (:func:`reduction_degree`) and the regularity of the Rees module
+(:func:`filter_regular_degree`) read the lead monomials of K alone.
 
 :func:`rees_kernel` keeps the few latest presentations, keyed by the
 ring and the ordered generator list, so id, rn and rt of one ideal
@@ -130,11 +130,13 @@ def _present(ctx: RingCtx, gens: tuple) -> ReesPresentation:
     stats = _STATS.get()
     if stats is not None:
         stats.presentations += 1
-    m = len(gens)
+    n, m = len(ctx.vars), len(gens)
     tvars = _fresh_tvars(ctx.vars, m)
-    order = Weighted((0,) * len(ctx.vars) + (1,) * m)
+    order = None
+    for i in reversed(range(m)):
+        order = Weighted((0,) * (n + i) + (1,) * (m - i), order)
     ext = RingCtx(ctx.vars + tvars, order, _internal=True)
-    base_positions = tuple(range(len(ctx.vars)))
+    base_positions = tuple(range(n))
     ext_ctx = ext.with_quotient([embed(q, ext, base_positions)
                                  for q in ctx.quotient])
     ordered = Ideal(ctx, gens)
@@ -240,11 +242,10 @@ def _outside_top(g, lead, split: int):
     return top
 
 
-def _lead(pres: ReesPresentation, i: int, order) -> list:
-    """Lead monomials of the reduced basis of K + (T_1..T_i), by ``order``."""
-    P = Ideal(pres.ext_ctx.with_order(order), list(pres.kernel.gens)
-              + [pres.ext_ctx.var(v) for v in pres.tvars[:i]])
-    return [h.lm for h in P.gb.elements]
+def _lead(pres: ReesPresentation, i: int) -> list:
+    """Lead monomials of in(K) + (T_1..T_i) = in(K + (T_1..T_i))."""
+    return ([h.lm for h in pres.kernel.gb.elements]
+            + [pres.ext_ctx.var(v).lm for v in pres.tvars[:i]])
 
 
 def reduction_degree(pres: ReesPresentation):
@@ -255,8 +256,17 @@ def reduction_degree(pres: ReesPresentation):
     standard monomials span it, so it vanishes iff each T^mu of degree n
     is divisible by a lead monomial of P free of ring variables.  rn is
     the top degree of the T^mu outside.
+
+    The order compares T-degree, then degree in T_2..T_m, in T_3..T_m,
+    ...: revlex on the T-block with T_1 last (Bayer–Stillman; Eisenbud,
+    Prop. 15.12).  In one T-degree a monomial free of T_1..T_i beats one
+    that is not, so in(f) ∈ (T_1..T_i) iff f ∈ (T_1..T_i) for f
+    T-homogeneous.  If f ∈ P of one T-degree has in(f) ∉ (T_1..T_i),
+    write f = k + t, k ∈ K and t ∈ (T_1..T_i) of that degree: k has the
+    terms of f outside (T_1..T_i) and they lead it, so in(f) = in(k).
+    Hence in(P) = in(K) + (T_1..T_i), all that :func:`_lead` reads.
     """
-    lead = _lead(pres, pres.nfirst, pres.ext_ctx.order)
+    lead = _lead(pres, pres.nfirst)
     return _outside_top((0,) * len(pres.ext_ctx.vars), lead,
                         len(pres.ideal.ctx.vars))
 
@@ -267,20 +277,19 @@ def filter_regular_degree(pres: ReesPresentation):
     generators of R(I) (-1 if none); ``(None, x_i)`` if x_i fails in
     every large degree (not filter-regular).  On R(I) = A[T]/K,
     T_i -> x_i t, that quotient is degree n of Q_i/P_i, P_i = K +
-    (T_1..T_{i-1}) and Q_i = P_i : T_i.  Ordered by T-degree, then degree
-    in T_{i+1}.., the reduced basis of P_i is T_1..T_{i-1} and elements
-    free of them, whose lead monomial T_i divides only if T_i divides the
-    element; hence LT(Q_i) = LT(P_i) : T_i (Eisenbud, Prop. 15.12).  Q_i
-    and P_i differ in degree n iff their lead monomials do, and a monomial
-    of LT(Q_i) outside LT(P_i) stays outside without its A-part.  Q_1 = K
-    for x_1 regular.
+    (T_1..T_{i-1}) and Q_i = P_i : T_i.  The reduced basis of P_i is
+    T_1..T_{i-1} and elements free of them, on which the order is
+    revlex with T_i last, so T_i divides their lead monomial only if it
+    divides the element; hence LT(Q_i) = LT(P_i) : T_i (Eisenbud, Prop.
+    15.12), with LT(P_i) = LT(K) + (T_1..T_{i-1}) (:func:`reduction_degree`).
+    Q_i and P_i differ in degree n iff their lead monomials do, and a
+    monomial of LT(Q_i) outside LT(P_i) stays outside without its A-part.
+    Q_1 = K for x_1 regular.
     """
-    m, split, top = pres.tcount, len(pres.ideal.ctx.vars), -1
+    split, top = len(pres.ideal.ctx.vars), -1
     for i, x in enumerate(pres.ideal.gens[:pres.nfirst]):
         k = split + i
-        later = (0,) * (k + 1) + (1,) * (m - i - 1)
-        lead = _lead(pres, i, Weighted(pres.ext_ctx.order.weights,
-                                       Weighted(later)))
+        lead = _lead(pres, i)
         tops = [_outside_top(h[:k] + (h[k] - 1,) + h[k + 1:], lead, split)
                 for h in lead if h[k]]
         if None in tops:

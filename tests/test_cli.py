@@ -56,8 +56,8 @@ def test_rt_explain_lists_the_kernel_by_degree(capsys):
                        "--ideal", "x^2, x*y, y^2", "--explain")
     assert code == 0
     assert out.splitlines() == ["rt = 2",
-                                "kernel.deg1 = y*T2 - x*T3",
-                                "kernel.deg1 = y*T1 - x*T2",
+                                "kernel.deg1 = x*T2 - y*T1",
+                                "kernel.deg1 = x*T3 - y*T2",
                                 "kernel.deg2 = T2^2 - T1*T3",
                                 "status = pass"]
 

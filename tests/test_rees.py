@@ -7,14 +7,15 @@ from conftest import CURVE_INSTANCES, _t_order
 from hypothesis import assume, given, settings, strategies as st
 
 from reeskit import (Ideal, PolyError, ResourceLimitError, RingCtx, Weighted,
-                     compose, contract, embed, effective_relation_2gen,
-                     integral_degree_fraction, is_regular_element,
+                     contract, embed, effective_relation_2gen, ideal_colon,
+                     ideal_equal, integral_degree_fraction, is_regular_element,
                      monomial_curve, monomial_fraction_degree, normal_form,
                      reduced_groebner, reduction_number, reg_rees,
                      rees_kernel, relation_type, relation_type_2gen,
                      relation_type_mod)
 from reeskit import groebner, rees
-from reeskit.rees import _degree_profile
+from reeskit.rees import (_degree_profile, _lead, filter_regular_degree,
+                          reduction_degree)
 
 CTX2 = RingCtx("x,y")
 CTX3 = RingCtx("x,y,z")
@@ -26,17 +27,24 @@ def I_(ctx, *gens):
     return Ideal(ctx, list(gens))
 
 
+def _kernel_is(pres, *relations):
+    """Whether K is the ideal of ``relations`` in the presentation ring,
+    whatever form its reduced basis prints in."""
+    return ideal_equal(pres.kernel, Ideal(pres.ext_ctx, list(relations)))
+
+
 def test_kernel_of_regular_pair_is_koszul():
     x, y = CTX2.var("x"), CTX2.var("y")
     pres = rees_kernel(I_(CTX2, x, y))
-    assert [str(g) for g in pres.kernel.gb.elements] == ["y*T1 - x*T2"]
+    assert len(pres.kernel.gb.elements) == 1
+    assert _kernel_is(pres, "y*T1 - x*T2")
     assert _degree_profile(pres.kernel, 1) == {1: pres.kernel.gb.elements}
 
 
 def test_kernel_of_veronese_has_quadratic_relation():
     pres = rees_kernel(I_(CTX2, *[CTX2.parse(s) for s in ("x^2", "x*y", "y^2")]))
-    strs = {str(g) for g in pres.kernel.gb.elements}
-    assert {"y*T1 - x*T2", "y*T2 - x*T3", "T2^2 - T1*T3"} <= strs
+    assert len(pres.kernel.gb.elements) == 3
+    assert _kernel_is(pres, "y*T1 - x*T2", "y*T2 - x*T3", "T2^2 - T1*T3")
 
 
 def test_kernel_of_principal_regular_ideal_is_trivial():
@@ -44,6 +52,18 @@ def test_kernel_of_principal_regular_ideal_is_trivial():
     pres = rees_kernel(I_(CUSP34, u))
     assert _degree_profile(pres.kernel, 1) == {}
     assert relation_type(I_(CUSP34, u)) == 1
+
+
+def _compose(poly, target, images):
+    """Substitute ``images[i]`` (a Poly over ``target``) for variable i."""
+    result = target.zero
+    for e, c in poly.terms.items():
+        term = target.const(c)
+        for i, x in enumerate(e):
+            if x:
+                term = term * images[i] ** x
+        result = result + term
+    return result
 
 
 def test_kernel_substitution_soundness():
@@ -64,7 +84,7 @@ def test_kernel_substitution_soundness():
         qgb = reduced_groebner(lifted_quotient, ctx=sub) if lifted_quotient \
             else None
         for g in pres.kernel.gb.elements:
-            val = compose(g, sub, images)
+            val = _compose(g, sub, images)
             if qgb is not None:
                 val = normal_form(val, qgb)
             assert val.is_zero
@@ -89,7 +109,9 @@ def test_relation_type_examples():
     ctx = RingCtx("T1,x")
     T1, x = ctx.var("T1"), ctx.var("x")
     pres = rees_kernel(I_(ctx, T1, x))
-    assert [str(g) for g in pres.kernel.gb.elements] == ["x*T1_ - T1*T2"]
+    assert pres.tvars == ("T1_", "T2")
+    assert len(pres.kernel.gb.elements) == 1
+    assert _kernel_is(pres, "x*T1_ - T1*T2")
     assert relation_type(I_(ctx, T1 ** 2, T1 * x, x ** 2)) == 2
 
 
@@ -241,11 +263,12 @@ def test_presentation_key_holds_the_quotient():
     plain = RingCtx("u,v")
     rees._present.cache_clear()
     with groebner.counting() as stats:
-        cusp = rees_kernel(I_(CUSP34, "u", "v")).kernel.gb.elements
-        flat = rees_kernel(I_(plain, "u", "v")).kernel.gb.elements
+        cusp = rees_kernel(I_(CUSP34, "u", "v"))
+        flat = rees_kernel(I_(plain, "u", "v"))
     assert stats.presentations == 2
-    assert [str(g) for g in flat] == ["v*T1 - u*T2"]
-    assert len(cusp) > 1
+    assert len(flat.kernel.gb.elements) == 1
+    assert _kernel_is(flat, "v*T1 - u*T2")
+    assert len(cusp.kernel.gb.elements) > 1
 
 
 def test_presentation_is_shared_by_reduction_prefixes():
@@ -266,6 +289,17 @@ def test_presentation_key_keeps_the_generator_order():
         assert reg_rees(I, I_(CTX2, "x^2", "y^2")).value == 1
         assert reg_rees(I, I_(CTX2, "y^2", "x^2")).value == 1
     assert stats.presentations == 2
+
+
+def test_rn_and_reg_read_the_kernel_basis_alone():
+    # rn_(u)((u, v)) = 2 on the (3,4) cusp and u is regular: both reads
+    # take the lead monomials of the kernel's adopted basis, and no other
+    u, v = CUSP34.var("u"), CUSP34.var("v")
+    pres = rees_kernel(I_(CUSP34, u, v), [u])
+    with groebner.counting() as stats:
+        assert reduction_degree(pres) == 2
+        assert filter_regular_degree(pres) == (-1, None)
+    assert (stats.calls, stats.runs) == (0, 0)
 
 
 def test_failed_presentation_build_is_not_cached(monkeypatch):
@@ -406,3 +440,60 @@ def test_saturation_agrees_with_the_kernel_on_random_ideals(I):
     assert kernel.gb.elements == reduced_groebner(
         list(kernel.gens) + list(kernel.ctx.quotient),
         kernel.ctx.ambient).elements
+
+
+# -- the presentation's order: in(K + (T_1..T_i)) = in(K) + (T_1..T_i) ------
+
+NODE = RingCtx("x,y,z", quotient=["x*z"])
+
+
+def _minimal(monomials):
+    """The minimal generators of the monomial ideal of ``monomials``."""
+    monomials = set(monomials)
+    return {a for a in monomials
+            if not any(b != a and all(p <= q for p, q in zip(b, a))
+                       for b in monomials)}
+
+
+@st.composite
+def _presentations(draw):
+    """rees_kernel of 2-4 generators over Q[x, y], the (3,4) cusp or the
+    node, the first two taken first: on the node the first is x, a zero
+    divisor, or a random generator.  Each generator is a sum of one or
+    two monomials of degree 1..2 with coefficients 1..3."""
+    ctx = draw(st.sampled_from([CTX2, CUSP34, NODE]))
+    n = len(ctx.vars)
+    monomials = [e for e in itertools.product(range(3), repeat=n)
+                 if 1 <= sum(e) <= 2]
+    term = st.tuples(st.sampled_from(monomials), st.integers(1, 3))
+
+    def generator():
+        return sum((ctx.poly(dict([t])) for t in
+                    draw(st.lists(term, min_size=1, max_size=2))), ctx.zero)
+
+    gens = [generator() for _ in range(draw(st.integers(2, 4)))]
+    if ctx is NODE and draw(st.booleans()):
+        gens[0] = ctx.var("x")
+    gens = list(dict.fromkeys(g for g in gens if not g.is_zero))
+    assume(len(gens) >= 2)
+    return rees_kernel(Ideal(ctx, gens), gens[:2])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_presentations())
+def test_kernel_leads_give_every_prefix_and_its_colon(pres):
+    assert pres.nfirst >= 2
+    ext, m = pres.ext_ctx, pres.tcount
+    ts = [ext.var(v) for v in pres.tvars]
+    for i in range(m + 1):
+        P = Ideal(ext, list(pres.kernel.gens) + ts[:i])
+        fresh = reduced_groebner(list(P.gens) + list(ext.quotient),
+                                 ext.ambient)
+        assert (_minimal(_lead(pres, i))
+                == _minimal(h.lm for h in fresh.elements))
+        if i < m:
+            k = len(pres.ideal.ctx.vars) + i
+            colon = ideal_colon(P, Ideal(ext, [ts[i]]))
+            assert _minimal(h[:k] + (max(h[k] - 1, 0),) + h[k + 1:]
+                            for h in _lead(pres, i)) == \
+                _minimal(h.lm for h in colon.gb.elements)
