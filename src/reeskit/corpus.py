@@ -111,7 +111,9 @@ _CURVE_CACHE = {}
 
 
 def monomial_curve(weights, names) -> RingCtx:
-    """Q[names]/ker(names_i -> t^{weights_i}), kernel by elimination."""
+    """Q[names]/P for P = ker(names_i -> t^{weights_i}), kernel by
+    elimination.  P is prime, as the kernel of a map to the domain Q[t],
+    so the ring is marked as a domain."""
     key = (tuple(weights), tuple(names))
     if key in _CURVE_CACHE:
         return _CURVE_CACHE[key]
@@ -121,7 +123,7 @@ def monomial_curve(weights, names) -> RingCtx:
     base = RingCtx(names)
     kernel = eliminate_aux(base, lambda t, lift: [
         lift(base.var(nm)) - t ** w for nm, w in zip(names, weights)])
-    ctx = base.with_quotient(kernel) if kernel else base
+    ctx = RingCtx(names, quotient=kernel, _domain=True) if kernel else base
     _CURVE_CACHE[key] = ctx
     return ctx
 

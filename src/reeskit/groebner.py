@@ -100,6 +100,7 @@ class Stats:
     chain: int    # pairs pruned by the chain criterion
     zero: int     # S-pairs reduced to zero
     presentations: int  # Rees presentations built (rees_kernel misses)
+    normal_forms: int   # GroebnerBasis.normal_form and .contains calls
 
 
 _STATS = contextvars.ContextVar("groebner_stats", default=None)
@@ -109,7 +110,7 @@ _STATS = contextvars.ContextVar("groebner_stats", default=None)
 def counting():
     """Count the Gröbner work of the block in a fresh :class:`Stats`; the
     innermost open scope gets the counts."""
-    stats = Stats(0, 0, 0, 0, 0, 0, 0)
+    stats = Stats(0, 0, 0, 0, 0, 0, 0, 0)
     token = _STATS.set(stats)
     try:
         yield stats
@@ -304,6 +305,9 @@ class GroebnerBasis:
         return len(self.elements) == 1 and self.elements[0] == 1
 
     def normal_form(self, f: Poly) -> Poly:
+        stats = _STATS.get()
+        if stats is not None:
+            stats.normal_forms += 1
         return normal_form(f.in_ctx(self.ctx), self)
 
     def contains(self, f: Poly) -> bool:

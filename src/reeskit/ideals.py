@@ -135,9 +135,10 @@ def ideal_equal(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_contains(I: Ideal, J: Ideal) -> bool:
-    """True iff J ⊆ I."""
+    """True iff J ⊆ I.  A generator of J that is a generator of I takes
+    no membership test."""
     I._check_ctx(J)
-    return all(ideal_member(g, I) for g in J.gens)
+    return all(g in I.gens or ideal_member(g, I) for g in J.gens)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +211,10 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 def _annihilator_is_zero(gens, ctx: RingCtx) -> bool:
     """Whether (gens) ≠ 0 and ann((gens)) = 0 in the ring of ``ctx``.
 
-    Upstairs that is one colon, (q : (gens)) = q ≠ (1) for the quotient
-    q; the colon is (1) iff every generator lies in q.
+    On a ring marked as a domain (a prime quotient q) that holds iff some
+    generator lies outside q: one normal form per generator against q's
+    memoised basis.  Elsewhere it is one colon upstairs,
+    (q : (gens)) = q ≠ (1); the colon is (1) iff every generator lies in q.
     """
     gens = [g for g in gens if not g.is_zero]
     if not gens:
@@ -220,6 +223,8 @@ def _annihilator_is_zero(gens, ctx: RingCtx) -> bool:
         return True
     amb = ctx.ambient
     q = Ideal(amb, ctx.quotient)
+    if ctx.is_domain:
+        return not all(q.gb.contains(g) for g in gens)
     c = ideal_colon(q, Ideal(amb, gens))
     return not c.is_unit and ideal_equal(c, q)
 
@@ -228,6 +233,8 @@ def is_regular_element(f, ctx: RingCtx) -> bool:
     """True iff f is a non zero divisor of the ring of ``ctx``.
 
     An element that is zero in the quotient is reported as not regular.
+    On a domain (a monomial curve) that is all: f is regular iff f ∉ q,
+    one normal form; elsewhere it takes one colon.
     """
     return _annihilator_is_zero([ctx.coerce(f)], ctx)
 

@@ -140,13 +140,16 @@ class RingCtx:
 
     With ``quotient`` generators g1, ..., gk the context represents the
     ring Q[vars]/(g1, ..., gk); all computations happen on preimages in
-    the ambient polynomial ring.  Contexts are immutable.
+    the ambient polynomial ring.  Contexts are immutable.  ``is_domain``
+    marks a prime quotient, set only by :func:`corpus.monomial_curve`;
+    equality and hashing ignore it, as the quotient implies it.
     """
 
-    __slots__ = ("vars", "order", "quotient", "_index", "_ambient")
+    __slots__ = ("vars", "order", "quotient", "is_domain", "_index",
+                 "_ambient")
 
     def __init__(self, vars, order: MonomialOrder | None = None,
-                 quotient=None, _internal: bool = False):
+                 quotient=None, _internal: bool = False, _domain: bool = False):
         if isinstance(vars, str):
             vars = tuple(v.strip() for v in vars.split(",") if v.strip())
         vars = tuple(vars)
@@ -160,6 +163,7 @@ class RingCtx:
             raise ValueError("duplicate variable names")
         self.vars = vars
         self.order = order if order is not None else DegRevLex()
+        self.is_domain = _domain
         o = self.order
         while isinstance(o, Weighted):
             if len(o.weights) != len(vars):
@@ -223,8 +227,8 @@ class RingCtx:
     def with_order(self, order: MonomialOrder) -> "RingCtx":
         if order == self.order:
             return self
-        return RingCtx(self.vars, order,
-                       quotient=self.quotient or None, _internal=True)
+        return RingCtx(self.vars, order, quotient=self.quotient or None,
+                       _internal=True, _domain=self.is_domain)
 
     # -- element constructors -----------------------------------------------
 

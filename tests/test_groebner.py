@@ -504,6 +504,16 @@ def test_unit_ideal_basis():
     assert [str(g) for g in gb.elements] == ["1"]
 
 
+def test_normal_forms_are_counted():
+    gb = reduced_groebner(_polys(CTX2, "x^2 - y", "x*y - 1"))
+    x = CTX2.var("x")
+    with groebner.counting() as stats:
+        gb.contains(x)
+        gb.normal_form(x ** 2)
+        normal_form(x, gb)  # the module function is not counted
+    assert stats.normal_forms == 2 and stats.runs == 0
+
+
 # -- the memo ----------------------------------------------------------------
 
 MEMO_GENS = ("x^2 - y", "x*y - 1", "y^3 - x")

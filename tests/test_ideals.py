@@ -1,15 +1,20 @@
 """Ideal calculus: sums, products, powers, intersections, colons, regularity."""
 
+import importlib.util
+import itertools
+import pathlib
 import random
 
 import pytest
+from conftest import CURVE_INSTANCES
 
 from reeskit import (Ideal, Lex, PolyError, RingCtx, eliminate, exact_divide,
                      ideal_colon, ideal_equal, ideal_intersect, ideal_member,
                      ideal_power, ideal_product, ideal_sum, is_regular_element,
-                     is_regular_ideal, reduced_groebner, rees_kernel,
-                     relation_type_2gen)
-from reeskit import groebner, rees
+                     is_regular_ideal, monomial_curve, reduced_groebner,
+                     rees_kernel, relation_type_2gen)
+from reeskit import corpus, groebner, rees
+from reeskit.ideals import _annihilator_is_zero, candidate_elements
 
 CTX2 = RingCtx("x,y")
 CURVE = RingCtx("x,y", quotient=["x^4 - y^3"])
@@ -176,6 +181,90 @@ def test_regular_element_examples():
     assert is_regular_element(CTX2.parse("x^2 - y"), CTX2)
     # zero in the quotient is reported as not regular
     assert not is_regular_element(CURVE.parse("x^4 - y^3"), CURVE)
+    cusp = monomial_curve((3, 4), ("x", "y"))
+    assert cusp == CURVE and cusp.is_domain and not CURVE.is_domain
+    assert not is_regular_element(cusp.parse("x^4 - y^3"), cusp)
+    assert is_regular_element(cusp.parse("x^4 - y^3 + y"), cusp)
+
+
+def _bench_curve_rings():
+    """The (weights, names) of every ring of the benchmark's curve family,
+    read off ``bench/workloads.py``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench/workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {(tuple(inst["weights"]), tuple(inst["names"]))
+            for inst in workloads.curve_family()}
+
+
+# every curve ring of the tests, the corpus (Sally-Vasconcelos, n = 2, 3)
+# and the benchmark family, then the node Q[x, y, z]/(xz), which is no
+# domain: there the colon route is the only one
+CURVE_RINGS = sorted(
+    {(tuple(w), tuple(names)) for w, names, _, _ in CURVE_INSTANCES}
+    | {((3, 4), ("x", "y")), ((4, 5, 7), ("a", "b", "c"))}
+    | {(tuple(range(n + 1, 2 * n + 2)), corpus._sv_names(n)) for n in (2, 3)}
+    | _bench_curve_rings())
+DOMAIN_CASES = CURVE_RINGS + [None]
+
+
+def _colon_route(gens, ctx):
+    """ann((gens)) = 0 read off the colon (q : (gens)) = q ≠ (1)."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return False
+    q = Ideal(ctx.ambient, ctx.quotient)
+    c = ideal_colon(q, Ideal(ctx.ambient, gens))
+    return not c.is_unit and ideal_equal(c, q)
+
+
+@pytest.mark.parametrize("ring", DOMAIN_CASES, ids=[
+    f"t^{w}-{','.join(names)}" for w, names in CURVE_RINGS] + ["node"])
+def test_domain_shortcut_agrees_with_the_colon_route(ring):
+    if ring is None:
+        ctx = RingCtx("x,y,z", quotient=["x*z"])
+    else:
+        ctx = monomial_curve(*ring)
+        assert ctx.is_quotient and ctx.is_domain
+    xs = [ctx.var(v) for v in ctx.vars]
+    # the generators, then the first combinations of the candidate stream
+    elements = list(itertools.islice(candidate_elements(Ideal(ctx, xs)),
+                                     len(xs) + 3))
+    # elements of the kernel, such as x^4 - y^3 on the (3, 4) cusp
+    for q in ctx.quotient:
+        elements += [q, q * xs[0], q + xs[-1]]
+    cases = [[f] for f in elements] + [
+        list(ctx.quotient), [ctx.quotient[0], xs[0]], [ctx.zero]]
+    for gens in cases:
+        assert _annihilator_is_zero(gens, ctx) == _colon_route(gens, ctx), gens
+
+
+def test_regularity_on_a_curve_takes_one_normal_form():
+    cusp = monomial_curve((3, 4), ("u", "v"))
+    f = cusp.parse("u^4 - v^3 + u*v")
+    with groebner.counting() as stats:
+        assert is_regular_element(f, cusp)
+    # the quotient's basis is memoised: at most one run, for a cold memo
+    assert (stats.calls, stats.normal_forms, stats.pairs) == (1, 1, 0)
+    assert stats.runs <= 1
+
+
+def test_domain_mark_follows_the_quotient():
+    cusp = monomial_curve((2, 3), ("u", "v"))
+    u, v = cusp.var("u"), cusp.var("v")
+    assert cusp.is_domain and cusp.with_order(Lex()).is_domain
+    assert is_regular_element(v, cusp.with_order(Lex()))
+    # the step ring of check_d_sequence_reduction: v^2 = u^3 = 0 modulo
+    # (u), so v is a zero divisor there
+    step = cusp.with_quotient([u])
+    assert not step.is_domain
+    assert not is_regular_element(v, step)
+    # the same kernel typed in is the same ring, left unmarked
+    typed = RingCtx("u,v", quotient=list(cusp.quotient))
+    assert typed == cusp and hash(typed) == hash(cusp)
+    assert not typed.is_domain
+    assert is_regular_element(v, typed)
 
 
 def test_regular_ideal_search():

@@ -10,7 +10,7 @@ from reeskit import (Ideal, PolyError, RingCtx, ResourceLimitError,
                      ideal_equal, ideal_intersect, ideal_member, ideal_power,
                      ideal_product, integral_degree_fraction, is_reduction,
                      monomial_curve, reduction_number, reg_rees, vv_check)
-from reeskit import invariants, rees
+from reeskit import groebner, invariants, rees
 
 CTX2 = RingCtx("x,y")
 CUSP23 = monomial_curve((2, 3), ("u", "v"))
@@ -91,6 +91,18 @@ def test_is_reduction_unresolved_and_containment_error():
     assert str(out) == "none(not a reduction)"
     with pytest.raises(PolyError, match="not contained"):
         is_reduction(I_(CTX2, x + 1), I_(CTX2, x))
+
+
+def test_containment_check_skips_shared_generators():
+    u, v = CUSP23.var("u"), CUSP23.var("v")
+    # v = t^3 is outside (u) = (t^2): alone or beside a generator of I
+    for J in (I_(CUSP23, v), I_(CUSP23, u, v)):
+        with pytest.raises(PolyError, match="not contained"):
+            is_reduction(J, I_(CUSP23, u))
+    # (x) ⊆ (x, y) is read off the generators: no basis is built
+    with groebner.counting() as stats:
+        invariants._check_contained(I_(CUSP23, u), I_(CUSP23, u, v))
+    assert (stats.calls, stats.runs, stats.normal_forms) == (0, 0, 0)
 
 
 def test_reduction_number_huneke_n3():
