@@ -11,26 +11,19 @@ A reduced basis depends only on the ideal and the order, so
 term tuples, keyed by the order and the set of generator reducer forms.
 
 Buchberger runs on integers.  Its basis is a list of reducer forms
-(:attr:`Poly.reducer_form`): the primitive integer form (lead, positive
-lead coefficient, tail; content and denominators cleared) and the
-support bitmask of the lead.  No basis element is made monic while the
-loop runs.  Each pair step calls the integer kernels directly:
-:func:`_spair` forms lc_g'·m_f·f̂ − lc_f'·m_g·ĝ for the forms f̂, ĝ, with
-m_f, m_g lifting both leads to their lcm and lc' = lc / gcd(lc_f, lc_g),
-as an integer term dict; :func:`_reduce_terms` reduces it against the
-basis list, scaling the work and the output by lc/gcd(c, lc) at each step
-and subtracting an integer multiple of the reducer's tail; and a nonzero
-remainder is made primitive (:func:`~reeskit.poly._primitive_form`) and
-joins the basis.  Terms leave a heap keyed once per monomial, largest
-first.  A lead divides a monomial only if its mask is a subset of the
-monomial's, so the first-in-list reducer search and the chain criterion
-compare exponents only past that filter, and leads with disjoint masks
-are coprime.  The final interreduction reduces the minimal elements'
-integer forms by each other.  ``Fraction`` values appear only at the
-boundary: in the public :func:`spolynomial` and :func:`normal_form`,
-wrappers over the same kernels that the loop does not call (the integer
-remainder divided once by the accumulated scale is exactly the rational
-remainder), and in the monic elements of the returned basis.
+(:attr:`Poly.reducer_form`: the primitive integer lead, lead coefficient
+and tail, and the support bitmask of the lead), never made monic while
+the loop runs.  Each pair step forms the integer S-pair (:func:`_spair`),
+reduces it fraction-free against the basis (:func:`_reduce_terms`), and
+adds a nonzero remainder in primitive form.  Terms leave a heap keyed
+once per monomial by the order's compiled ``descending`` kernel
+(:func:`~reeskit.poly.compile_order`), largest first.  A lead divides a
+monomial only if its mask is a subset of the monomial's, so the reducer
+search and the chain criterion compare exponents only past that filter,
+and leads with disjoint masks are coprime.  ``Fraction`` values appear
+only at the boundary: in the public :func:`spolynomial` and
+:func:`normal_form`, wrappers over the same kernels that the loop does
+not call, and in the monic elements of the returned basis.
 
 :func:`counting` opens a scope whose :class:`Stats` counts
 :func:`reduced_groebner` calls, Buchberger runs, the S-pairs formed,
@@ -60,8 +53,8 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .poly import (DegRevLex, Lex, Poly, PolyError, RingCtx, Weighted,
-                   _primitive_form, _support_mask, contract, embed)
+from .poly import (Poly, PolyError, RingCtx, Weighted, _primitive_form,
+                   _support_mask, compile_order, contract, embed)
 
 MAX_BASIS = 4096
 MAX_DEGREE = 256
@@ -154,19 +147,6 @@ def _prepare_reducers(ctx, elements):
     return reducers
 
 
-def _descending(order):
-    """A flat key function whose ascending order is ``order`` descending,
-    so a min-heap pops the leading monomial first."""
-    if isinstance(order, Weighted):
-        degree, inner = order.degree, _descending(order.inner)
-        return lambda e: (-degree(e),) + inner(e)
-    if isinstance(order, DegRevLex):
-        return lambda e: (-sum(e),) + e[::-1]
-    if isinstance(order, Lex):
-        return lambda e: tuple([-x for x in e])
-    raise PolyError(f"normal form: no heap key for the order {order!r}")
-
-
 def _reduce_terms(work, reducers, keyf):
     """Remainder of the integer terms ``work`` (consumed) as ``(out, scale)``:
     ``work ≡ out / scale`` modulo ``reducers``, ``scale > 0``; ``out``
@@ -241,7 +221,7 @@ def normal_form(f: Poly, basis) -> Poly:
         return f
     den = math.lcm(*(c.denominator for c in f.terms.values()))
     work = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
-    out, scale = _reduce_terms(work, reducers, _descending(f.ctx.order))
+    out, scale = _reduce_terms(work, reducers, f.ctx.kernels.descending)
     den *= scale
     return Poly(f.ctx, {m: Fraction(c, den) for m, c in out.items()},
                 _trust=True)
@@ -372,9 +352,7 @@ def _buchberger(order, forms) -> tuple:
     """The reduced basis under ``order`` of the ideal of the reducer forms
     ``forms``, as monic term tuples in decreasing order (the memo); the
     key ignores scaling and variable names."""
-    keyf = order.key
-    desc = _descending(order)
-    degree = order.degree if isinstance(order, Weighted) else None
+    keyf, desc, degree = compile_order(order, len(next(iter(forms))[0]))
     if degree and not all(_homogeneous([f[0]] + [e for e, _ in f[2]], degree)
                           for f in forms):
         degree = None
@@ -443,22 +421,21 @@ def _buchberger(order, forms) -> tuple:
             stats.chain += chain
             stats.zero += zero
 
-    return _reduced(G, order)
+    return _reduced(G, keyf, desc)
 
 
-def _reduced(G, order) -> tuple:
+def _reduced(G, keyf, desc) -> tuple:
     """The reduced basis of the Groebner basis of reducer forms ``G``: the
     minimal elements (no other lead divides theirs), each reduced by the
     others over the integers and made monic, as term tuples in
-    decreasing order, sorted by leading monomial."""
-    keyf = order.key
+    decreasing order, sorted by leading monomial (``keyf`` and ``desc``
+    are the order's :func:`~reeskit.poly.compile_order` kernels)."""
     minimal = []
     for form in sorted(G, key=lambda f: keyf(f[0])):
         lead, _, _, mask = form
         if not any(not m & ~mask and _divides(d, lead)
                    for d, _, _, m in minimal):
             minimal.append(form)
-    desc = _descending(order)
     basis = []
     for i, (lead, lc, tail, _) in enumerate(minimal):
         work = dict(tail)
@@ -504,7 +481,8 @@ def eliminate_polys(gens, front, target: RingCtx) -> GroebnerBasis:
     if isinstance(target.order, Weighted):
         graded = Weighted((1,) * k + target.order.weights,
                           Weighted(block, _refine(target.order.inner, k)))
-        if all(_homogeneous(g.terms, graded.degree) for g in gens):
+        degree = compile_order(graded, len(vars)).degree
+        if all(_homogeneous(g.terms, degree) for g in gens):
             order = graded
     ring = RingCtx(vars, order, _internal=True)
     keep = tuple(range(k, len(vars)))

@@ -63,7 +63,8 @@ def is_reduction(J: Ideal, I: Ideal) -> SearchOutcome:
     Requires J ⊆ I (checked on generators).  rn depends on the ideal J
     only, so each generator in the ideal of the others is dropped first:
     one that is no generator of I would cost the presentation a T
-    variable.
+    variable.  When every generator of I lies in the quotient, each T_i
+    lies in the kernel, which then reads 0.
     """
     _check_contained(J, I)
     xs = [g for g in J.gens if not g.is_zero]
@@ -73,7 +74,7 @@ def is_reduction(J: Ideal, I: Ideal) -> SearchOutcome:
             rest.remove(g)
             if ideal_member(g, Ideal(I.ctx, rest)):
                 xs = rest
-    n = 0 if I.is_zero else reduction_degree(rees_kernel(I, xs))
+    n = reduction_degree(rees_kernel(I, xs)) if any(I.gens) else 0
     return SearchOutcome(n, "not a reduction" if n is None
                          else f"I^{n + 1} = J*I^{n}")
 

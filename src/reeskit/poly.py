@@ -7,9 +7,15 @@ is an immutable map monomial -> coefficient with no zero entries, whose
 terms iterate in strictly decreasing order of the ring's monomial order.
 
 The module also provides the monomial orders used by the rest of the
-package (lex, degrevlex, and weighted: a non-negative weight vector
-refined by another order, which covers elimination and T-grading) and
-the text parser/printer for polynomial expressions.
+package (lex, degrevlex, and weighted: a non-negative integer weight
+vector refined by another order, which covers elimination and
+T-grading) and the text parser/printer for polynomial expressions.
+Every order is a matrix order (Robbiano, EUROCAL 1985): weight rows,
+then a lex or degrevlex tail.  :func:`compile_order` turns the rows into
+flat key kernels once per order and number of variables, as generated
+source of integer weights and indices evaluated the way
+``collections.namedtuple`` builds its methods: closures over the rows
+cost a loop per key, and nested keys a call and a tuple per layer.
 
 Grammar (ASCII, whitespace insignificant)::
 
@@ -25,6 +31,7 @@ coefficients in lowest terms with ``p/q`` notation, and no unary ``+``;
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import re
@@ -58,17 +65,15 @@ class ParseError(PolyError):
 
 
 class MonomialOrder:
-    """Total, multiplicative well-order on exponent vectors.
-
-    Instances provide :meth:`key`, mapping an exponent tuple to a
-    sortable key; ``key(u) < key(v)`` iff the monomial ``u`` precedes
-    ``v``.  Orders compare equal by their ``tag``.
+    """Total, multiplicative well-order on exponent vectors, given by the
+    integer rows of :meth:`_matrix`; ``key(u) < key(v)`` iff the
+    monomial ``u`` precedes ``v``.  Orders compare equal by their ``tag``.
     """
 
     tag = "?"
 
     def key(self, exps):
-        raise NotImplementedError
+        return compile_order(self, len(exps)).key(exps)
 
     def __eq__(self, other):
         return isinstance(other, MonomialOrder) and self.tag == other.tag
@@ -83,47 +88,69 @@ class MonomialOrder:
 class Lex(MonomialOrder):
     tag = "lex"
 
-    def key(self, exps):
-        return tuple(exps)
+    def _matrix(self, n):
+        return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 class DegRevLex(MonomialOrder):
     tag = "degrevlex"
 
-    def key(self, exps):
-        total = 0
-        for e in exps:
-            total += e
-        return (total, tuple(-e for e in reversed(exps)))
+    def _matrix(self, n):
+        return [(1,) * n] + [tuple(-w for w in row)
+                             for row in reversed(Lex()._matrix(n))]
 
 
 class Weighted(MonomialOrder):
     """Compares by the ``weights``-degree first, then by ``inner``
-    (degrevlex by default).
-
-    Weights are non-negative, so this is a well-order: weight 1 on a
-    block of variables eliminates it, and weight 1 on the T-block grades
-    a Rees presentation by T-degree.  Reductions of polynomials
-    homogeneous for the weights stay homogeneous.
-    """
+    (degrevlex by default).  The weights are non-negative integers: a
+    well-order, and source text for :func:`compile_order`.  Weight 1 on a
+    block of variables eliminates it, and on the T-block grades a Rees
+    presentation by T-degree; reductions of homogeneous input stay so."""
 
     def __init__(self, weights, inner: MonomialOrder | None = None):
         self.weights = tuple(weights)
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
+        if not all(type(w) is int and w >= 0 for w in self.weights):
+            raise ValueError("weights must be non-negative integers")
         self.inner = inner if inner is not None else DegRevLex()
-        # nonzero (index, weight) pairs: key is on the reduction hot path
-        self._pairs = tuple((i, w) for i, w in enumerate(self.weights) if w)
         self.tag = f"weighted({self.weights};{self.inner.tag})"
 
-    def degree(self, exps) -> int:
-        d = 0
-        for i, w in self._pairs:
-            d += w * exps[i]
-        return d
+    def _matrix(self, n):
+        if len(self.weights) != n:
+            raise ValueError(f"{self!r} needs {n} weights")
+        return [self.weights] + self.inner._matrix(n)
 
-    def key(self, exps):
-        return (self.degree(exps), self.inner.key(exps))
+    def degree(self, exps) -> int:
+        return compile_order(self, len(exps)).degree(exps)
+
+
+OrderKernels = collections.namedtuple("OrderKernels", "key descending degree")
+
+
+def _dot(row) -> str:
+    """Source of row·e for an integer ``row`` whose entries share a sign."""
+    if min(row, default=0) < 0:
+        return f"-({_dot(tuple(-w for w in row))})"
+    return "+".join(f"{w}*e[{i}]" if w != 1 else f"e[{i}]"
+                    for i, w in enumerate(row) if w) or "0"
+
+
+def _lambda(body: str):
+    return eval(f"lambda e: {body}", {"__builtins__": {}})
+
+
+@functools.lru_cache(maxsize=256)
+def compile_order(order: MonomialOrder, n: int) -> OrderKernels:
+    """The kernels of ``order`` on n variables: ``key``, the flat tuple of
+    dot products with the matrix rows (repeated and zero rows dropped);
+    ``descending``, its negation, so a min-heap pops the leading monomial
+    first; and ``degree``, the first row of a :class:`Weighted` order
+    (None for the others)."""
+    rows = [r for r in dict.fromkeys(order._matrix(n)) if any(r)]
+    negated = [tuple(-w for w in r) for r in rows]
+    return OrderKernels(
+        _lambda("(" + "".join(_dot(r) + ", " for r in rows) + ")"),
+        _lambda("(" + "".join(_dot(r) + ", " for r in negated) + ")"),
+        _lambda(_dot(order.weights)) if isinstance(order, Weighted) else None)
 
 
 ORDERS = {"lex": Lex(), "degrevlex": DegRevLex()}
@@ -142,11 +169,11 @@ class RingCtx:
     ring Q[vars]/(g1, ..., gk); all computations happen on preimages in
     the ambient polynomial ring.  Contexts are immutable.  ``is_domain``
     marks a prime quotient, set only by :func:`corpus.monomial_curve`;
-    equality and hashing ignore it, as the quotient implies it.
-    """
+    equality and hashing ignore it, as the quotient implies it.  The
+    order's :func:`compile_order` kernels are ``kernels``."""
 
-    __slots__ = ("vars", "order", "quotient", "is_domain", "_index",
-                 "_ambient")
+    __slots__ = ("vars", "order", "kernels", "quotient", "is_domain",
+                 "_index", "_ambient")
 
     def __init__(self, vars, order: MonomialOrder | None = None,
                  quotient=None, _internal: bool = False, _domain: bool = False):
@@ -164,11 +191,7 @@ class RingCtx:
         self.vars = vars
         self.order = order if order is not None else DegRevLex()
         self.is_domain = _domain
-        o = self.order
-        while isinstance(o, Weighted):
-            if len(o.weights) != len(vars):
-                raise ValueError(f"{o!r} needs {len(vars)} weights")
-            o = o.inner
+        self.kernels = compile_order(self.order, len(vars))  # checks weights
         self._index = {v: i for i, v in enumerate(vars)}
         if quotient:
             self._ambient = RingCtx(vars, self.order, _internal=_internal)
@@ -193,15 +216,13 @@ class RingCtx:
     def is_quotient(self) -> bool:
         return bool(self.quotient)
 
-    def _poly_key(self):
-        return (self.vars, self.order.tag)
-
     def _full_key(self):
         qk = tuple(sorted(tuple(sorted(g.terms.items())) for g in self.quotient))
         return (self.vars, self.order.tag, qk)
 
     def same_poly_ring(self, other: "RingCtx") -> bool:
-        return self is other or self._poly_key() == other._poly_key()
+        return self is other or (self.vars == other.vars
+                                 and self.order.tag == other.order.tag)
 
     def __eq__(self, other):
         if not isinstance(other, RingCtx):
@@ -340,7 +361,7 @@ class Poly:
     def sorted_terms(self):
         """Terms as ((exps, coeff), ...) in strictly decreasing order."""
         if self._sorted is None:
-            keyf = self.ctx.order.key
+            keyf = self.ctx.kernels.key
             self._sorted = tuple(
                 sorted(self.terms.items(), key=lambda t: keyf(t[0]), reverse=True))
         return self._sorted

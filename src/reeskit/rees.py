@@ -54,7 +54,7 @@ def _fresh_tvars(base_vars, count):
 
 def _tdegree(p: Poly) -> int:
     """T-degree of p, the weighted degree of its order; requires homogeneity."""
-    degree = p.ctx.order.degree
+    degree = p.ctx.kernels.degree
     degs = {degree(e) for e in p.terms}
     if len(degs) > 1:
         raise PolyError("presentation element is not homogeneous in the T-block")

@@ -155,7 +155,7 @@ def test_normal_form_equals_the_rational_reduction(case):
        st.lists(st.tuples(*[st.integers(0, 3)] * 3), unique=True))
 @settings(max_examples=100, deadline=None)
 def test_heap_pops_in_decreasing_order(ctx, monomials):
-    heap_key = groebner._descending(ctx.order)
+    heap_key = ctx.kernels.descending
     assert (sorted(monomials, key=heap_key)
             == sorted(monomials, key=ctx.order.key, reverse=True))
 
@@ -383,7 +383,7 @@ def test_integer_pair_step_equals_the_fraction_route(case):
     f, g, G = case
     out, _ = groebner._reduce_terms(
         groebner._spair(f.reducer_form, g.reducer_form),
-        [h.reducer_form for h in G], groebner._descending(f.ctx.order))
+        [h.reducer_form for h in G], f.ctx.kernels.descending)
     r = normal_form(spolynomial(f, g), G)
     assert bool(out) == bool(r)
     if out:

@@ -105,6 +105,29 @@ def test_containment_check_skips_shared_generators():
     assert (stats.calls, stats.runs, stats.normal_forms) == (0, 0, 0)
 
 
+NODE = RingCtx("x,y,z", quotient=["x*z"])
+
+
+@pytest.mark.parametrize("ctx, q", [(CUSP23, "u^3 - v^2"), (NODE, "x*z")],
+                         ids=["cusp23", "node"])
+def test_is_reduction_of_generators_in_the_quotient(ctx, q):
+    # nonzero polynomials that vanish in A: the Rees kernel holds each
+    # T_i, so rn = 0 for J = I and for J = (0)
+    q = ctx.parse(q)
+    x = ctx.var(ctx.vars[0])
+    for I in (I_(ctx, q), I_(ctx, q, x * q)):
+        for J in (I, I_(ctx, ctx.zero)):
+            out = is_reduction(J, I)
+            assert out.resolved and out.value == 0
+
+
+def test_is_reduction_on_a_curve_takes_no_normal_form():
+    u, v = CUSP23.var("u"), CUSP23.var("v")
+    with groebner.counting() as stats:
+        assert is_reduction(I_(CUSP23, u), I_(CUSP23, u, v)).value == 1
+    assert stats.normal_forms == 0
+
+
 def test_reduction_number_huneke_n3():
     x, y = CTX2.var("x"), CTX2.var("y")
     I = I_(CTX2, x ** 3, y ** 3, x ** 2 * y)

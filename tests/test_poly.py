@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from reeskit import (DegRevLex, Lex, ParseError, PolyError, RingCtx,
                      Weighted, parse_poly)
+from reeskit.poly import compile_order
 
 CTX3 = RingCtx("x,y,z")
 CTX2 = RingCtx("x,y")
@@ -165,6 +166,22 @@ def _degrevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _nested_degree(weights, exps):
+    return sum(w * e for w, e in zip(weights, exps))
+
+
+def _nested_key(order):
+    """Reference key of ``order`` as each class computed it before orders
+    compiled to flat keys: a Weighted layer nests its degree over the key
+    of its inner order."""
+    if isinstance(order, Weighted):
+        inner = _nested_key(order.inner)
+        return lambda e: (_nested_degree(order.weights, e), inner(e))
+    if isinstance(order, DegRevLex):
+        return _degrevlex_key
+    return tuple
+
+
 def _elimination_key(block):
     """Reference key of the block elimination order: degrevlex on the
     first ``block`` variables, ties broken by degrevlex on the rest."""
@@ -294,4 +311,54 @@ def test_ring_rejects_weights_of_the_wrong_length():
 def test_weighted_degree():
     order = Weighted((0, 2, 1))
     assert order.degree((5, 1, 3)) == 5
-    assert order.key((5, 1, 3)) == (5, DegRevLex().key((5, 1, 3)))
+    # weights-degree first, then degrevlex: (5, 1, 3) beats every monomial
+    # of lower weight and loses to every one of higher weight
+    nested = lambda e: (order.degree(e), DegRevLex().key(e))
+    rng = random.Random(5)
+    for _ in range(200):
+        v = _random_exps(rng)
+        assert _cmp(order.key, (5, 1, 3), v) == _cmp(nested, (5, 1, 3), v)
+
+
+@st.composite
+def _orders_and_monomials(draw):
+    """A nested Weighted chain of depth 0-4 (weights 0-3) on 1-6 variables
+    over a DegRevLex or Lex tail, and distinct exponent tuples."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.sampled_from([DegRevLex(), Lex()]))
+    for _ in range(draw(st.integers(0, 4))):
+        order = Weighted(draw(st.tuples(*[st.integers(0, 3)] * n)), order)
+    monomials = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                              min_size=2, max_size=12, unique=True))
+    return order, monomials
+
+
+@given(_orders_and_monomials())
+@settings(max_examples=300, deadline=None)
+def test_compiled_kernels_order_as_the_nested_keys(case):
+    order, monomials = case
+    kernels = compile_order(order, len(monomials[0]))
+    reference = sorted(monomials, key=_nested_key(order))
+    assert sorted(monomials, key=kernels.key) == reference
+    assert sorted(monomials, key=order.key) == reference
+    assert sorted(monomials, key=kernels.descending) == reference[::-1]
+    if isinstance(order, Weighted):
+        for e in monomials:
+            assert kernels.degree(e) == order.degree(e) == \
+                _nested_degree(order.weights, e)
+    else:
+        assert kernels.degree is None
+
+
+def test_ring_holds_its_compiled_kernels():
+    order = Weighted((1, 0, 2), Lex())
+    ring = RingCtx("x,y,z", order)
+    assert ring.kernels is compile_order(Weighted((1, 0, 2), Lex()), 3)
+    assert ring.kernels.key((1, 1, 0)) == order.key((1, 1, 0))
+
+
+@pytest.mark.parametrize("weights", [(0.5, 1), (1.0, 1), (True, 0),
+                                     (1, False), ("1", 0)])
+def test_weighted_accepts_only_non_negative_int_weights(weights):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        Weighted(weights)
