@@ -17,13 +17,15 @@ the loop runs.  Each pair step forms the integer S-pair (:func:`_spair`),
 reduces it fraction-free against the basis (:func:`_reduce_terms`), and
 adds a nonzero remainder in primitive form.  Terms leave a heap keyed
 once per monomial by the order's compiled ``descending`` kernel
-(:func:`~reeskit.poly.compile_order`), largest first.  A lead divides a
-monomial only if its mask is a subset of the monomial's, so the reducer
-search and the chain criterion compare exponents only past that filter,
-and leads with disjoint masks are coprime.  ``Fraction`` values appear
-only at the boundary: in the public :func:`spolynomial` and
-:func:`normal_form`, wrappers over the same kernels that the loop does
-not call, and in the monic elements of the returned basis.
+(:func:`~reeskit.poly.compile_order`), largest first.  Masks, lcms,
+quotients, products and divisibility tests are the generated kernels of
+:func:`~reeskit.poly.compile_monomials`.  A lead divides a monomial only
+if its mask is a subset of the monomial's, so the reducer search and the
+chain criterion compare exponents only past that filter, and leads with
+disjoint masks are coprime.  ``Fraction`` values appear only at the
+boundary: in the public :func:`spolynomial` and :func:`normal_form`,
+wrappers over the same kernels that the loop does not call, and in the
+monic elements of the returned basis.
 
 :func:`counting` opens a scope whose :class:`Stats` counts
 :func:`reduced_groebner` calls, Buchberger runs, the S-pairs formed,
@@ -49,12 +51,11 @@ import contextvars
 import functools
 import heapq
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .poly import (Poly, PolyError, RingCtx, Weighted, _primitive_form,
-                   _support_mask, compile_order, contract, embed)
+                   compile_order, contract, embed)
 
 MAX_BASIS = 4096
 MAX_DEGREE = 256
@@ -111,23 +112,6 @@ def counting():
         _STATS.reset(token)
 
 
-# -- monomial helpers ---------------------------------------------------------
-
-
-def _divides(a, b):
-    """a | b for exponent tuples."""
-    return all(map(operator.le, a, b))
-
-
-def _quotient(m, d):
-    """Exponent vector of m / d (assumes d | m)."""
-    return tuple(map(operator.sub, m, d))
-
-
-def _lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
 def _homogeneous(monomials, degree) -> bool:
     return len({degree(e) for e in monomials}) <= 1
 
@@ -147,10 +131,10 @@ def _prepare_reducers(ctx, elements):
     return reducers
 
 
-def _reduce_terms(work, reducers, keyf):
+def _reduce_terms(work, reducers, kernels):
     """Remainder of the integer terms ``work`` (consumed) as ``(out, scale)``:
     ``work ≡ out / scale`` modulo ``reducers``, ``scale > 0``; ``out``
-    iterates in decreasing order.
+    iterates in decreasing order (``kernels``: :func:`compile_order`'s).
 
     Fraction-free: each step multiplies work and output by ``lc / g``,
     where g = gcd(c, lc), instead of dividing by ``lc``.  Monomials leave
@@ -161,6 +145,7 @@ def _reduce_terms(work, reducers, keyf):
     used; one whose lead mask is not a subset of the monomial's is
     passed over without a divisibility test.
     """
+    _, keyf, _, (divides, _, mul, quotient, mask) = kernels
     heap = [(keyf(m), m) for m in work]
     heapq.heapify(heap)
     queued = set(work)
@@ -171,9 +156,9 @@ def _reduce_terms(work, reducers, keyf):
         c = work.pop(m, 0)
         if not c:
             continue
-        outside = ~_support_mask(m)
-        for lead, lc, tail, mask in reducers:
-            if not mask & outside and _divides(lead, m):
+        outside = ~mask(m)
+        for lead, lc, tail, lead_mask in reducers:
+            if not lead_mask & outside and divides(lead, m):
                 break
         else:
             out[m] = c
@@ -184,9 +169,9 @@ def _reduce_terms(work, reducers, keyf):
             scale *= a
             work = {e: a * v for e, v in work.items()}
             out = {e: a * v for e, v in out.items()}
-        q = _quotient(m, lead)
+        q = quotient(m, lead)
         for e, t in tail:
-            e2 = tuple(map(operator.add, e, q))
+            e2 = mul(e, q)
             s = work.get(e2)
             if s is None:
                 work[e2] = -b * t
@@ -221,7 +206,7 @@ def normal_form(f: Poly, basis) -> Poly:
         return f
     den = math.lcm(*(c.denominator for c in f.terms.values()))
     work = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
-    out, scale = _reduce_terms(work, reducers, f.ctx.kernels.descending)
+    out, scale = _reduce_terms(work, reducers, f.ctx.kernels)
     den *= scale
     return Poly(f.ctx, {m: Fraction(c, den) for m, c in out.items()},
                 _trust=True)
@@ -233,27 +218,27 @@ def spolynomial(f: Poly, g: Poly) -> Poly:
     forms)."""
     if not f.ctx.same_poly_ring(g.ctx):
         raise PolyError("S-polynomial: the rings of f and g differ")
-    return Poly(f.ctx, {e: Fraction(v) for e, v in
-                        _spair(f.reducer_form, g.reducer_form).items()},
-                _trust=True)
+    pair = _spair(f.reducer_form, g.reducer_form, f.ctx.kernels)
+    return Poly(f.ctx, {e: Fraction(v) for e, v in pair.items()}, _trust=True)
 
 
-def _spair(f, g) -> dict:
+def _spair(f, g, kernels) -> dict:
     """The integer terms of lc_ĝ'·m_f·f̂ − lc_f̂'·m_g·ĝ for the reducer
     forms f̂, ĝ (:attr:`Poly.reducer_form`), with m_f, m_g lifting the
     leads to their lcm and lc' = lc / gcd(lc_f̂, lc_ĝ): the textbook
     m_f·f/lc_f − m_g·g/lc_g times a positive rational, so the two have
     the same remainders up to that factor.  No fraction is formed.
     """
+    _, lcm, mul, quotient, _ = kernels.monomials
     lf, af, tf, _ = f
     lg, ag, tg, _ = g
-    L = _lcm(lf, lg)
+    L = lcm(lf, lg)
     d = math.gcd(af, ag)
     out = {}
     for lead, tail, b in ((lf, tf, ag // d), (lg, tg, -(af // d))):
-        q = _quotient(L, lead)
+        q = quotient(L, lead)
         for e, c in tail:
-            e = tuple(map(operator.add, e, q))
+            e = mul(e, q)
             v = out.get(e, 0) + b * c
             if v:
                 out[e] = v
@@ -295,16 +280,13 @@ class GroebnerBasis:
 
     def self_check(self) -> bool:
         """Verify the Buchberger criterion and auto-reducedness."""
-        els = self.elements
+        els, divides = self.elements, self.ctx.kernels.monomials.divides
         for i, g in enumerate(els):
             if g.lc != 1:
                 raise PolyError("basis element is not monic")
-            for j, h in enumerate(els):
-                if i == j:
-                    continue
-                for mono in h.terms:
-                    if _divides(g.lm, mono):
-                        raise PolyError("basis is not auto-reduced")
+            if any(divides(g.lm, m) for j, h in enumerate(els) if j != i
+                   for m in h.terms):
+                raise PolyError("basis is not auto-reduced")
         for i in range(len(els)):
             for j in range(i + 1, len(els)):
                 if not normal_form(spolynomial(els[i], els[j]), self).is_zero:
@@ -352,7 +334,8 @@ def _buchberger(order, forms) -> tuple:
     """The reduced basis under ``order`` of the ideal of the reducer forms
     ``forms``, as monic term tuples in decreasing order (the memo); the
     key ignores scaling and variable names."""
-    keyf, desc, degree = compile_order(order, len(next(iter(forms))[0]))
+    kernels = compile_order(order, len(next(iter(forms))[0]))
+    keyf, _, degree, (divides, lcm, _, _, mask) = kernels
     if degree and not all(_homogeneous([f[0]] + [e for e, _ in f[2]], degree)
                           for f in forms):
         degree = None
@@ -380,7 +363,7 @@ def _buchberger(order, forms) -> tuple:
             if not mask_i & mask:
                 coprime += 1  # coprime leading monomials: reduces to zero
                 continue
-            L = _lcm(lead_i, lead)
+            L = lcm(lead_i, lead)
             heapq.heappush(heap, (keyf(L), i, j, L))
             pending.add((i, j))
         G.append(form)
@@ -398,7 +381,7 @@ def _buchberger(order, forms) -> tuple:
             for k, (lead_k, _, _, mask_k) in enumerate(G):
                 if k == i or k == j or mask_k & outside:
                     continue
-                if _divides(lead_k, L):
+                if divides(lead_k, L):
                     pik = (i, k) if i < k else (k, i)
                     pjk = (j, k) if j < k else (k, j)
                     if pik not in pending and pjk not in pending:
@@ -408,9 +391,9 @@ def _buchberger(order, forms) -> tuple:
                 chain += 1
                 continue
             pairs += 1
-            out, _ = _reduce_terms(_spair(G[i], G[j]), G, desc)
+            out, _ = _reduce_terms(_spair(G[i], G[j], kernels), G, kernels)
             if out:
-                add_form(_primitive_form(list(out.items())))
+                add_form(_primitive_form(list(out.items()), mask))
             else:
                 zero += 1
     finally:
@@ -421,26 +404,27 @@ def _buchberger(order, forms) -> tuple:
             stats.chain += chain
             stats.zero += zero
 
-    return _reduced(G, keyf, desc)
+    return _reduced(G, kernels)
 
 
-def _reduced(G, keyf, desc) -> tuple:
+def _reduced(G, kernels) -> tuple:
     """The reduced basis of the Groebner basis of reducer forms ``G``: the
     minimal elements (no other lead divides theirs), each reduced by the
     others over the integers and made monic, as term tuples in
-    decreasing order, sorted by leading monomial (``keyf`` and ``desc``
-    are the order's :func:`~reeskit.poly.compile_order` kernels)."""
+    decreasing order, sorted by leading monomial (``kernels``: the
+    order's :func:`~reeskit.poly.compile_order` kernels)."""
+    keyf, divides = kernels.key, kernels.monomials.divides
     minimal = []
     for form in sorted(G, key=lambda f: keyf(f[0])):
         lead, _, _, mask = form
-        if not any(not m & ~mask and _divides(d, lead)
+        if not any(not m & ~mask and divides(d, lead)
                    for d, _, _, m in minimal):
             minimal.append(form)
     basis = []
     for i, (lead, lc, tail, _) in enumerate(minimal):
         work = dict(tail)
         work[lead] = lc
-        out, _ = _reduce_terms(work, minimal[:i] + minimal[i + 1:], desc)
+        out, _ = _reduce_terms(work, minimal[:i] + minimal[i + 1:], kernels)
         lc = out[lead]
         basis.append(tuple((m, Fraction(c, lc)) for m, c in out.items()))
     return tuple(basis)

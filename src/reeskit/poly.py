@@ -12,10 +12,12 @@ vector refined by another order, which covers elimination and
 T-grading) and the text parser/printer for polynomial expressions.
 Every order is a matrix order (Robbiano, EUROCAL 1985): weight rows,
 then a lex or degrevlex tail.  :func:`compile_order` turns the rows into
-flat key kernels once per order and number of variables, as generated
-source of integer weights and indices evaluated the way
-``collections.namedtuple`` builds its methods: closures over the rows
-cost a loop per key, and nested keys a call and a tuple per layer.
+flat key kernels once per order and number of variables, and
+:func:`compile_monomials` the monomial arithmetic (divisibility, lcm,
+product, quotient, support mask) once per number of variables, for every
+order: generated source of integer weights and indices, evaluated the
+way ``collections.namedtuple`` builds its methods.  Closures over the
+rows cost a loop per key, nested keys a call and a tuple per layer.
 
 Grammar (ASCII, whitespace insignificant)::
 
@@ -36,7 +38,6 @@ import functools
 import math
 import re
 from fractions import Fraction
-from itertools import compress
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -123,7 +124,10 @@ class Weighted(MonomialOrder):
         return compile_order(self, len(exps)).degree(exps)
 
 
-OrderKernels = collections.namedtuple("OrderKernels", "key descending degree")
+OrderKernels = collections.namedtuple("OrderKernels",
+                                      "key descending degree monomials")
+MonomialKernels = collections.namedtuple("MonomialKernels",
+                                         "divides lcm mul quotient mask")
 
 
 def _dot(row) -> str:
@@ -134,8 +138,8 @@ def _dot(row) -> str:
                     for i, w in enumerate(row) if w) or "0"
 
 
-def _lambda(body: str):
-    return eval(f"lambda e: {body}", {"__builtins__": {}})
+def _lambda(body: str, args: str = "e"):
+    return eval(f"lambda {args}: {body}", {"__builtins__": {}})
 
 
 @functools.lru_cache(maxsize=256)
@@ -143,14 +147,31 @@ def compile_order(order: MonomialOrder, n: int) -> OrderKernels:
     """The kernels of ``order`` on n variables: ``key``, the flat tuple of
     dot products with the matrix rows (repeated and zero rows dropped);
     ``descending``, its negation, so a min-heap pops the leading monomial
-    first; and ``degree``, the first row of a :class:`Weighted` order
-    (None for the others)."""
+    first; ``degree``, the first row of a :class:`Weighted` order (None
+    for the others); and ``monomials``, :func:`compile_monomials` (n)."""
     rows = [r for r in dict.fromkeys(order._matrix(n)) if any(r)]
     negated = [tuple(-w for w in r) for r in rows]
     return OrderKernels(
         _lambda("(" + "".join(_dot(r) + ", " for r in rows) + ")"),
         _lambda("(" + "".join(_dot(r) + ", " for r in negated) + ")"),
-        _lambda(_dot(order.weights)) if isinstance(order, Weighted) else None)
+        _lambda(_dot(order.weights)) if isinstance(order, Weighted) else None,
+        compile_monomials(n))
+
+
+@functools.cache
+def compile_monomials(n: int) -> MonomialKernels:
+    """The monomial arithmetic of n variables, generated like the
+    :func:`compile_order` kernels: ``divides(a, b)``, ``lcm``, ``mul``,
+    ``quotient(m, d)`` for d | m, and ``mask(e)``, bit i for variable i."""
+    def each(form, sep):
+        return sep.join(form.format(i, 1 << i) for i in range(n))
+    return MonomialKernels(
+        _lambda(each("a[{0}] <= b[{0}]", " and ") or "True", "a, b"),
+        _lambda(f"({each('a[{0}] if a[{0}] > b[{0}] else b[{0}], ', '')})",
+                "a, b"),
+        _lambda(f"({each('a[{0}] + b[{0}], ', '')})", "a, b"),
+        _lambda(f"({each('m[{0}] - d[{0}], ', '')})", "m, d"),
+        _lambda(each("(e[{0}] and {1})", " | ") or "0"))
 
 
 ORDERS = {"lex": Lex(), "degrevlex": DegRevLex()}
@@ -294,28 +315,16 @@ class RingCtx:
         raise PolyError(f"cannot interpret {obj!r} as a polynomial")
 
 
-@functools.cache
-def _mask_bits(width: int) -> tuple:
-    """Bit i of a support mask stands for variable i of a ring of ``width``."""
-    return tuple(1 << i for i in range(width))
-
-
-def _support_mask(exps) -> int:
-    """The set of variables that occur in the monomial ``exps``, as bits:
-    exact in every ring, so disjoint masks mean coprime monomials."""
-    return sum(compress(_mask_bits(len(exps)), exps))
-
-
-def _primitive_form(terms) -> tuple:
-    """``(lead, lc, tail, mask)`` of the nonzero integer ``terms``, a list
-    of (monomial, coefficient) in decreasing order, divided by their
+def _primitive_form(terms, mask) -> tuple:
+    """``(lead, lc, tail, mask(lead))`` of the nonzero integer ``terms``, a
+    list of (monomial, coefficient) in decreasing order, divided by their
     content and by the sign that makes ``lc > 0``."""
     lead, lc = terms[0]
     g = math.gcd(*(c for _, c in terms))
     if lc < 0:
         g = -g
     return (lead, lc // g, tuple((e, c // g) for e, c in terms[1:]),
-            _support_mask(lead))
+            mask(lead))
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +380,7 @@ class Poly:
         """``(lm, lc, tail, mask)`` of a nonzero polynomial scaled by a
         rational to coprime integers with ``lc > 0``; ``tail`` holds the
         other terms in decreasing order, and bit i of ``mask`` is set when
-        variable i occurs in ``lm`` (:func:`_support_mask`).  The primitive
+        variable i occurs in ``lm`` (:func:`compile_monomials`).  The primitive
         integer form that Groebner S-pairs and normal forms work on,
         computed once."""
         if self._reducer is None:
@@ -380,7 +389,8 @@ class Poly:
                 raise PolyError("the zero polynomial has no reducer form")
             den = math.lcm(*(c.denominator for _, c in terms))
             self._reducer = _primitive_form(
-                [(e, c.numerator * (den // c.denominator)) for e, c in terms])
+                [(e, c.numerator * (den // c.denominator)) for e, c in terms],
+                self.ctx.kernels.monomials.mask)
         return self._reducer
 
     @property
@@ -443,10 +453,11 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
+        mul = self.ctx.kernels.monomials.mul
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = mul(e1, e2)
                 s = out.get(e)
                 s = c1 * c2 if s is None else s + c1 * c2
                 if s:

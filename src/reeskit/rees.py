@@ -33,11 +33,12 @@ import functools
 from dataclasses import dataclass, replace
 
 from . import groebner
-from .groebner import _STATS, GroebnerBasis, _divides, eliminate_aux
+from .groebner import _STATS, GroebnerBasis, eliminate_aux
 from .ideals import (Ideal, ideal_colon, ideal_contains, ideal_intersect,
                      ideal_member, ideal_power, ideal_product, ideal_sum,
                      is_regular_element)
-from .poly import Poly, PolyError, RingCtx, Weighted, embed
+from .poly import (Poly, PolyError, RingCtx, Weighted, compile_monomials,
+                   embed)
 
 
 def _fresh_tvars(base_vars, count):
@@ -229,13 +230,15 @@ def _outside_top(g, lead, split: int):
     ``lead`` (T-block from ``split`` on), -1 if none, None if infinitely
     many: the T^mu avoiding the (h_T − g_T)⁺ for h in ``lead``, h_A | g_A."""
     g_t = g[split:]
+    divides_a, divides_t = (compile_monomials(k).divides
+                            for k in (split, len(g_t)))
     walls = {tuple(max(a - b, 0) for a, b in zip(h[split:], g_t))
-             for h in lead if _divides(h[:split], g[:split])}
+             for h in lead if divides_a(h[:split], g[:split])}
     if any(all(w[k] != sum(w) for w in walls) for k in range(len(g_t))):
         return None
     top, d, layer = -1, sum(g_t), {(0,) * len(g_t)}
     while layer := {mu for mu in layer
-                    if not any(_divides(w, mu) for w in walls)}:
+                    if not any(divides_t(w, mu) for w in walls)}:
         top, d = d, d + 1
         layer = {mu[:k] + (mu[k] + 1,) + mu[k + 1:]
                  for mu in layer for k in range(len(mu))}

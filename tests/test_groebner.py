@@ -381,13 +381,15 @@ def test_integer_pair_step_equals_the_fraction_route(case):
     # the Buchberger loop's step on reducer forms against the public
     # Fraction-valued spolynomial and normal_form
     f, g, G = case
+    kernels = f.ctx.kernels
     out, _ = groebner._reduce_terms(
-        groebner._spair(f.reducer_form, g.reducer_form),
-        [h.reducer_form for h in G], f.ctx.kernels.descending)
+        groebner._spair(f.reducer_form, g.reducer_form, kernels),
+        [h.reducer_form for h in G], kernels)
     r = normal_form(spolynomial(f, g), G)
     assert bool(out) == bool(r)
     if out:
-        form = lead, lc, tail, _ = _primitive_form(list(out.items()))
+        form = lead, lc, tail, _ = _primitive_form(list(out.items()),
+                                                   kernels.monomials.mask)
         assert form == r.reducer_form
         # primitive, with the positive lead first: r up to a rational
         p = f.ctx.poly({lead: lc, **dict(tail)})

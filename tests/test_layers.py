@@ -1,8 +1,13 @@
 """The package's layering: each module imports only the layers below it."""
 
 import ast
+import importlib
+import importlib.util
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
 
 import reeskit
 from reeskit import RingCtx, groebner, reduced_groebner
@@ -10,6 +15,7 @@ from reeskit import RingCtx, groebner, reduced_groebner
 LAYERS = ["poly", "groebner", "ideals", "rees", "invariants", "semigroup",
           "corpus", "cli"]
 PACKAGE = pathlib.Path(reeskit.__file__).parent
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def _relative_imports(path):
@@ -80,3 +86,33 @@ def test_buchberger_builds_no_ring_and_no_polynomial(monkeypatch):
     monkeypatch.setattr(groebner, "Poly", build)
     forms = frozenset(g.reducer_form for g in cyclic4)
     assert list(groebner._buchberger(ctx.order, forms)) == expected
+
+
+def test_every_traced_function_is_public():
+    # the benchmark's tracer leaves out a metric whose function is gone,
+    # so each function its tables read must stay a public function of
+    # its module, under the signature its hooks bind
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    needed = {fid for _, fid, _ in tracer.FUNCTION_METRICS}
+    needed.update(*tracer.DERIVED_METRICS.values())
+    public = {f"poly.{short}" for short in tracer.POLY_METHODS}
+    for layer in {fid.split(".")[0] for fid in needed}:
+        module = importlib.import_module(f"reeskit.{layer}")
+        public.update(fid for fid, _ in
+                      tracer._public_functions(layer, module))
+    assert needed <= public, sorted(needed - public)
+    gb = inspect.signature(groebner.reduced_groebner).parameters
+    assert list(gb)[:2] == ["gens", "ctx"] and gb["ctx"].default is None
+    assert list(inspect.signature(groebner.normal_form).parameters)[0] == "f"
+
+
+def test_import_compiles_no_kernel():
+    code = ("import reeskit; from reeskit.poly import compile_monomials, "
+            "compile_order; print(compile_monomials.cache_info().currsize, "
+            "compile_order.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.split() == ["0", "0"]

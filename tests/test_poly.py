@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, parser/printer round trips."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from reeskit import (DegRevLex, Lex, ParseError, PolyError, RingCtx,
                      Weighted, parse_poly)
-from reeskit.poly import compile_order
+from reeskit.poly import MAX_EXPONENT, compile_monomials, compile_order
 
 CTX3 = RingCtx("x,y,z")
 CTX2 = RingCtx("x,y")
@@ -355,6 +356,34 @@ def test_ring_holds_its_compiled_kernels():
     ring = RingCtx("x,y,z", order)
     assert ring.kernels is compile_order(Weighted((1, 0, 2), Lex()), 3)
     assert ring.kernels.key((1, 1, 0)) == order.key((1, 1, 0))
+    # the monomial arithmetic does not depend on the order
+    assert ring.kernels.monomials is compile_monomials(3)
+    assert RingCtx("x,y,z", Lex()).kernels.monomials is compile_monomials(3)
+
+
+@st.composite
+def _exponent_pairs(draw):
+    """Two exponent tuples on 1-9 variables, entries 0-5 and a few as
+    large as ``MAX_EXPONENT``."""
+    n = draw(st.integers(1, 9))
+    entry = st.integers(0, 5) | st.sampled_from([MAX_EXPONENT - 1,
+                                                 MAX_EXPONENT])
+    return draw(st.tuples(*[entry] * n)), draw(st.tuples(*[entry] * n))
+
+
+@given(_exponent_pairs())
+@settings(max_examples=200, deadline=None)
+def test_monomial_kernels_equal_the_plain_definitions(pair):
+    a, b = pair
+    kernels = compile_monomials(len(a))
+    product = tuple(map(operator.add, a, b))
+    assert kernels.divides(a, b) == all(map(operator.le, a, b))
+    assert kernels.divides(a, a) and kernels.divides(a, product)
+    assert kernels.lcm(a, b) == tuple(map(max, a, b))
+    assert kernels.mul(a, b) == product
+    assert kernels.quotient(product, a) == tuple(
+        map(operator.sub, product, a)) == b
+    assert kernels.mask(a) == sum(1 << i for i, x in enumerate(a) if x)
 
 
 @pytest.mark.parametrize("weights", [(0.5, 1), (1.0, 1), (True, 0),
