@@ -12,10 +12,10 @@ from .poly import (DegRevLex, Lex, MonomialOrder, ParseError, Poly,
                    poly_str)
 from .groebner import (GroebnerBasis, ResourceLimitError, normal_form,
                        reduced_groebner, spolynomial)
-from .ideals import (Ideal, eliminate, exact_divide, ideal_colon,
-                     ideal_contains, ideal_equal, ideal_intersect,
-                     ideal_member, ideal_power, ideal_product, ideal_sum,
-                     is_regular_element, is_regular_ideal)
+from .ideals import (Ideal, exact_divide, ideal_colon, ideal_contains,
+                     ideal_equal, ideal_intersect, ideal_member, ideal_power,
+                     ideal_product, ideal_sum, is_regular_element,
+                     is_regular_ideal)
 from .rees import (ReesPresentation, effective_relation_2gen, rees_kernel,
                    relation_type, relation_type_2gen, relation_type_mod)
 from .invariants import (ArtinReesReport, DSequenceReductionReport,

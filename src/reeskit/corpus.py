@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import eliminate_aux
+from .groebner import eliminate_polys
 from .ideals import Ideal, ideal_intersect, ideal_member, ideal_power, \
     ideal_product
 from .invariants import (artin_rees_number, check_d_sequence_reduction,
@@ -121,7 +121,7 @@ def monomial_curve(weights, names) -> RingCtx:
     if len(weights) != len(names):
         raise ValueError("weights and names must align")
     base = RingCtx(names)
-    kernel = eliminate_aux(base, lambda t, lift: [
+    kernel = eliminate_polys(base, lambda t, lift: [
         lift(base.var(nm)) - t ** w for nm, w in zip(names, weights)])
     ctx = RingCtx(names, quotient=kernel, _domain=True) if kernel else base
     _CURVE_CACHE[key] = ctx

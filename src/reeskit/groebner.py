@@ -32,16 +32,15 @@ monic elements of the returned basis.
 pruned by each criterion and reduced to zero, and the Rees presentations
 that :mod:`reeskit.rees` builds.
 
-:func:`eliminate_polys` is the one elimination engine and the only
-code that chooses an elimination order: it builds the order from the
-target ring, front block first and the target's order within, so the
-kept elements come back as the target's reduced basis, which an ideal
-can adopt.  A :class:`Weighted` target grades first only where every
-generator is homogeneous for its weights, which is where a graded order
-eliminates.  :func:`eliminate_aux` runs it with one auxiliary variable
-in front; intersections, Rees-algebra kernels, saturations and
-monomial-curve rings are all built that way, and it is the only code
-that knows the auxiliary variable.
+:func:`eliminate_polys` is the one elimination entry point and the only
+code that knows the auxiliary variable t or chooses an elimination
+order: it lifts the generators that its caller builds into Q[t,
+target.vars], weighs t first with the target's order within, and keeps
+the t-free elements, which come back as the target's reduced basis, so
+an ideal can adopt them.  A :class:`Weighted` target grades first only
+where every generator is homogeneous for its weights, which is where a
+graded order eliminates.  Intersections, Rees-algebra kernels,
+saturations and monomial-curve rings are all built that way.
 """
 
 from __future__ import annotations
@@ -433,59 +432,42 @@ def _reduced(G, kernels) -> tuple:
 # -- elimination ---------------------------------------------------------------
 
 
-def _refine(order, k: int):
-    """``order`` on k more variables in front, weighing 0 in each
+def _refine(order):
+    """``order`` on one more variable in front, weighing 0 in each
     :class:`Weighted` layer (Lex and DegRevLex need no change)."""
     if isinstance(order, Weighted):
-        return Weighted((0,) * k + order.weights, _refine(order.inner, k))
+        return Weighted((0,) + order.weights, _refine(order.inner))
     return order
 
 
-def eliminate_polys(gens, front, target: RingCtx) -> GroebnerBasis:
-    """The reduced basis of (gens) ∩ Q[target.vars] under ``target.order``.
-
-    ``gens`` live in Q[front, target.vars]; the variables named in
-    ``front`` are eliminated (PolyError if the rings differ).  The order
-    weighs the front 1 and breaks ties by ``target.order``, so the kept
-    elements are the target's reduced basis (Cox–Little–O'Shea, §3.1).
-    When ``target.order`` is :class:`Weighted` with weights w and every
-    generator is homogeneous for (1, ..., 1, w), that grading comes
-    first and the front block breaks ties within each degree.  With no
-    front it is :func:`reduced_groebner` under ``target.order`` itself.
-    """
-    target = target.ambient
-    front, k = tuple(front), len(front)
-    vars = front + target.vars
-    if any(g.ctx.vars != vars for g in gens):
-        raise PolyError(f"elimination generators outside Q[{','.join(vars)}]")
-    if not k:
-        return reduced_groebner(gens, target)
-    block = (1,) * k + (0,) * len(target.vars)
-    order = Weighted(block, _refine(target.order, k))
-    if isinstance(target.order, Weighted):
-        graded = Weighted((1,) * k + target.order.weights,
-                          Weighted(block, _refine(target.order.inner, k)))
-        degree = compile_order(graded, len(vars)).degree
-        if all(_homogeneous(g.terms, degree) for g in gens):
-            order = graded
-    ring = RingCtx(vars, order, _internal=True)
-    keep = tuple(range(k, len(vars)))
-    return GroebnerBasis(target, tuple(
-        contract(g, target, keep) for g in reduced_groebner(gens, ring)
-        if not any(any(e[:k]) for e in g.terms)))
-
-
-def eliminate_aux(target: RingCtx, build) -> GroebnerBasis:
+def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
     """The reduced basis of (build(t, lift)) ∩ Q[target.vars] under
-    ``target.order`` (:func:`eliminate_polys`).
+    ``target.order``.
 
     ``build`` receives the auxiliary variable t of Q[t, target.vars] and
     ``lift``, which moves a polynomial over (a prefix of) the variables
-    of ``target`` into that ring; it returns the generators to
-    eliminate t from.  No generators give the empty basis.
+    of ``target`` into that ring; it returns the generators to eliminate
+    t from (PolyError for one of another ring).  No generators give the
+    empty basis.  The order weighs t 1 and breaks ties by
+    ``target.order``, so the kept elements are the target's reduced
+    basis (Cox–Little–O'Shea, §3.1).  When ``target.order`` is
+    :class:`Weighted` with weights w and every generator is homogeneous
+    for (1, w), that grading comes first and t breaks ties within each
+    degree.
     """
     target = target.ambient
-    ring = RingCtx((_AUX,) + target.vars, _internal=True)
-    positions = tuple(range(1, len(ring.vars)))
-    gens = build(ring.var(_AUX), lambda p: embed(p, ring, positions))
-    return eliminate_polys(gens, (_AUX,), target)
+    lift = RingCtx((_AUX,) + target.vars, _internal=True)
+    keep = tuple(range(1, len(lift.vars)))
+    gens = build(lift.var(_AUX), lambda p: embed(p, lift, keep))
+    block = (1,) + (0,) * len(keep)
+    order = Weighted(block, _refine(target.order))
+    if isinstance(target.order, Weighted):
+        graded = Weighted((1,) + target.order.weights,
+                          Weighted(block, _refine(target.order.inner)))
+        degree = compile_order(graded, len(lift.vars)).degree
+        if all(_homogeneous(g.in_ctx(lift).terms, degree) for g in gens):
+            order = graded
+    ring = RingCtx(lift.vars, order, _internal=True)
+    return GroebnerBasis(target, tuple(
+        contract(g, target, keep) for g in reduced_groebner(gens, ring)
+        if not any(e[0] for e in g.terms)))

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 
-from .groebner import (GroebnerBasis, eliminate_aux, eliminate_polys,
-                       reduced_groebner)
-from .poly import DegRevLex, Poly, PolyError, RingCtx, Weighted
+from .groebner import GroebnerBasis, eliminate_polys, reduced_groebner
+from .poly import Poly, PolyError, RingCtx
 
 
 class Ideal:
@@ -151,7 +150,7 @@ def _intersect_preimages(gens_a, gens_b, ctx: RingCtx) -> GroebnerBasis:
         one_minus_t = 1 - t
         return ([t * lift(g) for g in gens_a if not g.is_zero]
                 + [one_minus_t * lift(g) for g in gens_b if not g.is_zero])
-    return eliminate_aux(ctx, build)
+    return eliminate_polys(ctx, build)
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -164,24 +163,28 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
 
 
 def exact_divide(h: Poly, g: Poly) -> Poly:
-    """The exact quotient h/g in the polynomial ring (h must be a multiple)."""
+    """The exact quotient h/g in the polynomial ring (h must be a multiple).
+
+    Long division on the remainder's term dict with the ring's monomial
+    kernels; each step removes the largest monomial left."""
     if g.is_zero:
         raise PolyError("division by the zero polynomial")
-    ctx = h.ctx
-    quotient = {}
-    r = h
+    keyf = h.ctx.kernels.key
+    divides, _, mul, quotient, _ = h.ctx.kernels.monomials
     glm, glc = g.lm, g.lc
-    while not r.is_zero:
-        m = r.lm
-        e = tuple(a - b for a, b in zip(m, glm))
-        if any(x < 0 for x in e):
+    r, out = dict(h.terms), {}
+    while r:
+        m = max(r, key=keyf)
+        if not divides(glm, m):
             raise PolyError("inexact polynomial division")
-        c = r.lc / glc
-        quotient[e] = c
-        step = Poly(ctx, {tuple(a + b for a, b in zip(e, ge)): c * gc
-                          for ge, gc in g.terms.items()}, _trust=True)
-        r = r - step
-    return Poly(ctx, quotient, _trust=True)
+        e, c = quotient(m, glm), r[m] / glc
+        out[e] = c
+        for ge, gc in g.terms.items():
+            k = mul(e, ge)
+            v = r.pop(k, 0) - c * gc
+            if v:
+                r[k] = v
+    return Poly(h.ctx, out, _trust=True)
 
 
 def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
@@ -276,19 +279,3 @@ def is_regular_ideal(I: Ideal):
     return next(g for g in candidate_elements(I)
                 if is_regular_element(g, I.ctx))
 
-
-# ---------------------------------------------------------------------------
-# elimination on ideals
-
-
-def eliminate(I: Ideal, first_k: int) -> Ideal:
-    """I ∩ Q[vars[first_k:]] as an ideal of the contracted polynomial ring."""
-    if I.ctx.is_quotient:
-        raise PolyError("eliminate expects a polynomial (non-quotient) context")
-    vars, order = I.ctx.vars, I.ctx.order
-    if not 0 <= first_k < len(vars):
-        raise PolyError(f"elimination block {first_k} out of range")
-    if isinstance(order, Weighted):
-        order = DegRevLex()
-    target = RingCtx(vars[first_k:], order, _internal=True)
-    return Ideal(target, eliminate_polys(I.gens, vars[:first_k], target))

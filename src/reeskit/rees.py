@@ -33,7 +33,7 @@ import functools
 from dataclasses import dataclass, replace
 
 from . import groebner
-from .groebner import _STATS, GroebnerBasis, eliminate_aux
+from .groebner import _STATS, GroebnerBasis, eliminate_polys
 from .ideals import (Ideal, ideal_colon, ideal_contains, ideal_intersect,
                      ideal_member, ideal_power, ideal_product, ideal_sum,
                      is_regular_element)
@@ -102,7 +102,7 @@ def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> GroebnerBasis:
                 + [lift(q) for q in ext_ctx.quotient]
                 + [lift(g) for g in sub if not g.is_zero])
 
-    return eliminate_aux(ext_ctx, build)
+    return eliminate_polys(ext_ctx, build)
 
 
 def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
@@ -230,9 +230,9 @@ def _outside_top(g, lead, split: int):
     ``lead`` (T-block from ``split`` on), -1 if none, None if infinitely
     many: the T^mu avoiding the (h_T − g_T)⁺ for h in ``lead``, h_A | g_A."""
     g_t = g[split:]
-    divides_a, divides_t = (compile_monomials(k).divides
-                            for k in (split, len(g_t)))
-    walls = {tuple(max(a - b, 0) for a, b in zip(h[split:], g_t))
+    divides_a = compile_monomials(split).divides
+    divides_t, lcm, _, quotient, _ = compile_monomials(len(g_t))
+    walls = {quotient(lcm(h[split:], g_t), g_t)
              for h in lead if divides_a(h[:split], g[:split])}
     if any(all(w[k] != sum(w) for w in walls) for k in range(len(g_t))):
         return None
@@ -368,7 +368,7 @@ def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
                 + [lift(q) for q in ctx.quotient])
 
     lcs = []
-    for g in eliminate_aux(chart, build):
+    for g in eliminate_polys(chart, build):
         top = max(e[k] for e in g.terms)
         lcs.append(Poly(ctx.ambient, {e[:k]: c for e, c in g.terms.items()
                                       if e[k] == top}, _trust=True))

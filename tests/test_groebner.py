@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reeskit import (DegRevLex, Ideal, Lex, PolyError, ResourceLimitError,
-                     RingCtx, Weighted, contract, eliminate, embed,
-                     ideal_member, normal_form, reduced_groebner)
+                     RingCtx, Weighted, contract, embed, ideal_member,
+                     normal_form, reduced_groebner)
 from reeskit import groebner
 from reeskit.groebner import eliminate_polys, spolynomial
 from reeskit.poly import _primitive_form
@@ -210,48 +210,51 @@ def test_reduced_basis_unique_under_shuffles():
         assert reduced_groebner(shuffled).elements == reference
 
 
+def _toric(t, lift):
+    """(x - t^3, y - t^4): its elimination of t is the cusp x^4 - y^3."""
+    x, y = (lift(RingCtx("x,y").var(v)) for v in "xy")
+    return [x - t**3, y - t**4]
+
+
 def test_eliminate_toric_kernel():
-    ctx = RingCtx("t,x,y")
-    I = Ideal(ctx, ["x - t^3", "y - t^4"])
-    out = eliminate(I, 1)
-    assert [str(g) for g in out.gb.elements] == ["x^4 - y^3"]
-    # eliminating no variable returns the ideal's own basis
-    for order in (None, Lex()):
-        I = Ideal(RingCtx("t,x,y", order), ["x - t^3", "y - t^4"])
-        out = [str(g) for g in eliminate(I, 0).gb.elements]
-        assert out == [str(g) for g in I.gb.elements]
-    # a Weighted ring order gives a DegRevLex target
-    ring = RingCtx("t,x,y", Weighted((1, 2, 3)))
-    out = eliminate(Ideal(ring, ["x - t^3", "y - t^4"]), 1)
-    assert out.ctx.order == DegRevLex()
-    assert [str(g) for g in out.gb.elements] == ["x^4 - y^3"]
+    # t, x, y weighing 1, 3, 4 make both generators homogeneous, so the
+    # Weighted target takes the graded order
+    for order in (DegRevLex(), Lex(), Weighted((3, 4))):
+        basis = eliminate_polys(RingCtx("x,y", order), _toric)
+        assert basis.ctx.order == order
+        assert [str(g) for g in basis] == ["x^4 - y^3"]
 
 
 def test_eliminate_unit_relation_contracts_to_zero():
-    ctx = RingCtx("t,x")
-    out = eliminate(Ideal(ctx, ["t - 1"]), 1)
-    assert out.is_zero
+    assert eliminate_polys(RingCtx("x"), lambda t, lift: [t - 1]).is_zero
 
 
 def test_eliminate_is_a_contraction():
     ctx = RingCtx("t,x,y")
     I = Ideal(ctx, ["x - t^3", "y - t^4", "t*x - y"])
-    kept = eliminate_polys(list(I.gens), ("t",), RingCtx("x,y"))
-    lift = RingCtx(ctx.vars, ctx.order)
-    for g in kept:
-        lifted = lift.parse(str(g))
-        assert ideal_member(lifted, Ideal(lift, [p.in_ctx(lift) for p in I.gens]))
+
+    def build(t, lift):
+        x, y = (lift(RingCtx("x,y").var(v)) for v in "xy")
+        return [x - t**3, y - t**4, t * x - y]
+
+    for g in eliminate_polys(RingCtx("x,y"), build):
+        assert ideal_member(ctx.parse(str(g)), I)
 
 
 def test_eliminate_range_checked():
-    ctx = RingCtx("t,x")
-    with pytest.raises(PolyError):
-        eliminate(Ideal(ctx, ["t*x"]), 5)
-    # the generators must live in Q[front, target.vars]
-    for front, target in ((("x",), "t"), (("t",), "t,x"), (("s",), "x"),
-                          ((), "x")):
-        with pytest.raises(PolyError, match="generators outside"):
-            eliminate_polys([ctx.parse("t*x")], front, RingCtx(target))
+    # the generators must live in the lifting ring Q[t, x, y]; no
+    # generators, or only zeros, give the empty basis in the target
+    foreign = [lambda t, lift: [RingCtx("t,x,y").parse("t*x")],
+               lambda t, lift: [t, RingCtx("x,y").var("x")],
+               lambda t, lift: [embed(RingCtx("x,y").var("x"),
+                                      RingCtx("s,x,y"), (1, 2))]]
+    for target in (RingCtx("x,y"), RingCtx("x,y", Weighted((1, 1)))):
+        for build in foreign:
+            with pytest.raises(PolyError, match="cannot move polynomial"):
+                eliminate_polys(target, build)
+        for build in (lambda t, lift: [], lambda t, lift: [t - t]):
+            basis = eliminate_polys(target, build)
+            assert basis.elements == () and basis.ctx == target
 
 
 def test_weighted_target_grades_only_homogeneous_input():
@@ -261,13 +264,13 @@ def test_weighted_target_grades_only_homogeneous_input():
     def build(t, lift):
         return [lift(2 * x**2 - y) + t, lift(1 - y**2) + t]
 
-    plain = groebner.eliminate_aux(target, build)
+    plain = groebner.eliminate_polys(target, build)
     assert list(plain.elements) == [
         target.parse("x^2 + 1/2*y^2 - 1/2*y - 1/2")]
     # grading by t, x, y weighing 1 would order t below x^2 and keep the
     # wrong ideal; the input is not homogeneous, so t is eliminated first
     weighted = RingCtx("x,y", Weighted((1, 1)))
-    basis = groebner.eliminate_aux(weighted, build)
+    basis = groebner.eliminate_polys(weighted, build)
     assert basis.ctx.order == weighted.order
     assert basis.elements == reduced_groebner(plain, weighted).elements
 
@@ -312,7 +315,7 @@ def _binomials(binomials, t, lift, target):
 @given(_eliminations())
 def test_elimination_returns_the_basis_in_the_target_order(case):
     target, binomials = case
-    basis = groebner.eliminate_aux(
+    basis = groebner.eliminate_polys(
         target, lambda t, lift: _binomials(binomials, t, lift, target))
     assert basis.ctx.order == target.order
     # independently: lex with s first eliminates s, then the kept
@@ -484,7 +487,7 @@ def test_masks_cover_rings_of_any_width():
     # the auxiliary variable shifts x255 of a 256-variable ring to bit 256
     target = RingCtx(",".join(f"x{i}" for i in range(256)))
     x = target.var("x255")
-    assert list(groebner.eliminate_aux(
+    assert list(groebner.eliminate_polys(
         target, lambda t, lift: [lift(x**2), lift(x - 1)]).elements) == [
             target.one]
 

@@ -8,7 +8,7 @@ import random
 import pytest
 from conftest import CURVE_INSTANCES
 
-from reeskit import (Ideal, Lex, PolyError, RingCtx, eliminate, exact_divide,
+from reeskit import (DegRevLex, Ideal, Lex, PolyError, RingCtx, exact_divide,
                      ideal_colon, ideal_equal, ideal_intersect, ideal_member,
                      ideal_power, ideal_product, ideal_sum, is_regular_element,
                      is_regular_ideal, monomial_curve, reduced_groebner,
@@ -103,36 +103,33 @@ def _chart(monkeypatch):
     ``CURVE``, as an ideal of the chart ring built from the basis of its
     elimination."""
     charts = []
-    eliminate_aux = rees.eliminate_aux
+    eliminate_polys = rees.eliminate_polys
 
     def recording(target, build):
-        basis = eliminate_aux(target, build)
+        basis = eliminate_polys(target, build)
         charts.append(Ideal(target, basis))
         return basis
 
-    monkeypatch.setattr(rees, "eliminate_aux", recording)
+    monkeypatch.setattr(rees, "eliminate_polys", recording)
     relation_type_2gen(CURVE.var("x"), CURVE.var("y"), CURVE)
     (chart,) = charts
     return chart
 
 
+def _toric_kernel(target):
+    """(x - t^3, y - t^4) ∩ Q[x, y] as an ideal of ``target``."""
+    x, y = target.var("x"), target.var("y")
+    return Ideal(target, groebner.eliminate_polys(
+        target, lambda t, lift: [lift(x) - t**3, lift(y) - t**4]))
+
+
 @pytest.mark.parametrize("build", [
     _chart,
     lambda _: rees_kernel(I_(CURVE.with_order(Lex()), "x", "y^2")).kernel,
-    lambda _: eliminate(I_(RingCtx("t,x,y", Lex()), "x - t^3", "y - t^4"), 1),
+    lambda _: _toric_kernel(RingCtx("x,y", Lex())),
 ], ids=["chart", "rees-kernel", "eliminate-lex"])
 def test_eliminations_hand_over_their_basis(monkeypatch, build):
     assert _hands_over(build(monkeypatch))
-
-
-def test_eliminating_no_variable_runs_no_buchberger():
-    # the ring's own order is the memo key, so the basis just read is a hit
-    I = I_(RingCtx("t,x,y"), "x - t^3", "y - t^4")
-    groebner._buchberger.cache_clear()
-    basis = I.gb.elements
-    with groebner.counting() as stats:
-        assert eliminate(I, 0).gb.elements == basis
-    assert stats.runs == 0 and stats.calls > 0
 
 
 def test_colon_examples():
@@ -145,6 +142,23 @@ def test_colon_examples():
     # a nonzero annihilator: (0 : x) = (z) on the node
     assert ideal_colon(I_(NODE, NODE.zero), I_(NODE, NODE.var("x"))) == \
         I_(NODE, NODE.var("z"))
+
+
+@pytest.mark.parametrize("order", [Lex(), DegRevLex()],
+                         ids=["lex", "degrevlex"])
+def test_exact_divide_by_polynomials(order):
+    ctx = RingCtx("x,y,z", order)
+    x, y = ctx.var("x"), ctx.var("y")
+    assert exact_divide(x**2 - y**2, x + y) == x - y
+    assert exact_divide(x**2 - y**2, x - y) == x + y
+    # (x + y - z)(x - y + z) = x^2 - y^2 + 2yz - z^2: the products xy,
+    # xz and yz of the two factors cancel or merge
+    f, g = ctx.parse("x + y - z"), ctx.parse("x - y + z")
+    h = f * g
+    assert h == ctx.parse("x^2 - y^2 + 2*y*z - z^2")
+    assert exact_divide(h, f) == g and exact_divide(h, g) == f
+    with pytest.raises(PolyError, match="inexact polynomial division"):
+        exact_divide(h + ctx.parse("z^2"), f)
 
 
 def test_exact_divide_rejects_zero_and_inexact_divisors():

@@ -212,7 +212,7 @@ def test_colon_route_does_not_read_the_rees_kernel(monkeypatch):
 def test_colon_route_rejects_a_wrong_chart(monkeypatch):
     # without the saturation by 1 - s·x the chart's leading coefficients
     # are (u, v^3), which misses v^2 in c_1 = (u : v)
-    eliminate = rees.eliminate_aux
+    eliminate = rees.eliminate_polys
 
     def unsaturated(target, build):
         def without_s(s, lift):
@@ -222,7 +222,7 @@ def test_colon_route_rejects_a_wrong_chart(monkeypatch):
 
         return eliminate(target, without_s)
 
-    monkeypatch.setattr(rees, "eliminate_aux", unsaturated)
+    monkeypatch.setattr(rees, "eliminate_polys", unsaturated)
     u, v = CUSP34.var("u"), CUSP34.var("v")
     with pytest.raises(PolyError, match="at n = 1"):
         relation_type_2gen(u, v, CUSP34)
