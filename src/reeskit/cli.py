@@ -107,7 +107,7 @@ def _cmd_ar(args) -> int:
     ctx = _build_ctx(args)
     a = _parse_ideal(ctx, args.sub)
     I = _parse_ideal(ctx, args.ideal)
-    J = _parse_ideal(ctx, args.modulo) if args.modulo else Ideal(ctx, [ctx.zero])
+    J = _parse_ideal(ctx, args.modulo) if args.modulo else Ideal(ctx, [])
     report = artin_rees_number(a, I, J)
     pairs = [("s", report.s_value),
              ("rt_bound", report.rt_bound if report.rt_bound is not None

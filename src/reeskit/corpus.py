@@ -193,7 +193,7 @@ def _run_wang(n: int):
     ctx_mod = ctx.with_quotient([z])
     I_mod = Ideal(ctx_mod, list(I.gens))
     m_mod = Ideal(ctx_mod, [x, y, z])
-    zero_mod = Ideal(ctx_mod, [ctx.zero])
+    zero_mod = Ideal(ctx_mod, [])
     ar = artin_rees_number(a, I, m)
     expectations = [
         Expectation("rt", 1,
@@ -225,12 +225,12 @@ def _run_eisenbud_hochster(n: int):
     f = x ** n - y ** (n + 1)
     a = Ideal(ctx, [f])
     I = Ideal(ctx, [x, y])
-    zero = Ideal(ctx, [ctx.zero])
+    zero = Ideal(ctx, [])
     ar = artin_rees_number(a, I, zero)
     lhs = ideal_intersect(ideal_power(I, n), a)
     rhs = ideal_product(I, ideal_intersect(ideal_power(I, n - 1), a))
-    strict = (all(ideal_member(g, lhs) for g in rhs.basis_gens)
-              and not all(ideal_member(g, rhs) for g in lhs.basis_gens))
+    strict = (all(ideal_member(g, lhs) for g in rhs.gb)
+              and not all(ideal_member(g, rhs) for g in lhs.gb))
     ctx_curve = ctx.with_quotient([f])
     idxy = integral_degree_fraction(x, y, ctx_curve)
     expectations = [

@@ -1,12 +1,13 @@
 """Ideal calculus over polynomial and quotient ring contexts.
 
-An :class:`Ideal` of A = Q[vars]/a is stored through representative
-generators in the ambient polynomial ring; every operation reduces to
-Groebner computations on the preimage (generators together with the
-quotient generators).  Sums, products, powers, intersections
-(auxiliary-variable elimination), colons, and the regularity tests of
-elements and ideals all live here.  An ideal caches only its own
-reduced basis; the Gröbner memo serves everything derived from it.
+An :class:`Ideal` of A = Q[vars]/a is stored through its nonzero
+representative generators in the ambient polynomial ring (the zero ideal
+has none); every operation reduces to Groebner computations on the
+preimage (generators together with the quotient generators).  Sums,
+products, powers, intersections (auxiliary-variable elimination),
+colons, and the regularity tests of elements and ideals all live here.
+An ideal caches only its own reduced basis; the Gröbner memo serves
+everything derived from it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .poly import Poly, PolyError, RingCtx
 class Ideal:
     """Finitely generated ideal of a ring context.
 
-    The generator list is never empty (the zero ideal is ``(0)``); the
+    ``gens`` holds the nonzero generators in order, so the zero ideal,
+    printed ``(0)``, has none; one lying in the quotient stays.  The
     reduced Groebner basis of the preimage is computed lazily and
     cached, or adopted when ``gens`` is a :class:`GroebnerBasis` under
     the ring's order that contains the quotient.  Ideals are immutable.
@@ -30,12 +32,12 @@ class Ideal:
 
     def __init__(self, ctx: RingCtx, gens):
         self.ctx = ctx
-        self.gens = tuple(map(ctx.coerce, gens)) or (ctx.zero,)
+        self.gens = tuple(g for g in map(ctx.coerce, gens) if not g.is_zero)
         self._gb = None
         if (isinstance(gens, GroebnerBasis) and gens.ctx.same_poly_ring(ctx)
                 and all(q in gens.elements or gens.contains(q)
                         for q in ctx.quotient)):
-            self._gb = GroebnerBasis(ctx.ambient, self.gens if gens else ())
+            self._gb = GroebnerBasis(ctx.ambient, self.gens)
 
     # -- canonical data ----------------------------------------------------
 
@@ -49,17 +51,11 @@ class Ideal:
         return self._gb
 
     @property
-    def basis_gens(self):
-        """Canonical small generating set: the reduced GB elements."""
-        els = self.gb.elements
-        return els if els else (self.ctx.zero,)
-
-    @property
     def is_zero(self) -> bool:
         if self.ctx.is_quotient:
             q = Ideal(self.ctx.ambient, self.ctx.quotient)
             return all(ideal_member(g, q) for g in self.gens)
-        return all(g.is_zero for g in self.gens)
+        return not self.gens
 
     @property
     def is_unit(self) -> bool:
@@ -71,7 +67,7 @@ class Ideal:
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens)
-        return f"({inside})"
+        return f"({inside or 0})"
 
     # -- operator sugar ------------------------------------------------------
 
@@ -106,9 +102,7 @@ def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     I._check_ctx(J)
-    a = [g for g in I.basis_gens if not g.is_zero]
-    b = [g for g in J.basis_gens if not g.is_zero]
-    return Ideal(I.ctx, [x * y for x in a for y in b])
+    return Ideal(I.ctx, [x * y for x in I.gb for y in J.gb])
 
 
 def ideal_power(I: Ideal, n: int) -> Ideal:
@@ -148,8 +142,8 @@ def _intersect_preimages(gens_a, gens_b, ctx: RingCtx) -> GroebnerBasis:
     """The reduced basis of (gens_a) ∩ (gens_b) in the ambient ring."""
     def build(t, lift):
         one_minus_t = 1 - t
-        return ([t * lift(g) for g in gens_a if not g.is_zero]
-                + [one_minus_t * lift(g) for g in gens_b if not g.is_zero])
+        return ([t * lift(g) for g in gens_a]
+                + [one_minus_t * lift(g) for g in gens_b])
     return eliminate_polys(ctx, build)
 
 
@@ -157,9 +151,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     """I ∩ J via the auxiliary-variable trick t·I + (1−t)·J; the result
     adopts the elimination's basis."""
     I._check_ctx(J)
-    if I.is_zero or J.is_zero:
-        return Ideal(I.ctx, [I.ctx.zero])
-    return Ideal(I.ctx, _intersect_preimages(I.basis_gens, J.basis_gens, I.ctx))
+    return Ideal(I.ctx, _intersect_preimages(I.gb, J.gb, I.ctx))
 
 
 def exact_divide(h: Poly, g: Poly) -> Poly:
@@ -195,12 +187,11 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
     """
     I._check_ctx(J)
     ctx = I.ctx
-    divisors = [g for g in J.gens if not g.is_zero]
-    if not divisors:
+    if not J.gens:
         raise PolyError("colon by the zero ideal")
     result = None
-    for g in divisors:
-        meet = _intersect_preimages(I.basis_gens, [g], ctx)
+    for g in J.gens:
+        meet = _intersect_preimages(I.gb, [g], ctx)
         quotients = [exact_divide(h, g) for h in meet]
         part = Ideal(ctx, quotients)
         result = part if result is None else ideal_intersect(result, part)
@@ -211,25 +202,20 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 # regularity
 
 
-def _annihilator_is_zero(gens, ctx: RingCtx) -> bool:
-    """Whether (gens) ≠ 0 and ann((gens)) = 0 in the ring of ``ctx``.
+def _annihilator_is_zero(I: Ideal) -> bool:
+    """Whether I ≠ 0 and ann(I) = 0.
 
-    On a ring marked as a domain (a prime quotient q) that holds iff some
-    generator lies outside q: one normal form per generator against q's
-    memoised basis.  Elsewhere it is one colon upstairs,
-    (q : (gens)) = q ≠ (1); the colon is (1) iff every generator lies in q.
+    On a polynomial ring, or a ring marked as a domain (a prime quotient
+    q), that is ``not I.is_zero``: one normal form per generator against
+    q's memoised basis.  Elsewhere it is one colon upstairs,
+    (q : I) = q ≠ (1); the colon is (1) iff I = 0.
     """
-    gens = [g for g in gens if not g.is_zero]
-    if not gens:
-        return False
-    if not ctx.is_quotient:
-        return True
-    amb = ctx.ambient
-    q = Ideal(amb, ctx.quotient)
-    if ctx.is_domain:
-        return not all(q.gb.contains(g) for g in gens)
-    c = ideal_colon(q, Ideal(amb, gens))
-    return not c.is_unit and ideal_equal(c, q)
+    ctx = I.ctx
+    if ctx.is_quotient and not ctx.is_domain and I.gens:
+        q = Ideal(ctx.ambient, ctx.quotient)
+        c = ideal_colon(q, Ideal(ctx.ambient, I.gens))
+        return not c.is_unit and ideal_equal(c, q)
+    return not I.is_zero
 
 
 def is_regular_element(f, ctx: RingCtx) -> bool:
@@ -239,14 +225,14 @@ def is_regular_element(f, ctx: RingCtx) -> bool:
     On a domain (a monomial curve) that is all: f is regular iff f ∉ q,
     one normal form; elsewhere it takes one colon.
     """
-    return _annihilator_is_zero([ctx.coerce(f)], ctx)
+    return _annihilator_is_zero(Ideal(ctx, [f]))
 
 
 def candidate_elements(I: Ideal):
     """The endless stream of candidate elements of I, for searches over I.
 
-    Yields the nonzero generators g_1..g_m, then g_1 + t·g_2 + ... +
-    t^(m-1)·g_m for t = 1, 2, ..., skipping zeros and repeats.
+    Yields the generators g_1..g_m (all nonzero), then g_1 + t·g_2 + ...
+    + t^(m-1)·g_m for t = 1, 2, ..., skipping zero sums and repeats.
     """
     def combinations():
         for t in itertools.count(1):
@@ -274,7 +260,7 @@ def is_regular_ideal(I: Ideal):
     polynomial in t over the domain A/P, so it lies in P for at most
     m − 1 values of t.
     """
-    if not _annihilator_is_zero(I.gens, I.ctx):
+    if not _annihilator_is_zero(I):
         return None
     return next(g for g in candidate_elements(I)
                 if is_regular_element(g, I.ctx))

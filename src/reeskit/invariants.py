@@ -67,14 +67,14 @@ def is_reduction(J: Ideal, I: Ideal) -> SearchOutcome:
     lies in the kernel, which then reads 0.
     """
     _check_contained(J, I)
-    xs = [g for g in J.gens if not g.is_zero]
+    xs = list(J.gens)
     if len(xs) > 1:
         for g in list(xs):
             rest = list(xs)
             rest.remove(g)
             if ideal_member(g, Ideal(I.ctx, rest)):
                 xs = rest
-    n = reduction_degree(rees_kernel(I, xs)) if any(I.gens) else 0
+    n = reduction_degree(rees_kernel(I, xs)) if I.gens else 0
     return SearchOutcome(n, "not a reduction" if n is None
                          else f"I^{n + 1} = J*I^{n}")
 
@@ -96,9 +96,9 @@ def find_principal_reduction(I: Ideal):
     """
     if I.is_unit:
         return I.ctx.one, is_reduction(Ideal(I.ctx, [I.ctx.one]), I)
-    if not _annihilator_is_zero(I.gens, I.ctx):
+    if not _annihilator_is_zero(I):
         return None
-    tried = len({g for g in I.gens if not g.is_zero}) + _PRINCIPAL_TRIALS
+    tried = len(set(I.gens)) + _PRINCIPAL_TRIALS
     for g in itertools.islice(candidate_elements(I), tried):
         if is_regular_element(g, I.ctx):
             outcome = is_reduction(Ideal(I.ctx, [g]), I)
@@ -143,7 +143,7 @@ class ArtinReesReport:
     witness is a presentation element of T-degree s that is not
     generated in lower degrees (None when s = 0).  ``rt_bound`` =
     rt_J(I mod a) is the paper's bound on s, computed on its own route
-    and reported beside it (None when every generator of I is 0).
+    and reported beside it (None when I has no generators).
     """
 
     s_value: SearchOutcome
@@ -154,10 +154,10 @@ def artin_rees_number(a: Ideal, I: Ideal, J: Ideal) -> ArtinReesReport:
     """s_J(a, A; I): largest n with a nonvanishing obstruction module."""
     s, g = artin_rees_degree(a, I, J)
     rt_bound = None
-    if not all(g.is_zero for g in I.gens):
-        ctx_mod = a.ctx.with_quotient([h for h in a.gens if not h.is_zero])
-        rt_bound = relation_type_mod(Ideal(ctx_mod, list(I.gens)),
-                                     Ideal(ctx_mod, list(J.gens)))
+    if I.gens:
+        ctx_mod = a.ctx.with_quotient(a.gens)
+        rt_bound = relation_type_mod(Ideal(ctx_mod, I.gens),
+                                     Ideal(ctx_mod, J.gens))
     return ArtinReesReport(SearchOutcome(s, None if g is None else str(g)),
                            rt_bound)
 
@@ -175,12 +175,12 @@ def d_sequence_check(seq, ctx: RingCtx) -> bool:
         raise PolyError("empty sequence")
     for j, g in enumerate(seq):
         others = [h for i, h in enumerate(seq) if i != j]
-        others_ideal = Ideal(ctx, others or [ctx.zero])
+        others_ideal = Ideal(ctx, others)
         if ideal_member(g, others_ideal):
             return False
     J = Ideal(ctx, seq)
     for i in range(len(seq)):
-        Ji = Ideal(ctx, seq[:i] or [ctx.zero])
+        Ji = Ideal(ctx, seq[:i])
         lhs = ideal_intersect(ideal_colon(Ji, Ideal(ctx, [seq[i]])), J)
         if not ideal_equal(lhs, Ji):
             return False

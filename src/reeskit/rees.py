@@ -94,28 +94,27 @@ def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> GroebnerBasis:
     The contraction to A[T] of (T_1 - x_1 t, ..., T_m - x_m t), the
     quotient generators and ``sub``, graded by deg t = deg T_i = 1.
     """
-    xs = [g for g in I.gens if not g.is_zero]
     ext = ext_ctx.ambient
 
     def build(t, lift):
-        return ([lift(ext.var(tv)) - lift(x) * t for tv, x in zip(tvars, xs)]
+        return ([lift(ext.var(tv)) - lift(x) * t
+                 for tv, x in zip(tvars, I.gens)]
                 + [lift(q) for q in ext_ctx.quotient]
-                + [lift(g) for g in sub if not g.is_zero])
+                + [lift(g) for g in sub])
 
     return eliminate_polys(ext_ctx, build)
 
 
 def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
-    """Presentation kernel of the Rees algebra of I on the nonzero
-    elements of ``first``, then the other generators of I.
+    """Presentation kernel of the Rees algebra of I on ``first`` (the
+    generators of an ideal), then the other generators of I.
 
     The presentation ring is graded by T-degree.  The latest
     presentations are cached by the ring and that generator list;
     ``first`` only sets ``nfirst``.  While ``groebner.SELF_CHECK`` is on
     each is built afresh, so every kernel basis passes the check.
     """
-    first = [g for g in first if not g.is_zero]
-    gens = first + [g for g in I.gens if not (g.is_zero or g in first)]
+    gens = [*first] + [g for g in I.gens if g not in first]
     if not gens:
         raise PolyError("Rees presentation needs a nonzero ideal")
     build = _present.__wrapped__ if groebner.SELF_CHECK else _present
@@ -150,7 +149,6 @@ def _read_modulo(pres: ReesPresentation, ideal: Ideal, J: Ideal,
     """``ideal`` of A[T] read further modulo J, an ideal of A, and ``extra``."""
     positions = tuple(range(len(pres.ideal.ctx.vars)))
     extra = list(extra) + [embed(g, pres.ext_ctx, positions) for g in J.gens]
-    extra = [g for g in extra if not g.is_zero]
     if not extra:
         return ideal
     return Ideal(ideal.ctx.with_quotient(extra), list(ideal.gens))
@@ -171,7 +169,7 @@ def _fresh_degree(ideal: Ideal, floor: int):
     degrees = sorted((d for d in profile if d > floor), reverse=True)
     for n in degrees:
         lower = [g for d, els in profile.items() if d < n for g in els]
-        lower_ideal = Ideal(ideal.ctx, lower or [ideal.ctx.zero])
+        lower_ideal = Ideal(ideal.ctx, lower)
         for g in profile[n]:
             if not ideal_member(g, lower_ideal):
                 return n, g
@@ -258,7 +256,8 @@ def reduction_degree(pres: ReesPresentation):
     P = K + (T_1..T_s), is I^n/J I^{n-1} (Huneke-Swanson, ch. 8); its
     standard monomials span it, so it vanishes iff each T^mu of degree n
     is divisible by a lead monomial of P free of ring variables.  rn is
-    the top degree of the T^mu outside.
+    the top degree of the T^mu outside, or 0 when there is none (A = 0,
+    where 1 ∈ K, so I = 0 and I¹ = J·I⁰).
 
     The order compares T-degree, then degree in T_2..T_m, in T_3..T_m,
     ...: revlex on the T-block with T_1 last (Bayer–Stillman; Eisenbud,
@@ -270,8 +269,9 @@ def reduction_degree(pres: ReesPresentation):
     Hence in(P) = in(K) + (T_1..T_i), all that :func:`_lead` reads.
     """
     lead = _lead(pres, pres.nfirst)
-    return _outside_top((0,) * len(pres.ext_ctx.vars), lead,
-                        len(pres.ideal.ctx.vars))
+    top = _outside_top((0,) * len(pres.ext_ctx.vars), lead,
+                       len(pres.ideal.ctx.vars))
+    return None if top is None else max(top, 0)
 
 
 def filter_regular_degree(pres: ReesPresentation):
@@ -373,7 +373,7 @@ def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
         lcs.append(Poly(ctx.ambient, {e[:k]: c for e, c in g.terms.items()
                                       if e[k] == top}, _trust=True))
     limit = Ideal(ctx, lcs)
-    prev, n = Ideal(ctx, [ctx.zero]), 1
+    prev, n = Ideal(ctx, []), 1
     while True:
         c = colon(n)
         if not (ideal_contains(c, prev) and ideal_contains(limit, c)):

@@ -105,8 +105,8 @@ def test_criterion_3_eisenbud_hochster_slices():
         a = Ideal(ctx, [x ** n - y ** (n + 1)])
         lhs = ideal_intersect(ideal_power(I, n), a)
         rhs = ideal_product(I, ideal_intersect(ideal_power(I, n - 1), a))
-        contained = all(ideal_member(g, lhs) for g in rhs.basis_gens)
-        strict = not all(ideal_member(g, rhs) for g in lhs.basis_gens)
+        contained = all(ideal_member(g, lhs) for g in rhs.gb)
+        strict = not all(ideal_member(g, rhs) for g in lhs.gb)
         if not (contained and strict):
             failures.append(f"n={n}: containment not strict")
         ar = artin_rees_number(a, I, Ideal(ctx, [ctx.zero]))

@@ -76,6 +76,18 @@ def test_rn_unresolved_exit_code(capsys):
     assert out.splitlines() == ["rn = none(not a reduction)", "status = none"]
 
 
+def test_rn_on_the_zero_ring(capsys):
+    # Q[x]/(1) = 0: rn and reg are both 0
+    code, out, _ = run(capsys, "rn", "--vars", "x", "--mod", "1",
+                       "--ideal", "x", "--reduction", "x")
+    assert code == 0
+    assert out.splitlines() == ["rn = 0", "status = pass"]
+    code, out, _ = run(capsys, "reg", "--vars", "x", "--mod", "1",
+                       "--ideal", "x", "--reduction", "x")
+    assert code == 0
+    assert out.splitlines()[0] == "reg = 0"
+
+
 def test_id_command(capsys):
     code, out, _ = run(capsys, "id", "--vars", "u,v", "--mod", "u^4 - v^3",
                        "--num", "v", "--den", "u")

@@ -251,7 +251,8 @@ def test_domain_shortcut_agrees_with_the_colon_route(ring):
     cases = [[f] for f in elements] + [
         list(ctx.quotient), [ctx.quotient[0], xs[0]], [ctx.zero]]
     for gens in cases:
-        assert _annihilator_is_zero(gens, ctx) == _colon_route(gens, ctx), gens
+        assert (_annihilator_is_zero(Ideal(ctx, gens))
+                == _colon_route(gens, ctx)), gens
 
 
 def test_regularity_on_a_curve_takes_one_normal_form():
@@ -335,7 +336,7 @@ def test_quotient_coherence_with_preimage():
     I_down = ideal_intersect(I_(CURVE, x ** 2), I_(CURVE, y))
     I_up = ideal_intersect(I_(amb, x.in_ctx(amb) ** 2, q),
                            I_(amb, y.in_ctx(amb), q))
-    down_preimage = Ideal(amb, [g.in_ctx(amb) for g in I_down.basis_gens] + [q])
+    down_preimage = Ideal(amb, [g.in_ctx(amb) for g in I_down.gb] + [q])
     assert ideal_equal(down_preimage, I_up)
 
 
@@ -347,3 +348,21 @@ def test_zero_and_unit_ideals_are_first_class():
     assert ideal_product(zero, one).is_zero
     assert ideal_intersect(zero, one).is_zero
     assert ideal_colon(one, I_(CTX2, CTX2.var("x"))).is_unit
+    # zero generators are dropped once, in Ideal: (0) has none
+    x, y = CTX2.var("x"), CTX2.var("y")
+    I = I_(CTX2, x, CTX2.zero, y)
+    assert I.gens == (x, y) and repr(I) == "(x, y)"
+    empty = Ideal(CTX2, [])
+    assert empty == zero and empty.gens == zero.gens == ()
+    assert repr(empty) == repr(zero) == "(0)"
+    assert Ideal(CTX2, ["0", 0]).gens == ()
+    # x^4 - y^3 is nonzero upstairs but zero in the curve ring: it stays a
+    # generator, and is_zero reads it against the quotient
+    q = CURVE.parse("x^4 - y^3")
+    inside = I_(CURVE, q, q * CURVE.var("x"))
+    assert inside.gens == (q, q * CURVE.var("x")) and inside.is_zero
+    assert repr(inside) == "(x^4 - y^3, x^5 - x*y^3)"
+    for J in (I_(CURVE, CURVE.var("x")), I_(CURVE, CURVE.one),
+              I_(CURVE, CURVE.zero), inside, I_(CURVE, "x", "y")):
+        assert ideal_intersect(inside, J).is_zero
+        assert ideal_intersect(J, inside).is_zero

@@ -1,6 +1,8 @@
 """Reduction numbers, integral degrees, Artin-Rees numbers, d-sequences,
 regularity, and the d-sequence reduction theorem checker."""
 
+import itertools
+
 import pytest
 from conftest import CURVE_INSTANCES
 
@@ -11,6 +13,7 @@ from reeskit import (Ideal, PolyError, RingCtx, ResourceLimitError,
                      ideal_product, integral_degree_fraction, is_reduction,
                      monomial_curve, reduction_number, reg_rees, vv_check)
 from reeskit import groebner, invariants, rees
+from reeskit.ideals import candidate_elements
 
 CTX2 = RingCtx("x,y")
 CUSP23 = monomial_curve((2, 3), ("u", "v"))
@@ -249,6 +252,37 @@ def test_exact_read_edge_inputs():
     assert integral_degree_fraction(CTX2.zero, x, CTX2).value == 1
     with pytest.raises(PolyError, match="not contained"):
         reduction_number(I_(CTX2, x), I_(CTX2, x, y))
+    # in A = 0 every ideal is 0 = I^1 = J*I^0, so rn = 0; 1 lies in the
+    # presentation kernel and no standard monomial is left
+    zero_ring = RingCtx("x", quotient=["1"])
+    I = I_(zero_ring, zero_ring.var("x"))
+    outcome = is_reduction(I, I)
+    assert outcome.value == 0 and outcome.witness == "I^1 = J*I^0"
+
+
+def _line_pencil():
+    """A = Q[x, y]/(x·y·∏_{s=1..16}(x + s·y)): x, y and x + s·y for
+    s = 1..16 are zero divisors, x + 17·y is the first regular
+    combination of the candidate stream of (x, y)."""
+    amb = RingCtx("x,y")
+    x, y = amb.var("x"), amb.var("y")
+    f = x * y
+    for s in range(1, 17):
+        f = f * (x + y.scale(s))
+    return amb.with_quotient([f])
+
+
+def test_zero_generators_change_no_answer():
+    ctx = _line_pencil()
+    x, y = ctx.var("x"), ctx.var("y")
+    plain, padded = I_(ctx, x, y), I_(ctx, x, ctx.zero, y)
+    assert padded.gens == plain.gens == (x, y)
+    stream = list(itertools.islice(candidate_elements(plain), 20))
+    assert list(itertools.islice(candidate_elements(padded), 20)) == stream
+    assert stream[:4] == [x, y, x + y, x + y.scale(2)]
+    # both budgets stop at x + 16·y, one short of the regular x + 17·y
+    assert find_principal_reduction(plain) is None
+    assert find_principal_reduction(padded) is None
 
 
 def test_rn_drops_redundant_reduction_generators(built):
@@ -288,7 +322,7 @@ def test_artin_rees_eisenbud_hochster_slice():
     assert rep.s_value.value == 3
     lhs = ideal_intersect(ideal_power(I, 3), a)
     rhs = ideal_product(I, ideal_intersect(ideal_power(I, 2), a))
-    assert not all(ideal_member(g, rhs) for g in lhs.basis_gens)
+    assert not all(ideal_member(g, rhs) for g in lhs.gb)
 
 
 def test_artin_rees_wang_slice():
@@ -311,7 +345,7 @@ def _obstruction_vanishes(a, I, J, n):
     lhs = ideal_intersect(ideal_power(I, n), a)
     rhs = ideal_product(I, ideal_intersect(ideal_power(I, n - 1), a))
     rhs = rhs + ideal_intersect(ideal_product(J, ideal_power(I, n)), a)
-    return all(ideal_member(g, rhs) for g in lhs.basis_gens)
+    return all(ideal_member(g, rhs) for g in lhs.gb)
 
 
 @pytest.mark.parametrize("ctx, a, I, J, s, rt_bound", [
@@ -412,7 +446,7 @@ def _filter_condition(I, seq, n):
     ctx = I.ctx
     In = ideal_power(I, n)
     for i in range(1, len(seq) + 1):
-        Ji1 = Ideal(ctx, seq[:i - 1] or [ctx.zero])
+        Ji1 = Ideal(ctx, seq[:i - 1])
         lhs = ideal_intersect(
             ideal_colon(ideal_product(Ji1, In), Ideal(ctx, [seq[i - 1]])), In)
         rhs = ideal_product(Ji1, ideal_power(I, n - 1))
@@ -426,9 +460,8 @@ def _window_reg(I, J, window):
     filter-regular condition fails, rn (by the power scan) when it holds
     throughout."""
     r = _power_scan(J, I, window)
-    seq = [g for g in J.gens if not g.is_zero]
     failing = [n for n in range(r + 1, r + window + 1)
-               if not _filter_condition(I, seq, n)]
+               if not _filter_condition(I, J.gens, n)]
     return max(failing, default=r)
 
 

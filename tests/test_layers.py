@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import reeskit
-from reeskit import RingCtx, groebner, reduced_groebner
+from reeskit import Ideal, RingCtx, groebner, reduced_groebner
 
 LAYERS = ["poly", "groebner", "ideals", "rees", "invariants", "semigroup",
           "corpus", "cli"]
@@ -54,6 +54,45 @@ def test_elimination_entry_points_take_no_order():
         if path.stem != "groebner":
             text = path.read_text(encoding="utf-8")
             assert "_AUX" not in text and '"@t"' not in text, path.name
+
+
+def _zero_generator_sites(tree):
+    """Lines where code above ``Ideal`` decides what a zero generator is:
+    a comprehension over an attribute ``gens`` that reads ``is_zero``, or
+    ``Ideal(..)`` handed a list holding some ``<ctx>.zero``."""
+    def reads(node, attr):
+        return any(isinstance(n, ast.Attribute) and n.attr == attr
+                   for n in ast.walk(node))
+
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            if any(isinstance(c.iter, ast.Attribute) and c.iter.attr == "gens"
+                   for c in node.generators) and reads(node, "is_zero"):
+                sites.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "Ideal"):
+            if any(isinstance(n, ast.List)
+                   and any(reads(e, "zero") for e in n.elts)
+                   for arg in node.args for n in ast.walk(arg)):
+                sites.append(node.lineno)
+    return sites
+
+
+def test_only_ideal_drops_zero_generators():
+    # Ideal keeps the nonzero generators once, so the zero ideal has none;
+    # no layer filters them again or spells (0) as [ctx.zero]
+    assert not hasattr(Ideal, "basis_gens")
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := _zero_generator_sites(
+                 ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not found, found
+    # the guard sees the forms it forbids
+    for bad in ("xs = [g for g in I.gens if not g.is_zero]",
+                "ok = not all(g.is_zero for g in I.gens)",
+                "J = Ideal(ctx, [ctx.zero])",
+                "J = Ideal(ctx, rest or [ctx.zero])"):
+        assert _zero_generator_sites(ast.parse(bad)) == [1], bad
 
 
 CYCLIC4 = ("a + b + c + d", "a*b + b*c + c*d + d*a",

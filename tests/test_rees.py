@@ -335,13 +335,12 @@ def _unweighted_kernel(I):
     ``Weighted((1, 0, ..., 0))``, read in the presentation's ring."""
     pres = rees_kernel(I)
     ext = pres.ext_ctx
-    xs = [g for g in I.gens if not g.is_zero]
     positions = tuple(range(1, 1 + len(ext.vars)))
 
     def build(ring):
         s = ring.var("s")
         return ([ring.var(tv) - embed(x, ring, positions) * s
-                 for tv, x in zip(pres.tvars, xs)]
+                 for tv, x in zip(pres.tvars, I.gens)]
                 + [embed(q, ring, positions) for q in ext.quotient])
 
     return _s_free_part(ext, Weighted((1,) + (0,) * len(ext.vars)), build)
