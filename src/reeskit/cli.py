@@ -109,9 +109,7 @@ def _cmd_ar(args) -> int:
     I = _parse_ideal(ctx, args.ideal)
     J = _parse_ideal(ctx, args.modulo) if args.modulo else Ideal(ctx, [])
     report = artin_rees_number(a, I, J)
-    pairs = [("s", report.s_value),
-             ("rt_bound", report.rt_bound if report.rt_bound is not None
-              else "unavailable")]
+    pairs = [("s", report.s_value), ("rt_bound", report.rt_bound)]
     return _emit_outcome(pairs, report.s_value)
 
 

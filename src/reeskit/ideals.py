@@ -184,18 +184,17 @@ def ideal_colon(I: Ideal, J: Ideal) -> Ideal:
 
     For each generator g of J, ((I + a) : g) equals ((I + a) ∩ (g)) / g
     in the ambient polynomial ring; the results are intersected.
+    (I : (0)) = (1), as for a J whose generators all lie in the quotient.
     """
     I._check_ctx(J)
     ctx = I.ctx
-    if not J.gens:
-        raise PolyError("colon by the zero ideal")
     result = None
     for g in J.gens:
         meet = _intersect_preimages(I.gb, [g], ctx)
         quotients = [exact_divide(h, g) for h in meet]
         part = Ideal(ctx, quotients)
         result = part if result is None else ideal_intersect(result, part)
-    return result
+    return Ideal(ctx, [ctx.one]) if result is None else result
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +210,7 @@ def _annihilator_is_zero(I: Ideal) -> bool:
     (q : I) = q ≠ (1); the colon is (1) iff I = 0.
     """
     ctx = I.ctx
-    if ctx.is_quotient and not ctx.is_domain and I.gens:
+    if ctx.is_quotient and not ctx.is_domain:
         q = Ideal(ctx.ambient, ctx.quotient)
         c = ideal_colon(q, Ideal(ctx.ambient, I.gens))
         return not c.is_unit and ideal_equal(c, q)

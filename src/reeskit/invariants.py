@@ -74,7 +74,7 @@ def is_reduction(J: Ideal, I: Ideal) -> SearchOutcome:
             rest.remove(g)
             if ideal_member(g, Ideal(I.ctx, rest)):
                 xs = rest
-    n = reduction_degree(rees_kernel(I, xs)) if I.gens else 0
+    n = reduction_degree(rees_kernel(I, xs))
     return SearchOutcome(n, "not a reduction" if n is None
                          else f"I^{n + 1} = J*I^{n}")
 
@@ -143,23 +143,21 @@ class ArtinReesReport:
     witness is a presentation element of T-degree s that is not
     generated in lower degrees (None when s = 0).  ``rt_bound`` =
     rt_J(I mod a) is the paper's bound on s, computed on its own route
-    and reported beside it (None when I has no generators).
+    and reported beside it; I = (0) gives s = 0 and rt_bound = 1.
     """
 
     s_value: SearchOutcome
-    rt_bound: int | None
+    rt_bound: int
 
 
 def artin_rees_number(a: Ideal, I: Ideal, J: Ideal) -> ArtinReesReport:
-    """s_J(a, A; I): largest n with a nonvanishing obstruction module."""
+    """s_J(a, A; I): largest n with a nonvanishing obstruction module,
+    and rt_J(I) read modulo a, defined for every I (1 for I = (0))."""
     s, g = artin_rees_degree(a, I, J)
-    rt_bound = None
-    if I.gens:
-        ctx_mod = a.ctx.with_quotient(a.gens)
-        rt_bound = relation_type_mod(Ideal(ctx_mod, I.gens),
-                                     Ideal(ctx_mod, J.gens))
-    return ArtinReesReport(SearchOutcome(s, None if g is None else str(g)),
-                           rt_bound)
+    ctx_mod = a.ctx.with_quotient(a.gens)
+    return ArtinReesReport(
+        SearchOutcome(s, None if g is None else str(g)),
+        relation_type_mod(Ideal(ctx_mod, I.gens), Ideal(ctx_mod, J.gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +208,6 @@ def reg_rees(I: Ideal, J: Ideal) -> SearchOutcome:
     none when no degree bounds its failures.  rn and the filter-regular
     degrees are both read off one R(I), presented on x_1..x_s as given."""
     _check_contained(J, I)
-    if I.is_zero:
-        return SearchOutcome(0, "exact: filter-regular above 0")
     pres = rees_kernel(I, J.gens)
     rn = reduction_degree(pres)
     if rn is None:

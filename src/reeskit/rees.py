@@ -3,9 +3,11 @@
 For an ideal I = (x_1, ..., x_m) the presentation
 phi: A[T_1..T_m] -> A[t], T_i -> x_i t, maps onto the Rees algebra
 R(I); its kernel K is computed by eliminating t and is homogeneous in
-total T-degree.  One routine, :func:`_fresh_degree`, reads a T-graded
-ideal of A[T] modulo the quotient of its context and returns the
-largest T-degree above a floor that needs a fresh generator.  It gives
+total T-degree.  R(0) = A is presented on no T variable, so K is the
+quotient and rt = 1, rn = reg = s = 0.  One routine,
+:func:`_fresh_degree`, reads a T-graded ideal of A[T] modulo the
+quotient of its context and returns the largest T-degree above a floor
+that needs a fresh generator.  It gives
 
 * rt(I): K at floor 1;
 * rt_J(I): K read modulo J at floor 1 (J = I gives the associated
@@ -109,14 +111,13 @@ def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
     """Presentation kernel of the Rees algebra of I on ``first`` (the
     generators of an ideal), then the other generators of I.
 
-    The presentation ring is graded by T-degree.  The latest
-    presentations are cached by the ring and that generator list;
+    The presentation ring is graded by T-degree; the zero ideal gets one
+    on no T variable (``tcount == 0``), whose K is the quotient.  The
+    latest presentations are cached by the ring and that generator list;
     ``first`` only sets ``nfirst``.  While ``groebner.SELF_CHECK`` is on
     each is built afresh, so every kernel basis passes the check.
     """
     gens = [*first] + [g for g in I.gens if g not in first]
-    if not gens:
-        raise PolyError("Rees presentation needs a nonzero ideal")
     build = _present.__wrapped__ if groebner.SELF_CHECK else _present
     return replace(build(I.ctx, tuple(gens)), nfirst=len(first))
 
@@ -132,7 +133,8 @@ def _present(ctx: RingCtx, gens: tuple) -> ReesPresentation:
         stats.presentations += 1
     n, m = len(ctx.vars), len(gens)
     tvars = _fresh_tvars(ctx.vars, m)
-    order = None
+    # T-degree for m = 0 too; compile_order drops the all-zero key row
+    order = Weighted((0,) * (n + m))
     for i in reversed(range(m)):
         order = Weighted((0,) * (n + i) + (1,) * (m - i), order)
     ext = RingCtx(ctx.vars + tvars, order, _internal=True)
@@ -215,8 +217,6 @@ def artin_rees_degree(a: Ideal, I: Ideal, J: Ideal):
     """
     a._check_ctx(I)
     a._check_ctx(J)
-    if I.is_zero:
-        return 0, None
     pres = rees_kernel(I)
     L = Ideal(pres.ext_ctx, _preimage(I, pres.ext_ctx, pres.tvars, a.gens))
     L = _read_modulo(pres, L, J, pres.kernel.gens)
@@ -330,8 +330,6 @@ def effective_relation_2gen(x: Poly, y: Poly, n: int, J: Ideal) -> bool:
     if n < 2:
         raise PolyError("effective relations are defined for degrees n >= 2")
     _, y, colon = _colon_chain(x, y, J.ctx)
-    if y.is_zero:
-        return True  # R((x)) = A[xt] has no relations
     rhs = colon(n - 1)
     if not J.is_zero:
         rhs = ideal_sum(ideal_intersect(colon(n, J), J), rhs)
@@ -343,7 +341,8 @@ def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
 
     c_n = (x I^{n-1} : y^n) ascends with n, and degree n >= 2 carries an
     effective relation iff c_n ≠ c_{n-1} (:func:`effective_relation_2gen`
-    with J = (0)).  a lies in c_n iff a·Z^n + (lower) vanishes at Z = y/x,
+    with J = (0)).  For y = 0, (I : (0)) = (1) makes c_1 = c_∞ = (1), so
+    rt = 1.  a lies in c_n iff a·Z^n + (lower) vanishes at Z = y/x,
     so c_∞ = ∪ c_n is the ideal of Z-leading coefficients of
     L = ker(A[Z] -> A[y/x]) = ((x·Z − y) + quotient) : x^∞, read off the
     reduced basis of L in the chart's order, Z-degree first, which its
@@ -357,8 +356,6 @@ def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
     raises ResourceLimitError at n = 128.
     """
     x, y, colon = _colon_chain(x, y, ctx)
-    if y.is_zero:
-        return 1  # R((x)) = A[xt] has no relations
     (z,) = _fresh_tvars(ctx.vars, 1)
     k = len(ctx.vars)
     chart = RingCtx(ctx.vars + (z,), Weighted((0,) * k + (1,)), _internal=True)

@@ -106,6 +106,23 @@ def test_ar_command(capsys):
     assert out.splitlines() == ["s = 3", "rt_bound = 3", "status = pass"]
 
 
+@pytest.mark.parametrize("explain", [(), ("--explain",)],
+                         ids=["plain", "explain"])
+def test_rt_of_the_zero_ideal(capsys, explain):
+    # R(0) = A has no relations, so --explain adds no kernel line
+    code, out, _ = run(capsys, "rt", "--vars", "x,y", "--ideal", "0",
+                       *explain)
+    assert code == 0
+    assert out.splitlines() == ["rt = 1", "status = pass"]
+
+
+def test_ar_of_the_zero_ideal(capsys):
+    code, out, _ = run(capsys, "ar", "--vars", "x,y", "--sub", "x",
+                       "--ideal", "0")
+    assert code == 0
+    assert out.splitlines() == ["s = 0", "rt_bound = 1", "status = pass"]
+
+
 def test_reg_command(capsys):
     code, out, _ = run(capsys, "reg", "--vars", "u,v", "--mod", "u^4 - v^3",
                        "--ideal", "u, v", "--reduction", "u")

@@ -170,9 +170,13 @@ def test_exact_divide_rejects_zero_and_inexact_divisors():
         exact_divide(x ** 2 + 1, x)
 
 
-def test_colon_by_zero_ideal_rejected():
-    with pytest.raises(PolyError, match="zero ideal"):
-        ideal_colon(I_(CTX2, CTX2.var("x")), I_(CTX2, CTX2.zero))
+def test_colon_by_zero_ideal_is_unit():
+    # (I : (0)) = (1), as for a J whose generators lie in the quotient
+    for ctx in (CTX2, CURVE):
+        for I in (I_(ctx, ctx.var("x")), I_(ctx, ctx.zero)):
+            assert ideal_colon(I, I_(ctx, ctx.zero)).is_unit
+    q = CURVE.quotient[0]
+    assert ideal_colon(I_(CURVE, "x"), I_(CURVE, q)).is_unit
 
 
 def test_membership_in_quotient():

@@ -11,7 +11,8 @@ from reeskit import (Ideal, PolyError, RingCtx, ResourceLimitError,
                      d_sequence_check, find_principal_reduction, ideal_colon,
                      ideal_equal, ideal_intersect, ideal_member, ideal_power,
                      ideal_product, integral_degree_fraction, is_reduction,
-                     monomial_curve, reduction_number, reg_rees, vv_check)
+                     monomial_curve, reduction_number, reg_rees,
+                     relation_type, relation_type_mod, vv_check)
 from reeskit import groebner, invariants, rees
 from reeskit.ideals import candidate_elements
 
@@ -245,7 +246,7 @@ def test_exact_rn_and_id_match_the_scans(ctx, I, J):
 
 def test_exact_read_edge_inputs():
     zero = I_(CTX2, CTX2.zero)
-    assert reduction_number(zero, zero).value == 0  # no Rees kernel of (0)
+    assert reduction_number(zero, zero).value == 0  # R(0) on no T variable
     nil = RingCtx("x", quotient=["x^2"])
     assert reduction_number(I_(nil, nil.var("x")), I_(nil, nil.zero)).value == 1
     x, y = CTX2.var("x"), CTX2.var("y")
@@ -258,6 +259,46 @@ def test_exact_read_edge_inputs():
     I = I_(zero_ring, zero_ring.var("x"))
     outcome = is_reduction(I, I)
     assert outcome.value == 0 and outcome.witness == "I^1 = J*I^0"
+
+
+def _zero_ideal_answers(I, a):
+    """rt, rt_J (J maximal), rn and reg of I on itself (value, witness),
+    s and rt_bound of a ⊆ A, the principal reduction, and (J : I)."""
+    ctx = I.ctx
+    maximal = Ideal(ctx, list(ctx.vars))
+    rn, reg = reduction_number(I, I), reg_rees(I, I)
+    ar = artin_rees_number(I_(ctx, a), I, I_(ctx))
+    return (relation_type(I), relation_type_mod(I, maximal),
+            (rn.value, rn.witness), (reg.value, reg.witness),
+            (ar.s_value.value, ar.s_value.witness), ar.rt_bound,
+            find_principal_reduction(I), ideal_colon(maximal, I).is_unit)
+
+
+# R(0) = A: rt = 1, rn = reg = s = 0, rt_bound = 1, no regular element,
+# and (J : 0) = (1)
+ZERO_IDEAL_ANSWERS = (1, 1, (0, "I^1 = J*I^0"),
+                      (0, "exact: filter-regular above 0"), (0, None), 1,
+                      None, True)
+
+
+@pytest.mark.parametrize("ctx, q, a", [
+    (CUSP34, "u^4 - v^3", "u"), (NODE, "x*z", "x"), (CTX2, None, "x")],
+    ids=["cusp34", "node", "plane"])
+def test_both_spellings_of_the_zero_ideal_agree(ctx, q, a):
+    # (0) takes the general path and gets what (q), q in the quotient, gets
+    assert _zero_ideal_answers(I_(ctx), a) == ZERO_IDEAL_ANSWERS
+    if q is not None:
+        assert _zero_ideal_answers(I_(ctx, q), a) == ZERO_IDEAL_ANSWERS
+
+
+def test_zero_ideal_of_the_zero_ring():
+    # in A = 0 the ideal (0) is (1), so g = 1 is its principal reduction
+    zero_ring = RingCtx("x", quotient=["1"])
+    expected = ZERO_IDEAL_ANSWERS[:6] + (
+        (zero_ring.one, is_reduction(I_(zero_ring, 1), I_(zero_ring, 1))),
+        True)
+    for I in (I_(zero_ring), I_(zero_ring, 1)):
+        assert _zero_ideal_answers(I, "x") == expected
 
 
 def _line_pencil():
@@ -354,7 +395,7 @@ def _obstruction_vanishes(a, I, J, n):
     (CTX2, "x^2 + y^3", "x^2, x*y, y^2", "0", 1, 2),
     (CTX2, "x*y^2 - y^4", "x^3, y^3, x^2*y", "x^3, y^3", 2, 2),
     (CTX2, "0", "x^2, x*y, y^2", "0", 0, 2),
-    (CTX2, "x", "0", "0", 0, None),
+    (CTX2, "x", "0", "0", 0, 1),
 ], ids=["cusp34-a=v-J=u", "cusp34-a=u2", "veronese-a=x2+y3",
         "huneke3-J=x3,y3", "a=0", "I=0"])
 def test_artin_rees_number_matches_definition(ctx, a, I, J, s, rt_bound):
@@ -363,12 +404,12 @@ def test_artin_rees_number_matches_definition(ctx, a, I, J, s, rt_bound):
     assert rep.s_value.value == s and rep.rt_bound == rt_bound
     if s:
         assert not _obstruction_vanishes(a, I, J, s)
-    for n in range(s + 1, max(s, rt_bound or 0) + 2):
+    for n in range(s + 1, max(s, rt_bound) + 2):
         assert _obstruction_vanishes(a, I, J, n)
 
 
 def test_artin_rees_number_lets_resource_errors_through(monkeypatch):
-    # rt_bound is None only for I = 0; an aborted bound is no answer
+    # an aborted bound is no answer
     def abort(I, J):
         raise ResourceLimitError("degree cap")
 

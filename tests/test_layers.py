@@ -10,7 +10,7 @@ import subprocess
 import sys
 
 import reeskit
-from reeskit import Ideal, RingCtx, groebner, reduced_groebner
+from reeskit import Ideal, RingCtx, groebner, invariants, reduced_groebner
 
 LAYERS = ["poly", "groebner", "ideals", "rees", "invariants", "semigroup",
           "corpus", "cli"]
@@ -93,6 +93,32 @@ def test_only_ideal_drops_zero_generators():
                 "J = Ideal(ctx, [ctx.zero])",
                 "J = Ideal(ctx, rest or [ctx.zero])"):
         assert _zero_generator_sites(ast.parse(bad)) == [1], bad
+
+
+def _zero_ideal_raises(tree):
+    """Lines of a ``raise`` whose string message names a zero or nonzero
+    ideal: a guard that stands in for the zero ideal's general path."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and "zero ideal" in n.value.lower()
+                    for n in ast.walk(node.exc))]
+
+
+def test_zero_ideal_takes_the_general_path():
+    # R(0) = A and (I : 0) = (1) are computed, not refused, and the
+    # Artin-Rees bound rt_J(I mod a) always has a value
+    found = {path.name: lines for path in sorted(PACKAGE.glob("*.py"))
+             if (lines := _zero_ideal_raises(
+                 ast.parse(path.read_text(encoding="utf-8"))))}
+    assert not found, found
+    assert invariants.ArtinReesReport.__annotations__["rt_bound"] == "int"
+    # the guard sees the form it forbids, and lets the zero polynomial by
+    for bad in ('raise PolyError("colon by the zero ideal")',
+                'raise PolyError(f"needs a nonzero ideal, got {I}")'):
+        assert _zero_ideal_raises(ast.parse(bad)) == [1], bad
+    ok = 'raise PolyError("division by the zero polynomial")'
+    assert _zero_ideal_raises(ast.parse(ok)) == []
 
 
 CYCLIC4 = ("a + b + c + d", "a*b + b*c + c*d + d*a",

@@ -228,9 +228,13 @@ def test_colon_route_rejects_a_wrong_chart(monkeypatch):
         relation_type_2gen(u, v, CUSP34)
 
 
-def test_relation_type_rejects_zero_ideal():
-    with pytest.raises(PolyError):
-        relation_type(I_(CTX2, CTX2.zero))
+def test_zero_ideal_has_relation_type_one():
+    # R(0) = A is presented on no T variable: K holds no relation
+    zero = I_(CTX2, CTX2.zero)
+    pres = rees_kernel(zero)
+    assert pres.tcount == 0 and pres.kernel.gb.elements == ()
+    assert relation_type(zero) == 1
+    assert relation_type_mod(zero, I_(CTX2, "x", "y")) == 1
 
 
 # -- the presentation cache -----------------------------------------------------
