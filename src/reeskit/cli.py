@@ -19,6 +19,7 @@ Every invariant prints a value or ``none(<reason>)``.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .corpus import REGISTRY, emit_report, list_examples, run_example
@@ -167,7 +168,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each ``parse_args`` call fills
+    a fresh namespace."""
     parser = _Parser(
         prog="reeskit",
         description="Ideal-theoretic invariants over exact rationals")
@@ -232,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (PolyError, ValueError, KeyError) as exc:

@@ -1,10 +1,11 @@
 """Buchberger's algorithm: reduced bases, normal forms, elimination.
 
 Deterministic throughout: generators are seeded in a canonical order,
-pairs are processed smallest-lcm-first under the active order, and the
-returned basis is auto-reduced, monic, and sorted by leading monomial.
-Both classical pair criteria (coprime lcm and chain) are applied.
-Resource caps abort loudly instead of letting a runaway input spin.
+pairs are processed in increasing signature and pruned by the signature
+criteria (:func:`_buchberger`; Faugère's F5, ISSAC 2002; Gao–Volny–Wang,
+Math. Comp. 85, 2016), and the returned basis is auto-reduced, monic,
+and sorted by leading monomial.  Resource caps abort loudly instead of
+letting a runaway input spin.
 
 A reduced basis depends only on the ideal and the order, so
 :func:`reduced_groebner` memoizes the ``MEMO_SIZE`` latest bases as monic
@@ -14,23 +15,25 @@ Buchberger runs on integers.  Its basis is a list of reducer forms
 (:attr:`Poly.reducer_form`: the primitive integer lead, lead coefficient
 and tail, and the support bitmask of the lead), never made monic while
 the loop runs.  Each pair step forms the integer S-pair (:func:`_spair`),
-reduces it fraction-free against the basis (:func:`_reduce_terms`), and
-adds a nonzero remainder in primitive form.  Terms leave a heap keyed
-once per monomial by the order's compiled ``descending`` kernel
+reduces it fraction-free and regularly against the basis
+(:func:`_reduce_terms`, the one reduction kernel), and adds a nonzero
+remainder in primitive form.  Terms leave a heap keyed once per
+monomial by the order's compiled ``descending`` kernel
 (:func:`~reeskit.poly.compile_order`), largest first.  Masks, lcms,
 quotients, products and divisibility tests are the generated kernels of
 :func:`~reeskit.poly.compile_monomials`.  A lead divides a monomial only
 if its mask is a subset of the monomial's, so the reducer search and the
-chain criterion compare exponents only past that filter, and leads with
-disjoint masks are coprime.  ``Fraction`` values appear only at the
+signature criteria compare exponents only past that filter, and leads
+with disjoint masks are coprime.  ``Fraction`` values appear only at the
 boundary: in the public :func:`spolynomial` and :func:`normal_form`,
 wrappers over the same kernels that the loop does not call, and in the
 monic elements of the returned basis.
 
 :func:`counting` opens a scope whose :class:`Stats` counts
-:func:`reduced_groebner` calls, Buchberger runs, the S-pairs formed,
-pruned by each criterion and reduced to zero, and the Rees presentations
-that :mod:`reeskit.rees` builds.
+:func:`reduced_groebner` calls, Buchberger runs, the S-pairs reduced
+and reduced to zero, the pairs pruned (for coprime leads, by a syzygy,
+by a cover or a signature met before), and the Rees presentations that
+:mod:`reeskit.rees` builds.
 
 :func:`eliminate_polys` is the one elimination entry point and the only
 code that knows the auxiliary variable t or chooses an elimination
@@ -88,9 +91,10 @@ class Stats:
 
     calls: int    # reduced_groebner calls, memo hits included
     runs: int     # Buchberger runs: memo misses
-    pairs: int    # S-pairs formed and reduced
-    coprime: int  # pairs pruned by the coprime criterion
-    chain: int    # pairs pruned by the chain criterion
+    pairs: int    # S-pairs formed and reduced (inputs are not pairs)
+    coprime: int  # pairs pruned for coprime leads
+    syzygy: int   # pairs pruned by a syzygy: F5 or a zero reduction
+    covered: int  # pairs pruned by a cover or a signature met before
     zero: int     # S-pairs reduced to zero
     presentations: int  # Rees presentations built (rees_kernel misses)
     normal_forms: int   # GroebnerBasis.normal_form and .contains calls
@@ -103,7 +107,7 @@ _STATS = contextvars.ContextVar("groebner_stats", default=None)
 def counting():
     """Count the Gröbner work of the block in a fresh :class:`Stats`; the
     innermost open scope gets the counts."""
-    stats = Stats(0, 0, 0, 0, 0, 0, 0, 0)
+    stats = Stats(0, 0, 0, 0, 0, 0, 0, 0, 0)
     token = _STATS.set(stats)
     try:
         yield stats
@@ -130,7 +134,7 @@ def _prepare_reducers(ctx, elements):
     return reducers
 
 
-def _reduce_terms(work, reducers, kernels):
+def _reduce_terms(work, reducers, kernels, bound=None):
     """Remainder of the integer terms ``work`` (consumed) as ``(out, scale)``:
     ``work ≡ out / scale`` modulo ``reducers``, ``scale > 0``; ``out``
     iterates in decreasing order (``kernels``: :func:`compile_order`'s).
@@ -143,9 +147,16 @@ def _reduce_terms(work, reducers, kernels):
     The first reducer in the list whose lead divides the monomial is
     used; one whose lead mask is not a subset of the monomial's is
     passed over without a divisibility test.
+
+    ``bound`` is the signature step's: ``(limit, signed)``, where
+    ``signed`` holds ``(signature, its mask, form)`` of further
+    reducers, tried after ``reducers``; a multiple q·g of one is used
+    only if the order key of q·signature(g) is below ``limit`` (a
+    regular reduction).
     """
-    _, keyf, _, (divides, _, mul, quotient, mask) = kernels
-    heap = [(keyf(m), m) for m in work]
+    key, descending, _, (divides, _, mul, quotient, mask) = kernels
+    limit, signed = bound or (None, ())
+    heap = [(descending(m), m) for m in work]
     heapq.heapify(heap)
     queued = set(work)
     out = {}
@@ -160,8 +171,13 @@ def _reduce_terms(work, reducers, kernels):
             if not lead_mask & outside and divides(lead, m):
                 break
         else:
-            out[m] = c
-            continue
+            for s, _, (lead, lc, tail, lead_mask) in signed:
+                if (not lead_mask & outside and divides(lead, m)
+                        and key(mul(quotient(m, lead), s)) < limit):
+                    break
+            else:
+                out[m] = c
+                continue
         g = math.gcd(c, lc)
         a, b = lc // g, c // g
         if a != 1:
@@ -176,7 +192,7 @@ def _reduce_terms(work, reducers, kernels):
                 work[e2] = -b * t
                 if e2 not in queued:
                     queued.add(e2)
-                    heapq.heappush(heap, (keyf(e2), e2))
+                    heapq.heappush(heap, (descending(e2), e2))
             else:
                 s -= b * t
                 if s:
@@ -332,24 +348,39 @@ def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
 def _buchberger(order, forms) -> tuple:
     """The reduced basis under ``order`` of the ideal of the reducer forms
     ``forms``, as monic term tuples in decreasing order (the memo); the
-    key ignores scaling and variable names."""
-    kernels = compile_order(order, len(next(iter(forms))[0]))
-    keyf, _, degree, (divides, lcm, _, _, mask) = kernels
+    key ignores scaling and variable names.
+
+    A signature-based Buchberger loop (Gao–Volny–Wang).  An element's
+    signature (T, i) is the leading term of its representation over the
+    inputs: input i has (1, i), and an S-pair the signature of its
+    larger half, the multiplier times that element's signature.
+    Inputs are taken in ascending canonical order, and the pairs of each
+    in increasing T, so the elements of lower index form a Gröbner basis
+    of the inputs before it (position over term).  A pair is pruned when
+    the lead of an element of lower index divides T (F5), when the
+    signature of an earlier zero reduction does, when an element g of
+    its index covers it (sig(g) | T and (T / sig(g))·lm(g) below the
+    pair's lcm), when a pair of the same signature came first, or when
+    its leads are coprime.  Reductions are regular: the multiple of a
+    reducer of the pair's own index must have a smaller signature.
+    """
+    n = len(next(iter(forms))[0])
+    kernels = compile_order(order, n)
+    key, _, degree, (divides, lcm, mul, quotient, mask) = kernels
     if degree and not all(_homogeneous([f[0]] + [e for e, _ in f[2]], degree)
                           for f in forms):
         degree = None
     stats = _STATS.get()
-    pairs = coprime = chain = zero = 0
+    pairs = coprime = syzygy = covered = zero = 0
 
-    G = []  # reducer forms
-    pending = set()
-    heap = []
+    G = []  # reducer forms: the elements of lower index, then this one's
 
-    def add_form(form):
-        nonlocal coprime
+    def add(form, sig):
+        """Admit ``form`` of signature ``sig`` and push its pairs."""
+        nonlocal coprime, syzygy, covered
         if len(G) >= MAX_BASIS:
             raise ResourceLimitError(f"basis size cap {MAX_BASIS} exceeded")
-        lead, _, tail, mask = form
+        lead, _, tail, lead_mask = form
         monomials = [lead] + [e for e, _ in tail]
         top = max(map(sum, monomials))
         if top > MAX_DEGREE:
@@ -357,50 +388,75 @@ def _buchberger(order, forms) -> tuple:
                 f"total degree {top} exceeds cap {MAX_DEGREE}")
         if degree is not None and not _homogeneous(monomials, degree):
             raise PolyError("internal: weighted homogeneity lost")
-        j = len(G)
-        for i, (lead_i, _, _, mask_i) in enumerate(G):
-            if not mask_i & mask:
-                coprime += 1  # coprime leading monomials: reduces to zero
+        a = len(G)
+        for b, (lead_b, _, _, mask_b) in enumerate(G):
+            if not mask_b & lead_mask:
+                coprime += 1  # a principal syzygy's signature
                 continue
-            L = lcm(lead_i, lead)
-            heapq.heappush(heap, (keyf(L), i, j, L))
-            pending.add((i, j))
+            L = lcm(lead, lead_b)
+            T = mul(quotient(L, lead), sig)
+            if b >= len(low):  # same index: the larger half signs
+                Tb = mul(quotient(L, lead_b), same[b - len(low)][0])
+                if key(Tb) >= key(T):
+                    if Tb == T:
+                        covered += 1
+                        continue
+                    T = Tb
+            outside = ~mask(T)
+            if any(not m & outside and divides(d, T)
+                   for d, _, _, m in low):
+                syzygy += 1
+                continue
+            heapq.heappush(heap, (key(T), key(L), a, b, T))
         G.append(form)
+        same.append((sig, mask(sig), form))
 
     try:
         for form in sorted(forms, key=lambda f: [
-                (keyf(e), c) for e, c in ((f[0], f[1]),) + f[2]]):
-            add_form(form)
-
-        while heap:
-            _, i, j, L = heapq.heappop(heap)
-            pending.discard((i, j))
-            outside = ~(G[i][3] | G[j][3])
-            skip = False
-            for k, (lead_k, _, _, mask_k) in enumerate(G):
-                if k == i or k == j or mask_k & outside:
+                (key(e), c) for e, c in ((f[0], f[1]),) + f[2]]):
+            low = G[:]  # a Gröbner basis of the inputs before this one
+            lead, lc, tail, lead_mask = form
+            if any(not m & ~lead_mask and divides(d, lead)
+                   for d, _, _, m in low):
+                out, _ = _reduce_terms({lead: lc, **dict(tail)}, low, kernels)
+                if not out:
+                    continue  # in the ideal of the inputs before it
+                form = _primitive_form(list(out.items()), mask)
+            same = []  # (signature, mask, form) of this index's elements
+            syz = []   # (signature, mask) of its zero reductions
+            heap = []
+            add(form, (0,) * n)
+            last = None
+            while heap:
+                kT, kL, a, b, T = heapq.heappop(heap)
+                if kT == last:
+                    covered += 1
                     continue
-                if divides(lead_k, L):
-                    pik = (i, k) if i < k else (k, i)
-                    pjk = (j, k) if j < k else (k, j)
-                    if pik not in pending and pjk not in pending:
-                        skip = True
-                        break
-            if skip:
-                chain += 1
-                continue
-            pairs += 1
-            out, _ = _reduce_terms(_spair(G[i], G[j], kernels), G, kernels)
-            if out:
-                add_form(_primitive_form(list(out.items()), mask))
-            else:
-                zero += 1
+                last = kT
+                outside = ~mask(T)
+                if any(not m & outside and divides(s, T) for s, m in syz):
+                    syzygy += 1
+                    continue
+                if any(not m & outside and divides(s, T)
+                       and key(mul(quotient(T, s), g[0])) < kL
+                       for s, m, g in same):
+                    covered += 1
+                    continue
+                pairs += 1
+                out, _ = _reduce_terms(_spair(G[a], G[b], kernels), low,
+                                       kernels, (kT, same))
+                if out:
+                    add(_primitive_form(list(out.items()), mask), T)
+                else:
+                    zero += 1
+                    syz.append((T, ~outside))
     finally:
         if stats is not None:
             stats.runs += 1
             stats.pairs += pairs
             stats.coprime += coprime
-            stats.chain += chain
+            stats.syzygy += syzygy
+            stats.covered += covered
             stats.zero += zero
 
     return _reduced(G, kernels)

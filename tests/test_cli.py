@@ -5,7 +5,7 @@ import pathlib
 import pytest
 
 from reeskit import REGISTRY, groebner
-from reeskit.cli import main
+from reeskit.cli import build_parser, main
 
 # `reeskit verify --all` output, byte for byte: one block per registry
 # entry and n, each followed by an empty line.
@@ -220,3 +220,24 @@ def test_verify_matches_golden_report(capsys, name, n):
     code, out, _ = run(capsys, "verify", name, "--n", n)
     assert code == 0
     assert out == GOLDEN_BLOCKS[(name, n)] + "\n"
+
+
+def test_one_parser_serves_every_call(capsys):
+    gb = ("gb", "--vars", "x,y", "--ideal", "x - y^2, y - x^2",
+          "--order", "lex")
+    rt = ("rt", "--vars", "x,y", "--ideal", "x^2, x*y, y^2", "--explain")
+    first = run(capsys, *gb)
+    assert run(capsys, *rt) == (0, "rt = 2\nkernel.deg1 = x*T2 - y*T1\n"
+                                "kernel.deg1 = x*T3 - y*T2\n"
+                                "kernel.deg2 = T2^2 - T1*T3\n"
+                                "status = pass\n", "")
+    assert run(capsys, *gb) == first == (0, "y^4 - y\nx - y^2\n", "")
+    # the parser is built once, and no option of one subcommand reaches
+    # the namespace of another
+    parser = build_parser()
+    assert build_parser() is parser
+    common = {"command", "vars", "mod", "ideal", "func"}
+    spaces = [vars(parser.parse_args(list(argv))) for argv in (gb, rt, gb)]
+    assert [set(s) - common for s in spaces] == [
+        {"order"}, {"modulo", "explain"}, {"order"}]
+    assert spaces[0] == spaces[2]

@@ -1,5 +1,6 @@
 """Groebner bases: reduction, uniqueness, elimination, resource caps."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from reeskit import (DegRevLex, Ideal, Lex, PolyError, ResourceLimitError,
                      normal_form, reduced_groebner)
 from reeskit import groebner
 from reeskit.groebner import eliminate_polys, spolynomial
+from reeskit.ideals import ideal_intersect
 from reeskit.poly import _primitive_form
 
 CTX2 = RingCtx("x,y")
@@ -402,41 +404,89 @@ def test_integer_pair_step_equals_the_fraction_route(case):
 
 # -- the pair sequence -------------------------------------------------------
 
-# Pairs formed and pairs that reduced to zero; the counts of the rational
-# Buchberger loop, which primitive basis elements and the masks keep.
 PAIR_SYSTEMS = {
     "cyclic-4": ["a + b + c + d", "a*b + b*c + c*d + d*a",
                  "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1"],
     "katsura-3": ["a + 2*b + 2*c + 2*d - 1", "a^2 + 2*b^2 + 2*c^2 + 2*d^2 - a",
                   "2*a*b + 2*b*c + 2*c*d - b", "2*a*c + b^2 + 2*b*d - c"],
 }
+KATSURA_4 = ["u0 + 2*u1 + 2*u2 + 2*u3 + 2*u4 - 1",
+             "u0^2 - u0 + 2*u1^2 + 2*u2^2 + 2*u3^2 + 2*u4^2",
+             "2*u0*u1 + 2*u1*u2 - u1 + 2*u2*u3 + 2*u3*u4",
+             "2*u0*u2 + u1^2 + 2*u1*u3 - u2 + 2*u2*u4",
+             "2*u0*u3 + 2*u1*u2 + 2*u1*u4 - u3"]
 
 
-# Pairs pruned by the coprime and by the chain criterion.
-PAIRS_PRUNED = {
-    ("cyclic-4", "degrevlex"): (10, 24), ("cyclic-4", "lex"): (18, 53),
-    ("katsura-3", "degrevlex"): (21, 5), ("katsura-3", "lex"): (195, 320),
-}
-
-
-@pytest.mark.parametrize("system, order, pairs, zeros", [
-    ("cyclic-4", DegRevLex(), 11, 5),
-    ("cyclic-4", Lex(), 20, 10),
-    ("katsura-3", DegRevLex(), 10, 5),
-    ("katsura-3", Lex(), 46, 16),
-])
-def test_pair_sequence_is_pinned(system, order, pairs, zeros):
-    coprime, chain = PAIRS_PRUNED[system, order.tag]
+def _pair_counts(ctx, gens, dropped=0):
+    """Stats of one fresh run on ``gens`` and the basis it returns, where
+    ``dropped`` inputs repeat or reduce to zero when seeded; every pair
+    of the elements admitted is reduced or pruned exactly once."""
     groebner._buchberger.cache_clear()
-    ctx = RingCtx("a,b,c,d", order)
     with groebner.counting() as stats:
-        reduced_groebner(_polys(ctx, *PAIR_SYSTEMS[system]))
+        gb = reduced_groebner(_polys(ctx, *gens))
     assert (stats.calls, stats.runs) == (1, 1)
-    assert (stats.pairs, stats.zero) == (pairs, zeros)
-    assert (stats.coprime, stats.chain) == (coprime, chain)
-    # every pair of the final basis is formed or pruned exactly once
-    size = len(PAIR_SYSTEMS[system]) + pairs - zeros
-    assert pairs + coprime + chain == size * (size - 1) // 2
+    size = len(gens) - dropped + stats.pairs - stats.zero
+    assert (stats.pairs + stats.coprime + stats.syzygy + stats.covered
+            == size * (size - 1) // 2)
+    return stats, gb
+
+
+# S-pairs reduced, reduced to zero, and pruned for coprime leads, by a
+# syzygy (F5 or a zero reduction) and by a cover or a repeated signature.
+@pytest.mark.parametrize("system, order, counts", [
+    ("cyclic-4", DegRevLex(), (4, 1, 8, 7, 2)),
+    ("cyclic-4", Lex(), (5, 1, 9, 11, 3)),
+    ("katsura-3", DegRevLex(), (4, 0, 16, 8, 0)),
+    ("katsura-3", Lex(), (17, 0, 73, 96, 24)),
+], ids=["cyclic-4-degrevlex", "cyclic-4-lex", "katsura-3-degrevlex",
+        "katsura-3-lex"])
+def test_pair_sequence_is_pinned(system, order, counts):
+    stats, _ = _pair_counts(RingCtx("a,b,c,d", order), PAIR_SYSTEMS[system])
+    assert (stats.pairs, stats.zero, stats.coprime, stats.syzygy,
+            stats.covered) == counts
+
+
+def test_katsura_4_in_lex_is_pinned_and_checked():
+    # the chain-criterion loop took minutes here
+    stats, gb = _pair_counts(RingCtx("u0,u1,u2,u3,u4", Lex()), KATSURA_4)
+    assert (stats.pairs, stats.zero, stats.coprime, stats.syzygy,
+            stats.covered) == (120, 0, 1101, 5348, 1181)
+    assert len(gb) == 5 and gb.self_check()
+
+
+def test_dense_generic_system_reduces_nothing_to_zero():
+    # as on katsura-3 (pinned above), the signature criteria prove every
+    # zero reduction of a generic 3x3 system in advance
+    ctx = RingCtx("x,y,z")
+    rng = random.Random(5)
+    monomials = [e for e in itertools.product(range(4), repeat=3)
+                 if sum(e) <= 3]
+    dense = [ctx.poly({e: rng.choice([-3, -2, -1, 1, 2, 3])
+                       for e in monomials if sum(e) <= degree})
+             for degree in (2, 3, 3)]
+    groebner._buchberger.cache_clear()
+    with groebner.counting() as stats:
+        gb = reduced_groebner(dense)
+    assert stats.zero == 0 and stats.pairs > 0 and gb.self_check()
+
+
+def test_edge_inputs():
+    x, f, g = _polys(CTX2, "x", "x^2 - y", "x*y - 1")
+    basis = reduced_groebner([f, g])
+    assert [str(e) for e in basis] == ["y^2 - x", "x*y - 1", "x^2 - y"]
+    # duplicate generators and scaled copies are one input; a multiple of
+    # an earlier input reduces to zero when it is seeded, before any pair
+    for gens in ([f, f, g, f.scale(-2)], [f, x * f, g, g * g]):
+        stats, gb = _pair_counts(CTX2, [str(h) for h in gens], 2)
+        assert gb.elements == basis.elements and stats.zero == 0
+    # the unit ideal: the remainder 1 is coprime to everything
+    stats, gb = _pair_counts(CTX2, ["x*y - 1", "x", "y^2"])
+    assert gb.is_unit and (stats.pairs, stats.coprime) == (0, 3)
+    # an elimination in a quotient ring: (x) ∩ (y) on the cusp
+    cusp = RingCtx("x,y", quotient=["y^2 - x^3"])
+    K = ideal_intersect(Ideal(cusp, ["x"]), Ideal(cusp, ["y"]))
+    gb = reduced_groebner(list(K.gens) + list(cusp.quotient), cusp.ambient)
+    assert [str(e) for e in gb] == ["y^2", "x*y", "x^3"] and gb.self_check()
 
 
 def test_counting_is_scoped_and_survives_a_resource_error(monkeypatch):
@@ -460,7 +510,7 @@ def test_counting_is_scoped_and_survives_a_resource_error(monkeypatch):
     # the four generators hits the cap
     assert (aborted.calls, aborted.runs, aborted.pairs - aborted.zero) == (
         1, 1, 3)
-    assert aborted.coprime + aborted.chain > 0
+    assert (aborted.coprime, aborted.syzygy, aborted.covered) == (6, 3, 0)
     # the error holds a copy taken at the abort; the scope counts on
     assert (stats.calls, stats.runs) == (2, 2)
     assert stats.pairs == aborted.pairs
@@ -501,6 +551,25 @@ def test_resource_cap_aborts_loudly(monkeypatch):
             groebner._buchberger.cache_clear()
             with pytest.raises(ResourceLimitError, match="cap"):
                 reduced_groebner(gens)
+
+
+@pytest.mark.parametrize("cap, value, counts", [
+    ("MAX_BASIS", 6, (4, 1, 6, 3, 0)),
+    ("MAX_DEGREE", 4, (2, 1, 3, 0, 0)),
+])
+def test_resource_error_carries_the_signature_counters(monkeypatch, cap,
+                                                        value, counts):
+    # cyclic-4 in degrevlex: the seventh element, or the first of degree
+    # 5, aborts; the error holds the pairs pruned up to there
+    monkeypatch.setattr(groebner, cap, value)
+    groebner._buchberger.cache_clear()
+    with groebner.counting():
+        with pytest.raises(ResourceLimitError, match="cap") as info:
+            reduced_groebner(_polys(RingCtx("a,b,c,d"),
+                                    *PAIR_SYSTEMS["cyclic-4"]))
+    aborted = info.value.stats
+    assert (aborted.pairs, aborted.zero, aborted.coprime, aborted.syzygy,
+            aborted.covered) == counts
 
 
 def test_unit_ideal_basis():

@@ -121,6 +121,40 @@ def test_zero_ideal_takes_the_general_path():
     assert _zero_ideal_raises(ast.parse(ok)) == []
 
 
+def _reduction_kernels(tree):
+    """Names of the functions that hold a fraction-free reduction step:
+    a ``while`` loop whose body calls ``math.gcd``."""
+    return sorted(
+        fn.name for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(loop, ast.While)
+                and any(isinstance(c, ast.Call) and ast.unparse(c.func)
+                        == "math.gcd" for c in ast.walk(loop))
+                for loop in ast.walk(fn)))
+
+
+def _pair_criterion_names(tree):
+    """Names left of the chain criterion's bookkeeping."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    return sorted(names & {"chain", "pending"})
+
+
+def test_groebner_has_one_reduction_kernel_and_no_chain_criterion():
+    # the signature loop, normal_form and _reduced all reduce through
+    # _reduce_terms; the signature criteria replace the chain criterion
+    tree = ast.parse((PACKAGE / "groebner.py").read_text(encoding="utf-8"))
+    assert _reduction_kernels(tree) == ["_reduce_terms"]
+    assert _pair_criterion_names(tree) == []
+    assert "chain" not in groebner.Stats.__dataclass_fields__
+    # the guards see the forms they forbid
+    copy = ("def top(work, g):\n    while work:\n"
+            "        a = math.gcd(work[0], g)\n")
+    assert _reduction_kernels(ast.parse(copy)) == ["top"]
+    for bad in ("pending.discard((i, j))", "stats.chain += chain"):
+        assert _pair_criterion_names(ast.parse(bad)), bad
+
+
 CYCLIC4 = ("a + b + c + d", "a*b + b*c + c*d + d*a",
            "a*b*c + b*c*d + c*d*a + d*a*b", "a*b*c*d - 1")
 
