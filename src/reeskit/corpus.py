@@ -2,13 +2,15 @@
 
 Each entry builds an affine/graded model of a family from the
 commutative-algebra literature, computes its invariants with the
-library, and compares them against frozen expected values.  Every
-expectation carries a provenance source ("literature: ...",
-"derived: ...", or "trivial: ..."); the registry refuses entries
-without one.  A literature value known to disagree with the stated
-independent oracle is marked ``divergence_ok`` and reported as an
-expected divergence instead of a failure.  An entry passes or fails:
-every invariant is exact, and a computed None fails its expectation.
+library, and compares them against frozen expected values.  Each
+:class:`Expectation` carries its computed value next to the expected
+one and a provenance source ("literature: ...", "derived: ...", or
+"trivial: ..."); the registry refuses entries without one.  A
+literature value known to disagree with the stated independent oracle
+is marked ``divergence_ok``, and a computed value that differs from it
+is reported as an expected divergence instead of a failure.  An entry
+passes or fails: every invariant is exact, and a computed None fails
+its expectation, even under ``divergence_ok``.
 
 The local families are evaluated in affine polynomial / monomial-curve
 models; every identity tested here is between objects generated in the
@@ -37,6 +39,7 @@ class Expectation:
     key: str
     expected: object
     source: str
+    computed: object
     divergence_ok: bool = False
 
     def __post_init__(self):
@@ -44,15 +47,14 @@ class Expectation:
             raise ValueError(
                 f"expectation {self.key!r} lacks a provenance source")
 
+    @property
+    def ok(self) -> bool:
+        return self.computed == self.expected
 
-@dataclass
-class ExpectationResult:
-    key: str
-    expected: object
-    computed: object
-    source: str
-    ok: bool
-    divergent: bool
+    @property
+    def divergent(self) -> bool:
+        return (self.divergence_ok and self.computed is not None
+                and not self.ok)
 
 
 @dataclass
@@ -136,29 +138,20 @@ def _sv_names(n: int):
 # entries
 
 
+@dataclass(frozen=True)
 class CorpusEntry:
-    def __init__(self, name, n_min, n_max, summary, runner):
-        self.name = name
-        self.n_min = n_min
-        self.n_max = n_max
-        self.summary = summary
-        self._runner = runner
+    name: str
+    n_min: int
+    n_max: int
+    summary: str
+    runner: object
 
     def run(self, n: int) -> ExampleReport:
         if not self.n_min <= n <= self.n_max:
             raise ValueError(
                 f"{self.name}: n = {n} outside supported range "
                 f"[{self.n_min}, {self.n_max}]")
-        expectations, computed = self._runner(n)
-        results = []
-        for exp in expectations:
-            got = computed[exp.key]
-            ok = got == exp.expected
-            results.append(ExpectationResult(
-                key=exp.key, expected=exp.expected, computed=got,
-                source=exp.source, ok=ok,
-                divergent=(not ok and exp.divergence_ok)))
-        return ExampleReport(self.name, n, results)
+        return ExampleReport(self.name, n, self.runner(n))
 
 
 def _run_huneke(n: int):
@@ -169,19 +162,16 @@ def _run_huneke(n: int):
     J = Ideal(ctx, jgens)
     rn = reduction_number(I, J)
     rep = check_d_sequence_reduction(I, jgens) if rn.resolved else None
-    expectations = [
+    return [
         Expectation("rn", n - 1,
                     "literature: Huneke's family (x^n, y^n, x^{n-1}y) has "
-                    "the reduction (x^n, y^n) with reduction number n-1"),
+                    "the reduction (x^n, y^n) with reduction number n-1",
+                    rn.value),
         Expectation("cds_iii_failure", n >= 3,
                     "derived: Groebner comparison of (x^n) ∩ I^n with "
-                    "x^n·I^{n-1}; equality holds exactly for n <= 2"),
+                    "x^n·I^{n-1}; equality holds exactly for n <= 2",
+                    None if rep is None else not rep.intersection_ok),
     ]
-    computed = {
-        "rn": rn.value,
-        "cds_iii_failure": None if rep is None else not rep.intersection_ok,
-    }
-    return expectations, computed
 
 
 def _run_wang(n: int):
@@ -195,28 +185,24 @@ def _run_wang(n: int):
     m_mod = Ideal(ctx_mod, [x, y, z])
     zero_mod = Ideal(ctx_mod, [])
     ar = artin_rees_number(a, I, m)
-    expectations = [
+    return [
         Expectation("rt", 1,
                     "trivial: the three generators form a regular sequence, "
                     "so the presentation kernel is generated by linear "
-                    "syzygies"),
+                    "syzygies", relation_type(I)),
         Expectation("rt_mod_a", n,
                     "literature: Wang's three-generated family has relation "
-                    "type n modulo the prime (z)"),
+                    "type n modulo the prime (z)",
+                    relation_type_mod(I_mod, zero_mod)),
         Expectation("rt_fiber", n,
                     "literature: the fiber cone of the image ideal has "
-                    "relation type n (defining relation T3^n - T1^{n-1}T2)"),
+                    "relation type n (defining relation T3^n - T1^{n-1}T2)",
+                    relation_type_mod(I_mod, m_mod)),
         Expectation("s_m", n,
                     "literature: the Artin-Rees number modulo the maximal "
-                    "ideal equals the fiber relation type n"),
+                    "ideal equals the fiber relation type n",
+                    ar.s_value.value),
     ]
-    computed = {
-        "rt": relation_type(I),
-        "rt_mod_a": relation_type_mod(I_mod, zero_mod),
-        "rt_fiber": relation_type_mod(I_mod, m_mod),
-        "s_m": ar.s_value.value,
-    }
-    return expectations, computed
 
 
 def _run_eisenbud_hochster(n: int):
@@ -233,24 +219,18 @@ def _run_eisenbud_hochster(n: int):
               and not all(ideal_member(g, rhs) for g in lhs.gb))
     ctx_curve = ctx.with_quotient([f])
     idxy = integral_degree_fraction(x, y, ctx_curve)
-    expectations = [
+    return [
         Expectation("strict_gap", True,
                     "literature: Eisenbud-Hochster slice: the generator of "
                     "the prime lies in I^n but I^n ∩ (f) exceeds "
-                    "I·(I^{n-1} ∩ (f))"),
+                    "I·(I^{n-1} ∩ (f))", strict),
         Expectation("s", n,
                     "derived: the order-n generator forces obstructions in "
-                    "degrees 1..n and none beyond"),
+                    "degrees 1..n and none beyond", ar.s_value.value),
         Expectation("id_x_over_y", n,
                     "derived: numerical semigroup <n, n+1>: least k with "
-                    "k·1 in the semigroup is n"),
+                    "k·1 in the semigroup is n", idxy.value),
     ]
-    computed = {
-        "strict_gap": strict,
-        "s": ar.s_value.value,
-        "id_x_over_y": idxy.value,
-    }
-    return expectations, computed
 
 
 def _run_sally_vasconcelos(n: int):
@@ -260,19 +240,16 @@ def _run_sally_vasconcelos(n: int):
     u0, u1 = ctx.var(names[0]), ctx.var(names[1])
     out = integral_degree_fraction(u1, u0, ctx)
     oracle = monomial_fraction_degree(weights, 1)
-    expectations = [
+    return [
         Expectation("id", n,
                     "literature: Sally-Vasconcelos localization example, "
-                    "integral degree asserted to be n", divergence_ok=True),
+                    "integral degree asserted to be n",
+                    out.value, divergence_ok=True),
         Expectation("id_matches_oracle", True,
                     "derived: brute-force numerical-semigroup oracle on "
-                    "<n+1, ..., 2n+1> (minimal monic equation of t)"),
+                    "<n+1, ..., 2n+1> (minimal monic equation of t)",
+                    out.value == oracle),
     ]
-    computed = {
-        "id": out.value,
-        "id_matches_oracle": out.value == oracle,
-    }
-    return expectations, computed
 
 
 def _run_veronese(n: int):
@@ -284,40 +261,31 @@ def _run_veronese(n: int):
     sub_checks = [relation_type(Ideal(ctx, [xx, yy]))
                   == relation_type_2gen(xx, yy, ctx)
                   for xx, yy in [(x ** 2, x * y), (x ** 2, y ** 2)]]
-    expectations = [
+    return [
         Expectation("rt", 2,
                     "derived: the kernel needs the quadratic relation "
-                    "T1*T3 - T2^2 on top of the linear syzygies"),
+                    "T1*T3 - T2^2 on top of the linear syzygies", rt),
         Expectation("two_route_agreement", True,
                     "derived: general degree analysis agrees with the "
-                    "two-generated colon test on the sub-ideals"),
+                    "two-generated colon test on the sub-ideals",
+                    all(sub_checks)),
     ]
-    computed = {
-        "rt": rt,
-        "two_route_agreement": all(sub_checks),
-    }
-    return expectations, computed
 
 
 def _run_node_dseq(n: int):
     ctx = RingCtx("x,y,z", quotient=["x*z"])
     x, y = ctx.var("x"), ctx.var("y")
-    expectations = [
+    return [
         Expectation("dseq_x_y", False,
                     "derived: (0 : x) ∩ (x, y) contains y·z, which is "
-                    "nonzero on the node"),
+                    "nonzero on the node", d_sequence_check([x, y], ctx)),
         Expectation("dseq_y_x", True,
                     "derived: y is regular and ((y) : x) ∩ (y, x) "
-                    "collapses to (y)"),
+                    "collapses to (y)", d_sequence_check([y, x], ctx)),
         Expectation("dseq_x", True,
-                    "derived: (0 : x) ∩ (x) = (x·z) = 0 on the node"),
+                    "derived: (0 : x) ∩ (x) = (x·z) = 0 on the node",
+                    d_sequence_check([x], ctx)),
     ]
-    computed = {
-        "dseq_x_y": d_sequence_check([x, y], ctx),
-        "dseq_y_x": d_sequence_check([y, x], ctx),
-        "dseq_x": d_sequence_check([x], ctx),
-    }
-    return expectations, computed
 
 
 REGISTRY = {

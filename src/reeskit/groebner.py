@@ -89,15 +89,15 @@ class ResourceLimitError(PolyError):
 class Stats:
     """Gröbner work done inside one :func:`counting` scope."""
 
-    calls: int    # reduced_groebner calls, memo hits included
-    runs: int     # Buchberger runs: memo misses
-    pairs: int    # S-pairs formed and reduced (inputs are not pairs)
-    coprime: int  # pairs pruned for coprime leads
-    syzygy: int   # pairs pruned by a syzygy: F5 or a zero reduction
-    covered: int  # pairs pruned by a cover or a signature met before
-    zero: int     # S-pairs reduced to zero
-    presentations: int  # Rees presentations built (rees_kernel misses)
-    normal_forms: int   # GroebnerBasis.normal_form and .contains calls
+    calls: int = 0    # reduced_groebner calls, memo hits included
+    runs: int = 0     # Buchberger runs: memo misses
+    pairs: int = 0    # S-pairs formed and reduced (inputs are not pairs)
+    coprime: int = 0  # pairs pruned for coprime leads
+    syzygy: int = 0   # pairs pruned by a syzygy: F5 or a zero reduction
+    covered: int = 0  # pairs pruned by a cover or a signature met before
+    zero: int = 0     # S-pairs reduced to zero
+    presentations: int = 0  # Rees presentations built (rees_kernel misses)
+    normal_forms: int = 0   # GroebnerBasis.normal_form and .contains calls
 
 
 _STATS = contextvars.ContextVar("groebner_stats", default=None)
@@ -107,7 +107,7 @@ _STATS = contextvars.ContextVar("groebner_stats", default=None)
 def counting():
     """Count the Gröbner work of the block in a fresh :class:`Stats`; the
     innermost open scope gets the counts."""
-    stats = Stats(0, 0, 0, 0, 0, 0, 0, 0, 0)
+    stats = Stats()
     token = _STATS.set(stats)
     try:
         yield stats

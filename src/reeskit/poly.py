@@ -342,9 +342,11 @@ class Poly:
             n = len(ctx.vars)
             clean = {}
             for exps, c in dict(terms).items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(exps)
                 if len(exps) != n:
                     raise PolyError("exponent vector length mismatch")
+                if not all(type(e) is int for e in exps):
+                    raise PolyError("non-integer exponent")
                 if any(e < 0 for e in exps):
                     raise PolyError("negative exponent")
                 c = Fraction(c)

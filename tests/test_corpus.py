@@ -2,6 +2,7 @@
 
 import pytest
 
+from reeskit import corpus
 from reeskit import (REGISTRY, emit_report, list_examples, monomial_curve,
                      run_example)
 from reeskit.corpus import Expectation
@@ -18,7 +19,7 @@ def test_listing_contents_and_determinism():
 
 def test_registry_refuses_missing_provenance():
     with pytest.raises(ValueError, match="provenance"):
-        Expectation("rt", 2, "just trust me")
+        Expectation("rt", 2, "just trust me", 2)
 
 
 def test_unknown_example_and_range_errors():
@@ -77,9 +78,24 @@ def test_huneke_example_reports_rn_and_iii_failure():
 
 
 def test_failure_lines_format():
-    from reeskit.corpus import ExampleReport, ExpectationResult
-    rep = ExampleReport("demo", 1, [ExpectationResult(
-        key="rt_mod", expected=3, computed=2, source="trivial: demo",
-        ok=False, divergent=False)])
+    rep = corpus.ExampleReport("demo", 1, [
+        Expectation("rt_mod", 3, "trivial: demo", 2)])
     assert rep.status == "fail"
     assert rep.failure_lines() == ["expected rt_mod = 3, got 2"]
+
+
+def test_computed_none_is_never_an_expected_divergence(monkeypatch):
+    """A None fails its expectation even under ``divergence_ok``: the
+    Sally-Vasconcelos id may differ from the literature's n, but must be
+    computed."""
+    monkeypatch.setattr(corpus, "integral_degree_fraction",
+                        lambda *args: SearchOutcome(None, "not integral"))
+    rep = run_example("sally-vasconcelos", 2)
+    assert rep.status == "fail"
+    assert ("id", None) in rep.lines()
+    assert not any(k.endswith(".note") for k, _ in rep.lines())
+    assert "expected id = 2, got none" in rep.failure_lines()
+    only = corpus.ExampleReport("demo", 2, [Expectation(
+        "id", 2, "literature: demo", None, divergence_ok=True)])
+    assert only.status == "fail"
+    assert only.failure_lines() == ["expected id = 2, got none"]

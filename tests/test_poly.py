@@ -51,6 +51,12 @@ def test_parse_non_integer_exponent_rejected():
         parse_poly("x^1/2", CTX3)
 
 
+@pytest.mark.parametrize("exponent", [1.5, "2", True])
+def test_poly_rejects_non_integer_exponents(exponent):
+    with pytest.raises(PolyError, match="non-integer exponent"):
+        CTX2.poly({(exponent, 0): 1})
+
+
 def test_parse_unknown_variable():
     with pytest.raises(ParseError, match="unknown variable 'w'"):
         parse_poly("x + w", CTX3)
