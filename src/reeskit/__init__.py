@@ -16,8 +16,8 @@ from .ideals import (Ideal, exact_divide, ideal_colon, ideal_contains,
                      ideal_equal, ideal_intersect, ideal_member, ideal_power,
                      ideal_product, ideal_sum, is_regular_element,
                      is_regular_ideal)
-from .rees import (ReesPresentation, effective_relation_2gen, rees_kernel,
-                   relation_type, relation_type_2gen, relation_type_mod)
+from .rees import (ReesPresentation, rees_kernel, relation_type,
+                   relation_type_2gen, relation_type_mod)
 from .invariants import (ArtinReesReport, DSequenceReductionReport,
                          SearchOutcome, artin_rees_number,
                          check_d_sequence_reduction, d_sequence_check,

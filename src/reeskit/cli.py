@@ -240,7 +240,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (PolyError, ValueError, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"input error: {message}", file=sys.stderr)
         return EXIT_INPUT
 
 

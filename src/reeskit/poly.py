@@ -406,12 +406,6 @@ class Poly:
     def lc(self) -> Fraction:
         return self.sorted_terms[0][1]
 
-    @property
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     # -- arithmetic -----------------------------------------------------------
 
     def _check_ring(self, other: "Poly"):

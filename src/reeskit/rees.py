@@ -16,7 +16,9 @@ that needs a fresh generator.  It gives
   being the same t-elimination with the generators of a added.
 
 For I = (x, y) with x regular, :func:`relation_type_2gen` reaches rt(I)
-by a second route that never reads K: the colon chain (x I^{n-1} : y^n).
+by a second route that never reads K: the chart kernel
+L = ker(A[Z] -> A[y/x]), whose Z-leading coefficients in Z-degrees <= n
+generate c_n = (x I^{n-1} : y^n).
 
 The presentation ring is ordered by T-degree, then reverse
 lexicographically on the T-block with T_1 last; K comes back reduced in
@@ -36,9 +38,7 @@ from dataclasses import dataclass, replace
 
 from . import groebner
 from .groebner import _STATS, GroebnerBasis, eliminate_polys
-from .ideals import (Ideal, ideal_colon, ideal_contains, ideal_intersect,
-                     ideal_member, ideal_power, ideal_product, ideal_sum,
-                     is_regular_element)
+from .ideals import Ideal, ideal_contains, ideal_member, is_regular_element
 from .poly import (Poly, PolyError, RingCtx, Weighted, compile_monomials,
                    embed)
 
@@ -301,61 +301,28 @@ def filter_regular_degree(pres: ReesPresentation):
     return top, None
 
 
-def _colon_chain(x: Poly, y: Poly, ctx: RingCtx):
-    """``(x, y, c)`` for I = (x, y) in ``ctx``, x checked regular, with
-    c(n, J) = (x J I^{n-1} : y^n); J = None reads as (1), so c(n) = c_n."""
+def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
+    """rt(I) for I = (x, y) with x regular, read off the chart kernel
+    L = ker(A[Z] -> A[y/x]) = ((x·Z − y) + quotient) : x^∞.
+
+    a·y^n ∈ x·I^{n-1} iff some a·Z^n + (lower) lies in L: multiply by
+    x^n, which is regular.  So c_n = (x I^{n-1} : y^n) is the ideal of
+    Z-leading coefficients of the elements of L of Z-degree <= n.  The
+    elimination of s from 1 − s·x returns L's reduced basis in the
+    chart's order, which compares Z-degree first, so such an element
+    reduces to 0 by the basis elements of Z-degree <= n alone, and their
+    leading coefficients generate c_n.  Degree n >= 2 carries an
+    effective relation iff c_n ≠ c_{n-1}, so rt is the largest Z-degree
+    d >= 2 of a basis element whose leading coefficient lies outside
+    c_{d-1}, or 1 when there is none.  A degree below it may carry none
+    (on Q[t⁴, t⁵, t⁷], (t⁴, t⁵) has effective degrees 2 and 4).  The Rees
+    kernel is not read, so this route stays independent of
+    :func:`relation_type`.
+    """
     x = ctx.coerce(x)
     y = ctx.coerce(y)
     if not is_regular_element(x, ctx):
         raise PolyError("the first generator must be a regular element")
-    I = Ideal(ctx, [x, y])
-    xI = Ideal(ctx, [x])
-
-    def colon(n: int, J: Ideal | None = None) -> Ideal:
-        xJ = xI if J is None else ideal_product(xI, J)
-        return ideal_colon(ideal_product(xJ, ideal_power(I, n - 1)),
-                           Ideal(ctx, [y ** n]))
-
-    return x, y, colon
-
-
-def effective_relation_2gen(x: Poly, y: Poly, n: int, J: Ideal) -> bool:
-    """Whether the module of effective n-relations of (x, y) modulo J vanishes.
-
-    For two-generated I = (x, y) with x regular this is the colon test
-    (x I^{n-1} : y^n) ⊆ ((x J I^{n-1} : y^n) ∩ J) + (x I^{n-2} : y^{n-1});
-    with J = (0) the middle term drops out.  For J = (0),
-    :func:`relation_type_2gen` gives the largest such n with an exact stop.
-    """
-    if n < 2:
-        raise PolyError("effective relations are defined for degrees n >= 2")
-    _, y, colon = _colon_chain(x, y, J.ctx)
-    rhs = colon(n - 1)
-    if not J.is_zero:
-        rhs = ideal_sum(ideal_intersect(colon(n, J), J), rhs)
-    return ideal_contains(rhs, colon(n))
-
-
-def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
-    """rt(I) for I = (x, y) with x regular, by the colon route alone.
-
-    c_n = (x I^{n-1} : y^n) ascends with n, and degree n >= 2 carries an
-    effective relation iff c_n ≠ c_{n-1} (:func:`effective_relation_2gen`
-    with J = (0)).  For y = 0, (I : (0)) = (1) makes c_1 = c_∞ = (1), so
-    rt = 1.  a lies in c_n iff a·Z^n + (lower) vanishes at Z = y/x,
-    so c_∞ = ∪ c_n is the ideal of Z-leading coefficients of
-    L = ker(A[Z] -> A[y/x]) = ((x·Z − y) + quotient) : x^∞, read off the
-    reduced basis of L in the chart's order, Z-degree first, which its
-    elimination of s from 1 − s·x returns.  rt is the least n >= 1 with
-    c_n = c_∞; a single c_n = c_{n-1} is no stop (on Q[t⁴, t⁵, t⁷],
-    (t⁴, t⁵) has effective degrees 2 and 4).  Each step checks
-    c_{n-1} ⊆ c_n ⊆ c_∞ and raises PolyError if that fails.  The Rees
-    kernel is not read, so this route stays independent of
-    :func:`relation_type`.  A chain that never met c_∞ would end in
-    Buchberger's degree cap, not a hang: with c_∞ forced to (1), (x², xy)
-    raises ResourceLimitError at n = 128.
-    """
-    x, y, colon = _colon_chain(x, y, ctx)
     (z,) = _fresh_tvars(ctx.vars, 1)
     k = len(ctx.vars)
     chart = RingCtx(ctx.vars + (z,), Weighted((0,) * k + (1,)), _internal=True)
@@ -364,18 +331,15 @@ def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
         return ([lift(x) * lift(chart.var(z)) - lift(y), 1 - s * lift(x)]
                 + [lift(q) for q in ctx.quotient])
 
-    lcs = []
+    lcs = {}
     for g in eliminate_polys(chart, build):
         top = max(e[k] for e in g.terms)
-        lcs.append(Poly(ctx.ambient, {e[:k]: c for e, c in g.terms.items()
-                                      if e[k] == top}, _trust=True))
-    limit = Ideal(ctx, lcs)
-    prev, n = Ideal(ctx, []), 1
-    while True:
-        c = colon(n)
-        if not (ideal_contains(c, prev) and ideal_contains(limit, c)):
-            raise PolyError("internal: colon chain breaks "
-                            f"c_(n-1) ⊆ c_n ⊆ c_∞ at n = {n}")
-        if ideal_contains(c, limit):
-            return n
-        prev, n = c, n + 1
+        lcs.setdefault(top, []).append(Poly(
+            ctx.ambient, {e[:k]: c for e, c in g.terms.items() if e[k] == top},
+            _trust=True))
+    rt, below = 1, []
+    for d, leads in sorted(lcs.items()):
+        if d >= 2 and not ideal_contains(Ideal(ctx, below), Ideal(ctx, leads)):
+            rt = d
+        below += leads
+    return rt

@@ -317,17 +317,17 @@ def test_criterion_8_veronese_relation_type():
     rt = relation_type(V)
     if rt != 2:
         failures.append(f"rt = {rt}, expected 2")
-    # colon-route cross-checks on two-generated sub-ideals and on a
+    # chart-route cross-checks on two-generated sub-ideals and on a
     # two-generated instance where the relation type is visible both ways
     for xx, yy, expected in [(x ** 2, x * y, 1), (x ** 2, y ** 2, 1)]:
         general = relation_type(Ideal(ctx, [xx, yy]))
-        colon = relation_type_2gen(xx, yy, ctx)
-        if not (general == colon == expected):
+        chart = relation_type_2gen(xx, yy, ctx)
+        if not (general == chart == expected):
             failures.append(
-                f"two-route mismatch on ({xx}, {yy}): {general} vs {colon}")
+                f"two-route mismatch on ({xx}, {yy}): {general} vs {chart}")
     c34 = monomial_curve((3, 4), ("u", "v"))
     u, v = c34.var("u"), c34.var("v")
-    colon = relation_type_2gen(u, v, c34)
-    if not (colon == relation_type(Ideal(c34, [u, v])) == 3):
-        failures.append("colon route disagrees with degree analysis on (u, v)")
+    chart = relation_type_2gen(u, v, c34)
+    if not (chart == relation_type(Ideal(c34, [u, v])) == 3):
+        failures.append("chart route disagrees with degree analysis on (u, v)")
     _report(8, "Veronese relation type via both routes", failures)

@@ -153,6 +153,12 @@ def test_input_error_exit_code(capsys):
     assert "input error" in err
 
 
+def test_unknown_example_prints_its_message_unquoted(capsys):
+    code, out, err = run(capsys, "verify", "foo", "--n", "2")
+    assert (code, out) == (1, "")
+    assert err == "input error: unknown example 'foo'; see `reeskit list`\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("rn", "--vars", "x,y", "--ideal", "x, y"),
     ("rn", "--vars", "x,y", "--ideal", "x, y", "--reduction", "x",

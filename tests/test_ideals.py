@@ -99,7 +99,7 @@ def test_intersection_adopts_the_elimination_basis(ctx):
 
 
 def _chart(monkeypatch):
-    """The chart of the colon route for (x, y) on the (3,4) cusp
+    """The chart of the two-generated route for (x, y) on the (3,4) cusp
     ``CURVE``, as an ideal of the chart ring built from the basis of its
     elimination."""
     charts = []

@@ -145,12 +145,6 @@ def test_mismatched_contexts_rejected():
         CTX2.var("x") * CTX3.var("x")
 
 
-def test_degree_is_additive_over_products():
-    f = parse_poly("x^2*y + z", CTX3)
-    g = parse_poly("x - y^3", CTX3)
-    assert (f * g).total_degree == f.total_degree + g.total_degree
-
-
 @given(small_polys(), small_polys(), small_polys())
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(f, g, h):

@@ -1,4 +1,5 @@
-"""Rees presentations, relation types, and the two-generated colon route."""
+"""Rees presentations, relation types, and the two-generated chart route,
+checked against the colon definition of effective relations."""
 
 import itertools
 
@@ -7,18 +8,20 @@ from conftest import CURVE_INSTANCES, _t_order
 from hypothesis import assume, given, settings, strategies as st
 
 from reeskit import (Ideal, PolyError, ResourceLimitError, RingCtx, Weighted,
-                     contract, embed, effective_relation_2gen, ideal_colon,
-                     ideal_equal, integral_degree_fraction, is_regular_element,
+                     contract, embed, ideal_colon, ideal_contains, ideal_equal,
+                     ideal_intersect, ideal_power, ideal_product, ideal_sum,
+                     integral_degree_fraction, is_regular_element,
                      monomial_curve, monomial_fraction_degree, normal_form,
                      reduced_groebner, reduction_number, reg_rees,
                      rees_kernel, relation_type, relation_type_2gen,
                      relation_type_mod)
-from reeskit import groebner, rees
+from reeskit import groebner, ideals, rees
 from reeskit.rees import (_degree_profile, _lead, filter_regular_degree,
                           reduction_degree)
 
 CTX2 = RingCtx("x,y")
 CTX3 = RingCtx("x,y,z")
+NODE = RingCtx("x,y,z", quotient=["x*z"])
 CUSP23 = monomial_curve((2, 3), ("u", "v"))
 CUSP34 = monomial_curve((3, 4), ("u", "v"))
 
@@ -141,53 +144,80 @@ def test_relation_type_mod_bounded_by_relation_type():
     assert relation_type_mod(V, I_(CTX2, x ** 2)) == rt
 
 
+def _effective_vanishes(x, y, n, J):
+    """Whether the module of effective n-relations of I = (x, y) modulo J
+    vanishes, for x regular and n >= 2, by its colon definition
+
+        (x I^{n-1} : y^n) ⊆ ((x J I^{n-1} : y^n) ∩ J) + (x I^{n-2} : y^{n-1});
+
+    with J = (0) the middle term drops out.  Every colon is built from
+    ``ideal_colon``, ``ideal_product`` and ``ideal_power``."""
+    ctx = J.ctx
+    I, xI = I_(ctx, x, y), I_(ctx, x)
+
+    def colon(n, K=None):
+        xK = xI if K is None else ideal_product(xI, K)
+        return ideal_colon(ideal_product(xK, ideal_power(I, n - 1)),
+                           I_(ctx, y ** n))
+
+    rhs = colon(n - 1)
+    if not J.is_zero:
+        rhs = ideal_sum(ideal_intersect(colon(n, J), J), rhs)
+    return ideal_contains(rhs, colon(n))
+
+
 def test_effective_relation_examples():
     x, y = CTX2.var("x"), CTX2.var("y")
     zero2 = I_(CTX2, CTX2.zero)
-    assert effective_relation_2gen(x, y, 2, zero2)
+    assert _effective_vanishes(x, y, 2, zero2)
     u, v = CUSP34.var("u"), CUSP34.var("v")
     zero_c = I_(CUSP34, CUSP34.zero)
-    assert not effective_relation_2gen(u, v, 3, zero_c)
+    assert not _effective_vanishes(u, v, 3, zero_c)
     for n in (4, 5, 6):
-        assert effective_relation_2gen(u, v, n, zero_c)
+        assert _effective_vanishes(u, v, n, zero_c)
     m = I_(CUSP34, u, v)
-    assert not effective_relation_2gen(u, v, 3, m)
+    assert not _effective_vanishes(u, v, 3, m)
     assert relation_type_mod(I_(CUSP34, u, v), m) == 3
     # R((x)) = A[xt] has no relations modulo any J
     for z, J in ((x, zero2), (x, I_(CTX2, x, y)), (u, zero_c), (u, m)):
         for n in (2, 3):
-            assert effective_relation_2gen(z, z.ctx.zero, n, J)
+            assert _effective_vanishes(z, z.ctx.zero, n, J)
 
 
 def test_effective_relation_requires_regular_first_generator():
-    node = RingCtx("x,y,z", quotient=["x*z"])
-    zero = I_(node, node.zero)
     with pytest.raises(PolyError, match="regular"):
-        effective_relation_2gen(node.var("x"), node.var("y"), 2, zero)
-    with pytest.raises(PolyError, match="regular"):
-        relation_type_2gen(node.var("x"), node.var("y"), node)
+        relation_type_2gen(NODE.var("x"), NODE.var("y"), NODE)
 
 
 GAP_CURVE = monomial_curve((4, 5, 7), ("a", "b", "c"))
 
 
 def test_two_routes_agree_on_two_generated_ideals():
-    # general T-degree analysis vs the colon characterization; for
-    # monomials x, y with t-shift d >= 0, y/x = t^d is integral, so
-    # c_∞ = (1) and rt((x, y)) = rn + 1 = id(t^d), the semigroup oracle
+    # the T-degree analysis of K vs the chart kernel, and the colon
+    # definition at rt and above; for monomials x, y with t-shift d >= 0,
+    # y/x = t^d is integral, so rt((x, y)) = rn + 1 = id(t^d), the
+    # semigroup oracle (weights None: a ring that is not a domain)
     cases = [
         ((3, 4), CUSP34, "u", "v", 3),
         ((2, 3), CUSP23, "u", "v", 2),
         ((4, 5, 7), GAP_CURVE, "a", "b", 4),
+        (None, RingCtx("x,y", quotient=["x^2*y + x*y^2"]), "x - y", "x^2", 2),
+        (None, NODE, "y^2", "x*y", 1),
     ] + [(w, monomial_curve(w, names), x, y, None)
          for w, names, x, y in CURVE_INSTANCES]
     for weights, ctx, xs, ys, expected in cases:
         x, y = ctx.parse(xs), ctx.parse(ys)
         rt = relation_type(I_(ctx, x, y))
         assert rt == expected or expected is None
-        shift = _t_order(y, weights) - _t_order(x, weights)
-        assert relation_type_2gen(x, y, ctx) == rt == \
-            monomial_fraction_degree(weights, shift)
+        assert relation_type_2gen(x, y, ctx) == rt
+        if weights is not None:
+            shift = _t_order(y, weights) - _t_order(x, weights)
+            assert rt == monomial_fraction_degree(weights, shift)
+        if rt >= 2:
+            zero = I_(ctx, ctx.zero)
+            assert not _effective_vanishes(x, y, rt, zero)
+            assert _effective_vanishes(x, y, rt + 1, zero)
+            assert _effective_vanishes(x, y, rt + 2, zero)
     # a zero second generator: R((x)) has no relations on either route
     for ctx, xs in ((CTX2, "x"), (CUSP34, "u")):
         x = ctx.parse(xs)
@@ -195,7 +225,9 @@ def test_two_routes_agree_on_two_generated_ideals():
         assert relation_type(I_(ctx, x, ctx.zero)) == 1
     # effective degrees 2 and 4 on the gap curve: c_3 = c_2 is no stop
     a, b = GAP_CURVE.var("a"), GAP_CURVE.var("b")
-    assert effective_relation_2gen(a, b, 3, I_(GAP_CURVE, GAP_CURVE.zero))
+    zero = I_(GAP_CURVE, GAP_CURVE.zero)
+    assert [_effective_vanishes(a, b, n, zero) for n in (2, 3, 4)] == \
+        [False, True, False]
 
 
 def test_colon_route_does_not_read_the_rees_kernel(monkeypatch):
@@ -209,23 +241,24 @@ def test_colon_route_does_not_read_the_rees_kernel(monkeypatch):
     assert relation_type_2gen(u, v, CUSP34) == 3
 
 
-def test_colon_route_rejects_a_wrong_chart(monkeypatch):
-    # without the saturation by 1 - s·x the chart's leading coefficients
-    # are (u, v^3), which misses v^2 in c_1 = (u : v)
-    eliminate = rees.eliminate_polys
+@pytest.mark.parametrize("ctx, xs, ys, rt", [
+    (CUSP34, "u", "v", 3),
+    (CTX2, "x^2", "x*y", 1),
+], ids=["cusp34", "plane"])
+def test_chart_route_takes_no_colon(monkeypatch, ctx, xs, ys, rt):
+    # c_n is read off the chart's leading coefficients: no colon is taken
+    # on a domain, where x is checked regular by a normal form
+    calls = []
+    colon = ideals.ideal_colon
 
-    def unsaturated(target, build):
-        def without_s(s, lift):
-            k = s.lm.index(1)
-            return [g for g in build(s, lift)
-                    if all(e[k] == 0 for e in g.terms)]
+    def counting(I, J):
+        calls.append(J)
+        return colon(I, J)
 
-        return eliminate(target, without_s)
-
-    monkeypatch.setattr(rees, "eliminate_polys", unsaturated)
-    u, v = CUSP34.var("u"), CUSP34.var("v")
-    with pytest.raises(PolyError, match="at n = 1"):
-        relation_type_2gen(u, v, CUSP34)
+    monkeypatch.setattr(ideals, "ideal_colon", counting)
+    monkeypatch.setattr(rees, "ideal_colon", counting, raising=False)
+    assert relation_type_2gen(ctx.parse(xs), ctx.parse(ys), ctx) == rt
+    assert calls == []
 
 
 def test_zero_ideal_has_relation_type_one():
@@ -446,8 +479,6 @@ def test_saturation_agrees_with_the_kernel_on_random_ideals(I):
 
 
 # -- the presentation's order: in(K + (T_1..T_i)) = in(K) + (T_1..T_i) ------
-
-NODE = RingCtx("x,y,z", quotient=["x*z"])
 
 
 def _minimal(monomials):
