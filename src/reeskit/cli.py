@@ -27,8 +27,7 @@ from .ideals import Ideal
 from .invariants import (artin_rees_number, d_sequence_check,
                          integral_degree_fraction, reduction_number, reg_rees)
 from .poly import ORDERS, PolyError, RingCtx
-from .rees import (_degree_profile, rees_kernel, relation_type,
-                   relation_type_mod)
+from .rees import _degree_profile, _relation_degree, rees_kernel
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -71,15 +70,11 @@ def _cmd_gb(args) -> int:
 def _cmd_rt(args) -> int:
     ctx = _build_ctx(args)
     I = _parse_ideal(ctx, args.ideal)
-    pairs = []
-    if args.modulo:
-        J = _parse_ideal(ctx, args.modulo)
-        value = relation_type_mod(I, J)
-        pairs.append(("rt_mod", value))
-    else:
-        value = relation_type(I)
-        pairs.append(("rt", value))
+    value, witness = _relation_degree(I, _parse_ideal(ctx, args.modulo or "0"))
+    pairs = [("rt_mod" if args.modulo else "rt", value)]
     if args.explain:
+        if witness is not None:
+            pairs.append(("rt.witness", witness))
         profile = _degree_profile(rees_kernel(I).kernel, 1)
         for d in sorted(profile):
             for g in profile[d]:
@@ -193,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--modulo", help="ideal J for rt_J")
     p.add_argument("--explain", action="store_true",
-                   help="dump the kernel degree profile")
+                   help="print the witness and the kernel degree profile")
     p.set_defaults(func=_cmd_rt)
 
     p = sub.add_parser("rn", help="reduction number rn_J(I)")

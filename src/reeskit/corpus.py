@@ -257,7 +257,7 @@ def _run_veronese(n: int):
     x, y = ctx.var("x"), ctx.var("y")
     I = Ideal(ctx, [x ** 2, x * y, y ** 2])
     rt = relation_type(I)
-    # two-generated sub-ideals where the colon route applies
+    # two-generated sub-ideals where the chart route applies
     sub_checks = [relation_type(Ideal(ctx, [xx, yy]))
                   == relation_type_2gen(xx, yy, ctx)
                   for xx, yy in [(x ** 2, x * y), (x ** 2, y ** 2)]]
@@ -267,7 +267,7 @@ def _run_veronese(n: int):
                     "T1*T3 - T2^2 on top of the linear syzygies", rt),
         Expectation("two_route_agreement", True,
                     "derived: general degree analysis agrees with the "
-                    "two-generated colon test on the sub-ideals",
+                    "two-generated chart route on the sub-ideals",
                     all(sub_checks)),
     ]
 

@@ -15,6 +15,9 @@ that needs a fresh generator.  It gives
 * s_J(a, A; I): L = phi^{-1}(a A[t]) read modulo K + J at floor 0, L
   being the same t-elimination with the generators of a added.
 
+Each degree is decided from lead monomials by the truncated Buchberger
+criterion where it applies, and by membership only where it does not.
+
 For I = (x, y) with x regular, :func:`relation_type_2gen` reaches rt(I)
 by a second route that never reads K: the chart kernel
 L = ker(A[Z] -> A[y/x]), whose Z-leading coefficients in Z-degrees <= n
@@ -34,6 +37,7 @@ share one build.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, replace
 
 from . import groebner
@@ -166,10 +170,34 @@ def _fresh_degree(ideal: Ideal, floor: int):
     elements below degree n generate T·ideal_{n-1} in degree n, and the
     degree-n elements span ideal_n over A modulo that.  Elements below
     the floor must lie in the quotient.
+
+    Degree n is decided from lead monomials alone (the truncated
+    Buchberger criterion: Kreuzer–Robbiano, *Computational Commutative
+    Algebra 2*, §4.5) when every quotient generator has T-degree below n
+    and no two basis elements below n have leads that share a variable
+    and an lcm of T-degree n.  Every element is T-homogeneous and the
+    order compares T-degree first, so an S-pair of degree d < n reduces
+    to 0 by the basis elements of degree <= d alone, a pair of degree
+    above n cannot reach degree n, and a pair of coprime leads reduces
+    to 0 (Buchberger's first criterion).  The elements below n, which
+    then generate the quotient too, are a Gröbner basis of their ideal
+    through degree n; a degree-n element of the reduced basis has a lead
+    that no lower lead divides, so it lies outside, and the first one is
+    the witness.  Otherwise membership decides.
     """
+    degree, mono = ideal.ctx.kernels.degree, ideal.ctx.kernels.monomials
+    quotient_top = max(map(_tdegree, ideal.ctx.quotient), default=-1)
+    # the T-degrees that a pair of leads sharing a variable reaches above both
+    reached = set()
+    for a, b in itertools.combinations([g.lm for g in ideal.gb.elements], 2):
+        d = degree(mono.lcm(a, b))
+        if mono.mask(a) & mono.mask(b) and d > max(degree(a), degree(b)):
+            reached.add(d)
     profile = _degree_profile(ideal, floor)
     degrees = sorted((d for d in profile if d > floor), reverse=True)
     for n in degrees:
+        if n > quotient_top and n not in reached:
+            return n, profile[n][0]
         lower = [g for d, els in profile.items() if d < n for g in els]
         lower_ideal = Ideal(ideal.ctx, lower)
         for g in profile[n]:
@@ -178,10 +206,18 @@ def _fresh_degree(ideal: Ideal, floor: int):
     return floor, None
 
 
+def _relation_degree(I: Ideal, J: Ideal):
+    """``(rt_J(I), g)``: :func:`_fresh_degree` on the kernel read modulo
+    J at floor 1, g the kernel element of T-degree rt_J that needs a
+    fresh generator (None when rt_J = 1 without one)."""
+    I._check_ctx(J)
+    pres = rees_kernel(I)
+    return _fresh_degree(_read_modulo(pres, pres.kernel, J), 1)
+
+
 def relation_type(I: Ideal) -> int:
     """rt(I): largest T-degree of a fresh kernel generator (minimum 1)."""
-    pres = rees_kernel(I)
-    return _fresh_degree(pres.kernel, 1)[0]
+    return _relation_degree(I, Ideal(I.ctx, []))[0]
 
 
 def relation_type_mod(I: Ideal, J: Ideal) -> int:
@@ -190,10 +226,7 @@ def relation_type_mod(I: Ideal, J: Ideal) -> int:
     The kernel read modulo J; J = (0) gives rt(I), maximal J the fiber
     cone.
     """
-    I._check_ctx(J)
-    pres = rees_kernel(I)
-    kernel = _read_modulo(pres, pres.kernel, J)
-    return _fresh_degree(kernel, 1)[0]
+    return _relation_degree(I, J)[0]
 
 
 def artin_rees_degree(a: Ideal, I: Ideal, J: Ideal):

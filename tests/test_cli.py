@@ -43,12 +43,21 @@ def test_rt_command(capsys):
 
 
 def test_rt_modulo_and_explain(capsys):
+    # rt_mod = 1 has no witness line
     code, out, _ = run(capsys, "rt", "--vars", "x,y", "--ideal", "x,y",
                        "--modulo", "x,y", "--explain")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "rt_mod = 1"
+    assert not any(line.startswith("rt.witness") for line in lines)
     assert any(line.startswith("kernel.deg1 = ") for line in lines)
+    # the fiber cone of the Veronese needs the quadratic relation
+    code, out, _ = run(capsys, "rt", "--vars", "x,y",
+                       "--ideal", "x^2, x*y, y^2", "--modulo", "x,y",
+                       "--explain")
+    assert code == 0
+    assert out.splitlines()[:2] == ["rt_mod = 2",
+                                    "rt.witness = T2^2 - T1*T3"]
 
 
 def test_rt_explain_lists_the_kernel_by_degree(capsys):
@@ -56,6 +65,7 @@ def test_rt_explain_lists_the_kernel_by_degree(capsys):
                        "--ideal", "x^2, x*y, y^2", "--explain")
     assert code == 0
     assert out.splitlines() == ["rt = 2",
+                                "rt.witness = T2^2 - T1*T3",
                                 "kernel.deg1 = x*T2 - y*T1",
                                 "kernel.deg1 = x*T3 - y*T2",
                                 "kernel.deg2 = T2^2 - T1*T3",
@@ -233,7 +243,8 @@ def test_one_parser_serves_every_call(capsys):
           "--order", "lex")
     rt = ("rt", "--vars", "x,y", "--ideal", "x^2, x*y, y^2", "--explain")
     first = run(capsys, *gb)
-    assert run(capsys, *rt) == (0, "rt = 2\nkernel.deg1 = x*T2 - y*T1\n"
+    assert run(capsys, *rt) == (0, "rt = 2\nrt.witness = T2^2 - T1*T3\n"
+                                "kernel.deg1 = x*T2 - y*T1\n"
                                 "kernel.deg1 = x*T3 - y*T2\n"
                                 "kernel.deg2 = T2^2 - T1*T3\n"
                                 "status = pass\n", "")

@@ -1,7 +1,9 @@
 """Rees presentations, relation types, and the two-generated chart route,
-checked against the colon definition of effective relations."""
+checked against the colon definition of effective relations; the
+lead-monomial T-degree read, checked against its membership definition."""
 
 import itertools
+import random
 
 import pytest
 from conftest import CURVE_INSTANCES, _t_order
@@ -9,9 +11,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from reeskit import (Ideal, PolyError, ResourceLimitError, RingCtx, Weighted,
                      contract, embed, ideal_colon, ideal_contains, ideal_equal,
-                     ideal_intersect, ideal_power, ideal_product, ideal_sum,
-                     integral_degree_fraction, is_regular_element,
-                     monomial_curve, monomial_fraction_degree, normal_form,
+                     ideal_intersect, ideal_member, ideal_power,
+                     ideal_product, ideal_sum, integral_degree_fraction,
+                     is_regular_element, monomial_curve,
+                     monomial_fraction_degree, normal_form,
                      reduced_groebner, reduction_number, reg_rees,
                      rees_kernel, relation_type, relation_type_2gen,
                      relation_type_mod)
@@ -144,6 +147,86 @@ def test_relation_type_mod_bounded_by_relation_type():
     assert relation_type_mod(V, I_(CTX2, x ** 2)) == rt
 
 
+def _fresh_by_membership(ideal, floor):
+    """``rees._fresh_degree`` by its definition, every degree by
+    membership: the largest T-degree n > floor with a basis element
+    outside the ideal of the basis elements of T-degrees floor..n-1
+    (modulo the quotient), and the first such element."""
+    profile = _degree_profile(ideal, floor)
+    for n in sorted((d for d in profile if d > floor), reverse=True):
+        lower = Ideal(ideal.ctx, [g for d, els in profile.items() if d < n
+                                  for g in els])
+        for g in profile[n]:
+            if not ideal_member(g, lower):
+                return n, g
+    return floor, None
+
+
+def test_a_lower_pair_reaching_the_top_degree_is_read_by_membership():
+    # K of (x³, xy², y⁴) has T-degrees 1, 2, 3; its degree-3 element is
+    # the S-pair of x*T2^2 - T1*T3 and x*T3 - y^2*T2, whose leads share x
+    # and meet in degree 3, so the leads alone do not decide degree 3
+    I = I_(CTX2, "x^3", "x*y^2", "y^4")
+    assert set(_degree_profile(rees_kernel(I).kernel, 1)) == {1, 2, 3}
+    with groebner.counting() as stats:
+        assert relation_type(I) == 2
+    assert stats.normal_forms > 0
+
+
+NODAL = RingCtx("x,y", quotient=["y^2 - x^2 - x^3"])
+FRESH_RINGS = [CTX2, CTX3, CUSP23, CUSP34, NODAL, NODE]
+FRESH_IDEALS = 20  # per ring
+
+
+def _random_poly(rng, ctx):
+    """A sum of two monomials of degree 1..2 with coefficients 1..3."""
+    monomials = [e for e in itertools.product(range(3), repeat=len(ctx.vars))
+                 if 1 <= sum(e) <= 2]
+    return sum((ctx.poly({rng.choice(monomials): rng.randint(1, 3)})
+                for _ in range(2)), ctx.zero)
+
+
+def test_lead_monomial_reads_agree_with_membership(monkeypatch):
+    # every read of rt, rt_J (J maximal) and s_J against the oracle, on
+    # seeded 2-3-generated ideals; both branches of the read must run
+    fresh, reads = rees._fresh_degree, []
+
+    def recording(ideal, floor):
+        ideal.gb  # the basis is built outside the count
+        with groebner.counting() as stats:
+            out = fresh(ideal, floor)
+        reads.append((ideal, floor, out, stats.normal_forms))
+        return out
+
+    monkeypatch.setattr(rees, "_fresh_degree", recording)
+    rng = random.Random(2007)
+    for ctx in FRESH_RINGS:
+        m = Ideal(ctx, list(ctx.vars))
+        for _ in range(FRESH_IDEALS):
+            I = Ideal(ctx, [_random_poly(rng, ctx)
+                            for _ in range(rng.randint(2, 3))])
+            relation_type(I)
+            relation_type_mod(I, m)
+            rees.artin_rees_degree(I_(ctx, _random_poly(rng, ctx)), I, m)
+    for ideal, floor, out, _ in reads:
+        assert _fresh_by_membership(ideal, floor) == out
+    assert any(g is not None and not forms for _, _, (_, g), forms in reads)
+    assert any(forms for *_, forms in reads)
+
+
+def test_rt_of_a_built_presentation_runs_no_groebner():
+    # on the curve instances every degree of K is decided by its leads
+    busy = []
+    for weights, names, xs, ys in CURVE_INSTANCES:
+        I = I_(monomial_curve(weights, names), xs, ys)
+        rees_kernel(I)
+        with groebner.counting() as stats:
+            relation_type(I)
+        if stats.runs or stats.normal_forms:
+            busy.append((weights, xs, ys, stats.runs, stats.normal_forms))
+    assert busy == []
+
+
 def _effective_vanishes(x, y, n, J):
     """Whether the module of effective n-relations of I = (x, y) modulo J
     vanishes, for x regular and n >= 2, by its colon definition
@@ -232,7 +315,7 @@ def test_two_routes_agree_on_two_generated_ideals():
 
 def test_colon_route_does_not_read_the_rees_kernel(monkeypatch):
     # a kernel without its T-degree >= 2 elements misleads relation_type,
-    # but not the colon route
+    # but not the chart route
     preimage = rees._preimage
     monkeypatch.setattr(rees, "_preimage", lambda *args: [
         g for g in preimage(*args) if rees._tdegree(g) < 2])
