@@ -9,7 +9,24 @@ letting a runaway input spin.
 
 A reduced basis depends only on the ideal and the order, so
 :func:`reduced_groebner` memoizes the ``MEMO_SIZE`` latest bases as monic
-term tuples, keyed by the order and the set of generator reducer forms.
+term tuples, keyed by the order, the set of generator reducer forms and
+the known block.
+
+The known block is a basis already in hand: the quotient generators that
+a ring marks as its reduced basis (:class:`~reeskit.poly.RingCtx`), such
+as a monomial curve's kernel.  :class:`~reeskit.ideals.Ideal` and the
+Rees presentations of :mod:`reeskit.rees` hand it over, and the pair
+loop admits it as its block of lowest index instead of deriving it
+again.  That is sound because
+
+* a Gröbner basis of (q) in Q[vars] stays one in any larger polynomial
+  ring whose order agrees with the ring's order on Q[vars]
+  (:meth:`~reeskit.poly.RingCtx.extends`): its S-pairs and their
+  reductions never leave Q[vars];
+* the signature loop needs of the elements of lower index only that
+  they are a Gröbner basis of the ideal they generate;
+* an input that lies in (q) reduces to zero when it is seeded and is
+  skipped, as any input in the ideal of those before it is.
 
 Buchberger runs on integers.  Its basis is a list of reducer forms
 (:attr:`Poly.reducer_form`: the primitive integer lead, lead coefficient
@@ -154,7 +171,7 @@ def _reduce_terms(work, reducers, kernels, bound=None):
     only if the order key of q·signature(g) is below ``limit`` (a
     regular reduction).
     """
-    key, descending, _, (divides, _, mul, quotient, mask) = kernels
+    key, descending, _, (divides, _, mul, quotient, mask), _ = kernels
     limit, signed = bound or (None, ())
     heap = [(descending(m), m) for m in work]
     heapq.heapify(heap)
@@ -315,11 +332,15 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens`` under the
-    order of ``ctx`` (by default the ring of the first generator).
+def reduced_groebner(gens, ctx: RingCtx | None = None,
+                     known=()) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal generated by ``gens`` and
+    ``known`` under the order of ``ctx`` (by default the ring of the
+    first generator).
 
-    Unique for a fixed order; inputs homogeneous for the weights of a
+    ``known``, a reduced Gröbner basis of its ideal under that order
+    (:attr:`RingCtx.known`), is the pair loop's known block.  Unique for
+    a fixed order; inputs homogeneous for the weights of a
     :class:`Weighted` order yield a homogeneous basis (asserted).
     """
     stats = _STATS.get()
@@ -331,11 +352,15 @@ def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
             raise PolyError("cannot infer a ring context from no generators")
         ctx = gens[0].ctx
     ctx = ctx.ambient
-    if not gens:
+    known = tuple(g.in_ctx(ctx) for g in known)
+    if SELF_CHECK and known:
+        GroebnerBasis(ctx, known)  # checks the basis it starts from
+    if not gens and not known:
         return GroebnerBasis(ctx, ())
     forms = frozenset(g.in_ctx(ctx).reducer_form for g in gens)
     try:
-        basis = _buchberger(ctx.order, forms)
+        basis = _buchberger(ctx.order, forms,
+                            frozenset(g.reducer_form for g in known))
     except ResourceLimitError as exc:
         if stats is not None:  # the run has added its counts
             exc.stats = replace(stats)
@@ -345,10 +370,10 @@ def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _buchberger(order, forms) -> tuple:
+def _buchberger(order, forms, known) -> tuple:
     """The reduced basis under ``order`` of the ideal of the reducer forms
-    ``forms``, as monic term tuples in decreasing order (the memo); the
-    key ignores scaling and variable names.
+    ``forms`` and ``known``, as monic term tuples in decreasing order
+    (the memo); the key ignores scaling and variable names.
 
     A signature-based Buchberger loop (Gao–Volny–Wang).  An element's
     signature (T, i) is the leading term of its representation over the
@@ -356,7 +381,11 @@ def _buchberger(order, forms) -> tuple:
     larger half, the multiplier times that element's signature.
     Inputs are taken in ascending canonical order, and the pairs of each
     in increasing T, so the elements of lower index form a Gröbner basis
-    of the inputs before it (position over term).  A pair is pruned when
+    of the inputs before it (position over term).  ``known``, a Gröbner
+    basis already, is the block of lowest index: admitted first, with no
+    pair among its elements and no signatures of their own (Eder–Faugère,
+    J. Symbolic Comput. 80, 2017, §3; the module docstring has the
+    argument).  A pair is pruned when
     the lead of an element of lower index divides T (F5), when the
     signature of an earlier zero reduction does, when an element g of
     its index covers it (sig(g) | T and (T / sig(g))·lm(g) below the
@@ -364,16 +393,20 @@ def _buchberger(order, forms) -> tuple:
     its leads are coprime.  Reductions are regular: the multiple of a
     reducer of the pair's own index must have a smaller signature.
     """
-    n = len(next(iter(forms))[0])
+    n = len(next(iter(forms or known))[0])
     kernels = compile_order(order, n)
-    key, _, degree, (divides, lcm, mul, quotient, mask) = kernels
+    key, _, degree, (divides, lcm, mul, quotient, mask), _ = kernels
     if degree and not all(_homogeneous([f[0]] + [e for e, _ in f[2]], degree)
-                          for f in forms):
+                          for f in (*forms, *known)):
         degree = None
     stats = _STATS.get()
     pairs = coprime = syzygy = covered = zero = 0
 
-    G = []  # reducer forms: the elements of lower index, then this one's
+    def canonical(f):
+        return [(key(e), c) for e, c in ((f[0], f[1]),) + f[2]]
+
+    # reducer forms: the elements of lower index, then this one's
+    G = sorted(known, key=canonical)
 
     def add(form, sig):
         """Admit ``form`` of signature ``sig`` and push its pairs."""
@@ -412,8 +445,7 @@ def _buchberger(order, forms) -> tuple:
         same.append((sig, mask(sig), form))
 
     try:
-        for form in sorted(forms, key=lambda f: [
-                (key(e), c) for e, c in ((f[0], f[1]),) + f[2]]):
+        for form in sorted(forms, key=canonical):
             low = G[:]  # a Gröbner basis of the inputs before this one
             lead, lc, tail, lead_mask = form
             if any(not m & ~lead_mask and divides(d, lead)
@@ -496,15 +528,19 @@ def _refine(order):
     return order
 
 
-def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
-    """The reduced basis of (build(t, lift)) ∩ Q[target.vars] under
-    ``target.order``.
+def eliminate_polys(target: RingCtx, build, known=()) -> GroebnerBasis:
+    """The reduced basis of (build(t, lift), known) ∩ Q[target.vars]
+    under ``target.order``.
 
     ``build`` receives the auxiliary variable t of Q[t, target.vars] and
     ``lift``, which moves a polynomial over (a prefix of) the variables
     of ``target`` into that ring; it returns the generators to eliminate
-    t from (PolyError for one of another ring).  No generators give the
-    empty basis.  The order weighs t 1 and breaks ties by
+    t from (PolyError for one of another ring).  ``known``, over such a
+    prefix as well, is a reduced Gröbner basis under an order that
+    ``target.order`` agrees with on its variables
+    (:meth:`RingCtx.extends`); the order below agrees with it too, so
+    ``known`` is :func:`reduced_groebner`'s known block.  No generators
+    give the empty basis.  The order weighs t 1 and breaks ties by
     ``target.order``, so the kept elements are the target's reduced
     basis (Cox–Little–O'Shea, §3.1).  When ``target.order`` is
     :class:`Weighted` with weights w and every generator is homogeneous
@@ -515,15 +551,18 @@ def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
     lift = RingCtx((_AUX,) + target.vars, _internal=True)
     keep = tuple(range(1, len(lift.vars)))
     gens = build(lift.var(_AUX), lambda p: embed(p, lift, keep))
+    known = [embed(g, lift, keep) for g in known]
     block = (1,) + (0,) * len(keep)
     order = Weighted(block, _refine(target.order))
     if isinstance(target.order, Weighted):
         graded = Weighted((1,) + target.order.weights,
                           Weighted(block, _refine(target.order.inner)))
         degree = compile_order(graded, len(lift.vars)).degree
-        if all(_homogeneous(g.in_ctx(lift).terms, degree) for g in gens):
+        if all(_homogeneous(g.in_ctx(lift).terms, degree)
+               for g in [*gens, *known]):
             order = graded
     ring = RingCtx(lift.vars, order, _internal=True)
     return GroebnerBasis(target, tuple(
-        contract(g, target, keep) for g in reduced_groebner(gens, ring)
+        contract(g, target, keep)
+        for g in reduced_groebner(gens, ring, known)
         if not any(e[0] for e in g.terms)))

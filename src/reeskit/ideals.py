@@ -43,17 +43,19 @@ class Ideal:
 
     @property
     def gb(self) -> GroebnerBasis:
-        """Reduced Groebner basis of the preimage ideal (cached or adopted)."""
+        """Reduced Groebner basis of the preimage ideal (cached or adopted);
+        the Buchberger run starts from the ring's marked quotient basis."""
         if self._gb is None:
-            self._gb = reduced_groebner(
-                list(self.gens) + list(self.ctx.quotient),
-                ctx=self.ctx.ambient)
+            known = self.ctx.known
+            rest = self.ctx.quotient[len(known):]
+            self._gb = reduced_groebner(list(self.gens) + list(rest),
+                                        self.ctx.ambient, known)
         return self._gb
 
     @property
     def is_zero(self) -> bool:
         if self.ctx.is_quotient:
-            q = Ideal(self.ctx.ambient, self.ctx.quotient)
+            q = _quotient_ideal(self.ctx)
             return all(ideal_member(g, q) for g in self.gens)
         return not self.gens
 
@@ -89,6 +91,15 @@ class Ideal:
         return ideal_equal(self, other)
 
     __hash__ = None
+
+
+def _quotient_ideal(ctx: RingCtx) -> Ideal:
+    """The quotient of ``ctx`` as an ideal of the ambient ring; it adopts
+    the quotient as its basis when the ring marks all of it."""
+    q = ctx.quotient
+    if ctx.known == q:
+        q = GroebnerBasis(ctx.ambient, q)
+    return Ideal(ctx.ambient, q)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +217,12 @@ def _annihilator_is_zero(I: Ideal) -> bool:
 
     On a polynomial ring, or a ring marked as a domain (a prime quotient
     q), that is ``not I.is_zero``: one normal form per generator against
-    q's memoised basis.  Elsewhere it is one colon upstairs,
-    (q : I) = q ≠ (1); the colon is (1) iff I = 0.
+    q's basis, the marked one where the ring has it.  Elsewhere it is one
+    colon upstairs, (q : I) = q ≠ (1); the colon is (1) iff I = 0.
     """
     ctx = I.ctx
     if ctx.is_quotient and not ctx.is_domain:
-        q = Ideal(ctx.ambient, ctx.quotient)
+        q = _quotient_ideal(ctx)
         c = ideal_colon(q, Ideal(ctx.ambient, I.gens))
         return not c.is_unit and ideal_equal(c, q)
     return not I.is_zero

@@ -125,7 +125,7 @@ class Weighted(MonomialOrder):
 
 
 OrderKernels = collections.namedtuple("OrderKernels",
-                                      "key descending degree monomials")
+                                      "key descending degree monomials rows")
 MonomialKernels = collections.namedtuple("MonomialKernels",
                                          "divides lcm mul quotient mask")
 
@@ -148,14 +148,21 @@ def compile_order(order: MonomialOrder, n: int) -> OrderKernels:
     dot products with the matrix rows (repeated and zero rows dropped);
     ``descending``, its negation, so a min-heap pops the leading monomial
     first; ``degree``, the first row of a :class:`Weighted` order (None
-    for the others); and ``monomials``, :func:`compile_monomials` (n)."""
-    rows = [r for r in dict.fromkeys(order._matrix(n)) if any(r)]
+    for the others); ``monomials``, :func:`compile_monomials` (n); and
+    ``rows``, the matrix rows that the key reads."""
+    rows = _key_rows(order._matrix(n))
     negated = [tuple(-w for w in r) for r in rows]
     return OrderKernels(
         _lambda("(" + "".join(_dot(r) + ", " for r in rows) + ")"),
         _lambda("(" + "".join(_dot(r) + ", " for r in negated) + ")"),
         _lambda(_dot(order.weights)) if isinstance(order, Weighted) else None,
-        compile_monomials(n))
+        compile_monomials(n), rows)
+
+
+def _key_rows(matrix) -> tuple:
+    """The rows of ``matrix`` that change a key comparison: zero and
+    repeated rows dropped."""
+    return tuple(r for r in dict.fromkeys(matrix) if any(r))
 
 
 @functools.cache
@@ -191,13 +198,22 @@ class RingCtx:
     the ambient polynomial ring.  Contexts are immutable.  ``is_domain``
     marks a prime quotient, set only by :func:`corpus.monomial_curve`;
     equality and hashing ignore it, as the quotient implies it.  The
-    order's :func:`compile_order` kernels are ``kernels``."""
+    order's :func:`compile_order` kernels are ``kernels``.
+
+    ``known``, a prefix of ``quotient``, is a reduced Gröbner basis of
+    its ideal under ``order`` (the mark; equality and hashing ignore it
+    too): all of a ``quotient`` given as a
+    :class:`~reeskit.groebner.GroebnerBasis` of this polynomial ring.
+    :meth:`with_quotient` keeps it, as it still is a basis of the ideal
+    it generates; :meth:`with_order` to another order drops it.  Gröbner
+    runs start from it instead of deriving it again."""
 
     __slots__ = ("vars", "order", "kernels", "quotient", "is_domain",
-                 "_index", "_ambient")
+                 "known", "_index", "_ambient")
 
     def __init__(self, vars, order: MonomialOrder | None = None,
-                 quotient=None, _internal: bool = False, _domain: bool = False):
+                 quotient=None, _internal: bool = False, _domain: bool = False,
+                 _known: int = 0):
         if isinstance(vars, str):
             vars = tuple(v.strip() for v in vars.split(",") if v.strip())
         vars = tuple(vars)
@@ -222,9 +238,13 @@ class RingCtx:
                 if not p.is_zero:
                     gens.append(p)
             self.quotient = tuple(gens)
+            ring = getattr(quotient, "ctx", None)  # a GroebnerBasis's
+            if ring is not None and ring.same_poly_ring(self):
+                _known = len(gens)
         else:
             self._ambient = self
             self.quotient = ()
+        self.known = self.quotient[:_known]
 
     # -- identity ----------------------------------------------------------
 
@@ -262,15 +282,27 @@ class RingCtx:
     # -- construction helpers ----------------------------------------------
 
     def with_quotient(self, gens) -> "RingCtx":
-        """This ring modulo the additional generators ``gens``."""
+        """This ring modulo the additional generators ``gens``; the marked
+        basis stays marked."""
         allgens = list(self.quotient) + [self._ambient.coerce(g) for g in gens]
-        return RingCtx(self.vars, self.order, quotient=allgens, _internal=True)
+        return RingCtx(self.vars, self.order, quotient=allgens, _internal=True,
+                       _known=len(self.known))
 
     def with_order(self, order: MonomialOrder) -> "RingCtx":
+        """This ring under ``order``; another order drops the marked basis."""
         if order == self.order:
             return self
         return RingCtx(self.vars, order, quotient=self.quotient or None,
                        _internal=True, _domain=self.is_domain)
+
+    def extends(self, base: "RingCtx") -> bool:
+        """Whether ``base``'s variables lead this ring's and this ring's
+        order compares their monomials as ``base``'s does (the key rows of
+        :func:`compile_order`, cut to those columns, are ``base``'s), so
+        that a Gröbner basis of ``base`` stays one here."""
+        n = len(base.vars)
+        return (self.vars[:n] == base.vars and base.kernels.rows
+                == _key_rows(r[:n] for r in self.kernels.rows))
 
     # -- element constructors -----------------------------------------------
 

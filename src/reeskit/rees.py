@@ -98,17 +98,18 @@ def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> GroebnerBasis:
     """The reduced basis in ``ext_ctx`` of phi^{-1}(sub·A[t]) (K for no sub).
 
     The contraction to A[T] of (T_1 - x_1 t, ..., T_m - x_m t), the
-    quotient generators and ``sub``, graded by deg t = deg T_i = 1.
+    quotient generators and ``sub``, graded by deg t = deg T_i = 1; the
+    marked quotient basis is the elimination's known block.
     """
-    ext = ext_ctx.ambient
+    ext, known = ext_ctx.ambient, ext_ctx.known
 
     def build(t, lift):
         return ([lift(ext.var(tv)) - lift(x) * t
                  for tv, x in zip(tvars, I.gens)]
-                + [lift(q) for q in ext_ctx.quotient]
+                + [lift(q) for q in ext_ctx.quotient[len(known):]]
                 + [lift(g) for g in sub])
 
-    return eliminate_polys(ext_ctx, build)
+    return eliminate_polys(ext_ctx, build, known)
 
 
 def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
@@ -118,12 +119,15 @@ def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
     The presentation ring is graded by T-degree; the zero ideal gets one
     on no T variable (``tcount == 0``), whose K is the quotient.  The
     latest presentations are cached by the ring and that generator list;
-    ``first`` only sets ``nfirst``.  While ``groebner.SELF_CHECK`` is on
-    each is built afresh, so every kernel basis passes the check.
+    ``first`` only sets ``nfirst``.  Each generator is presented once,
+    so (x, x) shares the presentation of (x).  While
+    ``groebner.SELF_CHECK`` is on each is built afresh, so every kernel
+    basis passes the check.
     """
-    gens = [*first] + [g for g in I.gens if g not in first]
+    first = tuple(dict.fromkeys(first))
+    gens = tuple(dict.fromkeys(first + I.gens))
     build = _present.__wrapped__ if groebner.SELF_CHECK else _present
-    return replace(build(I.ctx, tuple(gens)), nfirst=len(first))
+    return replace(build(I.ctx, gens), nfirst=len(first))
 
 
 # Small: the calls on one ideal come in a row.  64 entries gave no more
@@ -131,7 +135,10 @@ def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
 @functools.lru_cache(maxsize=4)
 def _present(ctx: RingCtx, gens: tuple) -> ReesPresentation:
     """The presentation of (gens) in ``ctx`` on ``gens`` in order (built
-    once per key and counted in ``Stats.presentations``)."""
+    once per key and counted in ``Stats.presentations``).  The embedded
+    quotient keeps its mark where the presentation ring's order agrees
+    with ``ctx``'s on A's variables (:meth:`RingCtx.extends`): on every
+    degrevlex ring, not on a lex one."""
     stats = _STATS.get()
     if stats is not None:
         stats.presentations += 1
@@ -143,8 +150,10 @@ def _present(ctx: RingCtx, gens: tuple) -> ReesPresentation:
         order = Weighted((0,) * (n + i) + (1,) * (m - i), order)
     ext = RingCtx(ctx.vars + tvars, order, _internal=True)
     base_positions = tuple(range(n))
-    ext_ctx = ext.with_quotient([embed(q, ext, base_positions)
-                                 for q in ctx.quotient])
+    ext_ctx = RingCtx(ext.vars, order, [embed(q, ext, base_positions)
+                                        for q in ctx.quotient],
+                      _internal=True,
+                      _known=len(ctx.known) if ext.extends(ctx) else 0)
     ordered = Ideal(ctx, gens)
     kernel = Ideal(ext_ctx, _preimage(ordered, ext_ctx, tvars))
     return ReesPresentation(ordered, ext_ctx, tvars, kernel, 0)
@@ -359,13 +368,14 @@ def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
     (z,) = _fresh_tvars(ctx.vars, 1)
     k = len(ctx.vars)
     chart = RingCtx(ctx.vars + (z,), Weighted((0,) * k + (1,)), _internal=True)
+    known = ctx.known if chart.extends(ctx) else ()
 
     def build(s, lift):
         return ([lift(x) * lift(chart.var(z)) - lift(y), 1 - s * lift(x)]
-                + [lift(q) for q in ctx.quotient])
+                + [lift(q) for q in ctx.quotient[len(known):]])
 
     lcs = {}
-    for g in eliminate_polys(chart, build):
+    for g in eliminate_polys(chart, build, known):
         top = max(e[k] for e in g.terms)
         lcs.setdefault(top, []).append(Poly(
             ctx.ambient, {e[:k]: c for e, c in g.terms.items() if e[k] == top},

@@ -14,7 +14,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from reeskit import (DegRevLex, Ideal, Lex, RingCtx,  # noqa: E402
-                     reduced_groebner, rees_kernel)
+                     monomial_curve, reduced_groebner, rees_kernel)
 
 ORDER_MAP = {"lex": (Lex(), "lex"), "degrevlex": (DegRevLex(), "grevlex")}
 
@@ -89,17 +89,20 @@ def test_reduced_bases_match_independent_engine(order_name):
         assert ours == theirs_set
 
 
-@pytest.mark.parametrize("names, quotient, gens", [
-    ("x,y", [], "x, y"),
-    ("x,y", [], "x^2, x*y, y^2"),
-    ("x,y", [], "x^3, y^3, x^2*y"),
-    ("u,v", ["u^4 - v^3"], "u, v"),
-    ("x,y,z", [], "x^2, y^2, x*y + z^2"),
-], ids=["m", "veronese", "huneke3", "cusp34", "wang2"])
-def test_rees_kernel_matches_lex_elimination(names, quotient, gens):
-    """sympy's lex basis with t first: its t-free elements generate K."""
-    I = Ideal(RingCtx(names, quotient=quotient), gens.split(", "))
+@pytest.mark.parametrize("ctx, gens", [
+    (RingCtx("x,y"), "x, y"),
+    (RingCtx("x,y"), "x^2, x*y, y^2"),
+    (RingCtx("x,y"), "x^3, y^3, x^2*y"),
+    (RingCtx("u,v", quotient=["u^4 - v^3"]), "u, v"),
+    (RingCtx("x,y,z"), "x^2, y^2, x*y + z^2"),
+    (monomial_curve((3, 4, 5), ("a", "b", "c")), "a, b"),
+], ids=["m", "veronese", "huneke3", "cusp34", "wang2", "curve345"])
+def test_rees_kernel_matches_lex_elimination(ctx, gens):
+    """sympy's lex basis with t first: its t-free elements generate K.
+    The monomial curve's presentation starts from its marked basis."""
+    I = Ideal(ctx, gens.split(", "))
     pres = rees_kernel(I)
+    assert len(pres.ext_ctx.known) == len(ctx.known)
     ext = pres.ext_ctx.ambient
     t, *syms = sympy.symbols(("t",) + ext.vars)
     polys = [T - _to_sympy(x, syms) * t

@@ -105,8 +105,8 @@ def _chart(monkeypatch):
     charts = []
     eliminate_polys = rees.eliminate_polys
 
-    def recording(target, build):
-        basis = eliminate_polys(target, build)
+    def recording(target, *args):
+        basis = eliminate_polys(target, *args)
         charts.append(Ideal(target, basis))
         return basis
 
@@ -264,9 +264,27 @@ def test_regularity_on_a_curve_takes_one_normal_form():
     f = cusp.parse("u^4 - v^3 + u*v")
     with groebner.counting() as stats:
         assert is_regular_element(f, cusp)
-    # the quotient's basis is memoised: at most one run, for a cold memo
-    assert (stats.calls, stats.normal_forms, stats.pairs) == (1, 1, 0)
-    assert stats.runs <= 1
+    # the ring carries the quotient's basis: no Gröbner call at all
+    assert (stats.calls, stats.normal_forms, stats.pairs) == (0, 1, 0)
+    assert stats.runs == 0
+
+
+def test_a_quotient_basis_is_marked_under_its_own_order_only():
+    curve = monomial_curve((3, 4, 5), ("a", "b", "c"))
+    assert curve.known == curve.quotient and len(curve.known) == 3
+    # the degrevlex basis b^2 - ac, a^2 b - c^2, a^3 - bc is no lex
+    # basis: the lex ring drops the mark and derives its own
+    lex = curve.with_order(Lex())
+    assert lex.is_domain and lex.known == ()
+    assert len(Ideal(lex.ambient, lex.quotient).gb) == 5
+    # both vanish on the curve, so neither is regular
+    for text in ("b^5 - c^4", "a*b^3 - c^3"):
+        assert not is_regular_element(lex.parse(text), lex)
+        assert not is_regular_element(curve.parse(text), curve)
+    # a marked basis stays marked beside further generators
+    step = curve.with_quotient(["a"])
+    assert step.known == curve.quotient != step.quotient
+    assert not is_regular_element(step.var("b") ** 3, step)
 
 
 def test_domain_mark_follows_the_quotient():

@@ -44,11 +44,12 @@ def test_modules_import_only_lower_layers():
 
 def test_elimination_entry_points_take_no_order():
     # groebner builds the elimination order from the target ring; an
-    # order, ring or weights parameter would hand that choice back
+    # order, ring or weights parameter would hand that choice back (the
+    # known block is a basis under the target's order, not an order)
     assert [n for n in dir(groebner) if n.startswith("eliminat")] == [
         "eliminate_polys"]
     params = inspect.signature(groebner.eliminate_polys).parameters
-    assert list(params) == ["target", "build"]
+    assert list(params) == ["target", "build", "known"]
     # and only groebner knows the auxiliary variable
     for path in PACKAGE.glob("*.py"):
         if path.stem != "groebner":
@@ -189,7 +190,8 @@ def test_buchberger_builds_no_ring_and_no_polynomial(monkeypatch):
     monkeypatch.setattr(groebner, "RingCtx", build)
     monkeypatch.setattr(groebner, "Poly", build)
     forms = frozenset(g.reducer_form for g in cyclic4)
-    assert list(groebner._buchberger(ctx.order, forms)) == expected
+    basis = groebner._buchberger(ctx.order, forms, frozenset())
+    assert list(basis) == expected
 
 
 def test_every_traced_function_is_public():

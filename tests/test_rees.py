@@ -9,9 +9,9 @@ import pytest
 from conftest import CURVE_INSTANCES, _t_order
 from hypothesis import assume, given, settings, strategies as st
 
-from reeskit import (Ideal, PolyError, ResourceLimitError, RingCtx, Weighted,
-                     contract, embed, ideal_colon, ideal_contains, ideal_equal,
-                     ideal_intersect, ideal_member, ideal_power,
+from reeskit import (Ideal, Lex, PolyError, ResourceLimitError, RingCtx,
+                     Weighted, contract, embed, ideal_colon, ideal_contains,
+                     ideal_equal, ideal_intersect, ideal_member, ideal_power,
                      ideal_product, ideal_sum, integral_degree_fraction,
                      is_regular_element, monomial_curve,
                      monomial_fraction_degree, normal_form,
@@ -227,6 +227,58 @@ def test_rt_of_a_built_presentation_runs_no_groebner():
     assert busy == []
 
 
+def test_a_presentation_over_a_curve_reduces_no_pair_to_zero():
+    # the curve's quotient basis is the elimination's known block: no
+    # S-pair among its own generators is formed again
+    for weights, names, xs, ys in CURVE_INSTANCES:
+        I = I_(monomial_curve(weights, names), xs, ys)
+        rees._present.cache_clear()
+        groebner._buchberger.cache_clear()
+        with groebner.counting() as stats:
+            rees_kernel(I)
+        assert (stats.presentations, stats.runs) == (1, 1), weights
+        assert stats.zero == 0, (weights, xs, ys)
+
+
+def test_a_curve_ring_under_lex_reads_the_same_invariants():
+    # the degrevlex basis of the (3,4,5) curve is no lex basis: with_order
+    # drops its mark, and a lex basis marked on a lex ring stays
+    # unmarked in the presentation, whose order is degrevlex on a, b, c
+    curve = monomial_curve((3, 4, 5), ("a", "b", "c"))
+    lex = curve.with_order(Lex())
+    lex_basis = reduced_groebner(curve.quotient, lex.ambient)
+    marked = RingCtx(curve.vars, Lex(), quotient=lex_basis)
+    assert [len(c.known) for c in (curve, lex, marked)] == [3, 0, 5]
+    reads = []
+    for ctx in (curve, lex, marked):
+        x, y = ctx.var("a"), ctx.var("b")
+        I = I_(ctx, x, y)
+        reads.append((integral_degree_fraction(y, x, ctx).value,
+                      reduction_number(I, I_(ctx, x)).value,
+                      relation_type(I), len(rees_kernel(I).ext_ctx.known)))
+    assert reads == [(3, 2, 3, 3), (3, 2, 3, 0), (3, 2, 3, 0)]
+
+
+def test_a_lex_basis_is_no_known_block_of_a_degrevlex_elimination():
+    # t -> (t^2, t^3 + t^5, t^7): the lex basis of its kernel is no
+    # basis under the presentation's or the chart's order, which are
+    # degrevlex on x, y, z; a ring marked with it reads as one unmarked
+    lex = RingCtx("x,y,z", Lex())
+    x, y, z = lex.var("x"), lex.var("y"), lex.var("z")
+    kernel = groebner.eliminate_polys(lex, lambda t, lift: [
+        lift(x) - t ** 2, lift(y) - t ** 3 - t ** 5, lift(z) - t ** 7])
+    marked = RingCtx(lex.vars, Lex(), quotient=kernel)
+    plain = RingCtx(lex.vars, quotient=list(kernel))
+    assert (marked.known, plain.known) == (marked.quotient, ())
+    reads = []
+    for ctx in (marked, plain):
+        I = I_(ctx, "x", "y")
+        reads.append((integral_degree_fraction(y, x, ctx).value,
+                      reduction_number(I, I_(ctx, "x")).value,
+                      relation_type(I), relation_type_2gen(x, y, ctx)))
+    assert reads == [(2, 1, 2, 2)] * 2
+
+
 def _effective_vanishes(x, y, n, J):
     """Whether the module of effective n-relations of I = (x, y) modulo J
     vanishes, for x regular and n >= 2, by its colon definition
@@ -313,7 +365,7 @@ def test_two_routes_agree_on_two_generated_ideals():
         [False, True, False]
 
 
-def test_colon_route_does_not_read_the_rees_kernel(monkeypatch):
+def test_chart_route_does_not_read_the_rees_kernel(monkeypatch):
     # a kernel without its T-degree >= 2 elements misleads relation_type,
     # but not the chart route
     preimage = rees._preimage
@@ -366,6 +418,19 @@ def test_one_curve_instance_builds_one_presentation():
         assert reduction_number(I, I_(CUSP34, u)).value == 2
         assert relation_type(I) == 3
     assert stats.presentations == 1
+
+
+def test_a_repeated_generator_is_presented_once():
+    # (x, x) is presented on (x): id, rn and rt share one build
+    u = CUSP34.var("u")
+    I = I_(CUSP34, u, u)
+    rees._present.cache_clear()
+    with groebner.counting() as stats:
+        assert integral_degree_fraction(u, u, CUSP34).value == 1
+        assert reduction_number(I, I_(CUSP34, u)).value == 0
+        assert relation_type(I) == 1
+    assert stats.presentations == 1
+    assert rees_kernel(I).tcount == 1
 
 
 def test_presentation_hit_is_self_checked(monkeypatch):
@@ -423,7 +488,8 @@ def test_rn_and_reg_read_the_kernel_basis_alone():
 
 
 def test_failed_presentation_build_is_not_cached(monkeypatch):
-    # the cusp's quotient u^4 - v^3 is past a degree cap of 3
+    # the kernel's v^2*T2 - u^3*T1 is past a degree cap of 3 (the
+    # quotient u^4 - v^3 is the known block, which the cap does not read)
     I = I_(CUSP34, CUSP34.var("u"), CUSP34.var("v"))
     rees._present.cache_clear()
     groebner._buchberger.cache_clear()
@@ -452,7 +518,8 @@ def _s_free_part(ext, order, build):
 
 def _unweighted_kernel(I):
     """K = (T_i - x_i s, quotient) ∩ A[T], eliminating s under plain
-    ``Weighted((1, 0, ..., 0))``, read in the presentation's ring."""
+    ``Weighted((1, 0, ..., 0))``, read in the presentation's ring (on
+    its generators: a repeated one of I is presented once)."""
     pres = rees_kernel(I)
     ext = pres.ext_ctx
     positions = tuple(range(1, 1 + len(ext.vars)))
@@ -460,7 +527,7 @@ def _unweighted_kernel(I):
     def build(ring):
         s = ring.var("s")
         return ([ring.var(tv) - embed(x, ring, positions) * s
-                 for tv, x in zip(pres.tvars, I.gens)]
+                 for tv, x in zip(pres.tvars, pres.ideal.gens)]
                 + [embed(q, ring, positions) for q in ext.quotient])
 
     return _s_free_part(ext, Weighted((1,) + (0,) * len(ext.vars)), build)
@@ -482,8 +549,7 @@ def _saturated_kernel(I):
     positions = tuple(range(1, 1 + k + m))
 
     def build(ring):
-        x1, *xs = [embed(g, ring, positions) for g in I.gens
-                   if not g.is_zero]
+        x1, *xs = [embed(g, ring, positions) for g in pres.ideal.gens]
         t1, *ts = (ring.var(tv) for tv in pres.tvars)
         return ([x1 * tj - xj * t1 for tj, xj in zip(ts, xs)]
                 + [embed(q, ring, positions) for q in ext.quotient]
