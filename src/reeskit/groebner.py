@@ -13,15 +13,15 @@ term tuples, keyed by the order, the set of generator reducer forms and
 the known block.
 
 The known block is a basis already in hand: the quotient generators that
-a ring marks as its reduced basis (:class:`~reeskit.poly.RingCtx`), such
-as a monomial curve's kernel.  :class:`~reeskit.ideals.Ideal` and the
-Rees presentations of :mod:`reeskit.rees` hand it over, and the pair
-loop admits it as its block of lowest index instead of deriving it
-again.  That is sound because
+a ring marks as its reduced basis (:attr:`~reeskit.poly.RingCtx.known`),
+such as a monomial curve's kernel.  :func:`reduced_groebner` reads it
+off the ring it is given, :func:`eliminate_polys` off its target, and
+the pair loop admits it as its block of lowest index instead of
+deriving it again.  That is sound because
 
 * a Gröbner basis of (q) in Q[vars] stays one in any larger polynomial
   ring whose order agrees with the ring's order on Q[vars]
-  (:meth:`~reeskit.poly.RingCtx.extends`): its S-pairs and their
+  (:meth:`~reeskit.poly.RingCtx.extended`): its S-pairs and their
   reductions never leave Q[vars];
 * the signature loop needs of the elements of lower index only that
   they are a Gröbner basis of the ideal they generate;
@@ -79,7 +79,10 @@ from .poly import (Poly, PolyError, RingCtx, Weighted, _primitive_form,
 MAX_BASIS = 4096
 MAX_DEGREE = 256
 # Reduced bases kept by the memo; a small bound keeps peak memory flat.
-MEMO_SIZE = 64
+# Since quotient rings carry their basis, the benchmark workloads hit it
+# at no size, and 16 keeps every hit of `verify --all` that 64 gave,
+# with 0.3 MB less peak memory on curve-invariants (BENCH_34.json).
+MEMO_SIZE = 16
 
 # The auxiliary elimination variable.  The grammar cannot spell "@", so
 # it never collides with a user variable.
@@ -332,15 +335,15 @@ class GroebnerBasis:
         return len(self.elements)
 
 
-def reduced_groebner(gens, ctx: RingCtx | None = None,
-                     known=()) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens`` and
-    ``known`` under the order of ``ctx`` (by default the ring of the
-    first generator).
+def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis, under the order of ``ctx`` (by default the
+    ring of the first generator), of the preimage in the ambient ring of
+    the ideal that ``gens`` generate in ``ctx``: ``gens`` together with
+    the quotient generators.
 
-    ``known``, a reduced Gröbner basis of its ideal under that order
-    (:attr:`RingCtx.known`), is the pair loop's known block.  Unique for
-    a fixed order; inputs homogeneous for the weights of a
+    The quotient's marked part (:attr:`RingCtx.known`), a reduced Gröbner
+    basis under that order already, is the pair loop's known block.
+    Unique for a fixed order; inputs homogeneous for the weights of a
     :class:`Weighted` order yield a homogeneous basis (asserted).
     """
     stats = _STATS.get()
@@ -351,8 +354,9 @@ def reduced_groebner(gens, ctx: RingCtx | None = None,
         if not gens:
             raise PolyError("cannot infer a ring context from no generators")
         ctx = gens[0].ctx
+    known = ctx.known
+    gens += ctx.quotient[len(known):]
     ctx = ctx.ambient
-    known = tuple(g.in_ctx(ctx) for g in known)
     if SELF_CHECK and known:
         GroebnerBasis(ctx, known)  # checks the basis it starts from
     if not gens and not known:
@@ -528,30 +532,27 @@ def _refine(order):
     return order
 
 
-def eliminate_polys(target: RingCtx, build, known=()) -> GroebnerBasis:
-    """The reduced basis of (build(t, lift), known) ∩ Q[target.vars]
-    under ``target.order``.
+def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
+    """The reduced basis of (build(t, lift)) ∩ Q[target.vars] under
+    ``target.order``, taken modulo the quotient of ``target``.
 
     ``build`` receives the auxiliary variable t of Q[t, target.vars] and
     ``lift``, which moves a polynomial over (a prefix of) the variables
     of ``target`` into that ring; it returns the generators to eliminate
-    t from (PolyError for one of another ring).  ``known``, over such a
-    prefix as well, is a reduced Gröbner basis under an order that
-    ``target.order`` agrees with on its variables
-    (:meth:`RingCtx.extends`); the order below agrees with it too, so
-    ``known`` is :func:`reduced_groebner`'s known block.  No generators
-    give the empty basis.  The order weighs t 1 and breaks ties by
-    ``target.order``, so the kept elements are the target's reduced
-    basis (Cox–Little–O'Shea, §3.1).  When ``target.order`` is
-    :class:`Weighted` with weights w and every generator is homogeneous
-    for (1, w), that grading comes first and t breaks ties within each
-    degree.
+    t from (PolyError for one of another ring).  The quotient of
+    ``target`` is lifted too, and its marked part stays marked: the
+    order below agrees with ``target.order`` on the target's variables.
+    No generators and no quotient give the empty basis.  The order
+    weighs t 1 and breaks ties by ``target.order``, so the kept elements
+    are the target's reduced basis (Cox–Little–O'Shea, §3.1).  When
+    ``target.order`` is :class:`Weighted` with weights w and every
+    generator is homogeneous for (1, w), that grading comes first and t
+    breaks ties within each degree.
     """
-    target = target.ambient
     lift = RingCtx((_AUX,) + target.vars, _internal=True)
     keep = tuple(range(1, len(lift.vars)))
     gens = build(lift.var(_AUX), lambda p: embed(p, lift, keep))
-    known = [embed(g, lift, keep) for g in known]
+    quotient = [embed(q, lift, keep) for q in target.quotient]
     block = (1,) + (0,) * len(keep)
     order = Weighted(block, _refine(target.order))
     if isinstance(target.order, Weighted):
@@ -559,10 +560,11 @@ def eliminate_polys(target: RingCtx, build, known=()) -> GroebnerBasis:
                           Weighted(block, _refine(target.order.inner)))
         degree = compile_order(graded, len(lift.vars)).degree
         if all(_homogeneous(g.in_ctx(lift).terms, degree)
-               for g in [*gens, *known]):
+               for g in [*gens, *quotient]):
             order = graded
-    ring = RingCtx(lift.vars, order, _internal=True)
+    ring = RingCtx(lift.vars, order, quotient, _internal=True,
+                   _known=len(target.known))
+    target = target.ambient
     return GroebnerBasis(target, tuple(
-        contract(g, target, keep)
-        for g in reduced_groebner(gens, ring, known)
+        contract(g, target, keep) for g in reduced_groebner(gens, ring)
         if not any(e[0] for e in g.terms)))

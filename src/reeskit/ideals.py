@@ -46,10 +46,7 @@ class Ideal:
         """Reduced Groebner basis of the preimage ideal (cached or adopted);
         the Buchberger run starts from the ring's marked quotient basis."""
         if self._gb is None:
-            known = self.ctx.known
-            rest = self.ctx.quotient[len(known):]
-            self._gb = reduced_groebner(list(self.gens) + list(rest),
-                                        self.ctx.ambient, known)
+            self._gb = reduced_groebner(self.gens, self.ctx)
         return self._gb
 
     @property
@@ -155,7 +152,7 @@ def _intersect_preimages(gens_a, gens_b, ctx: RingCtx) -> GroebnerBasis:
         one_minus_t = 1 - t
         return ([t * lift(g) for g in gens_a]
                 + [one_minus_t * lift(g) for g in gens_b])
-    return eliminate_polys(ctx, build)
+    return eliminate_polys(ctx.ambient, build)
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:

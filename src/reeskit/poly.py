@@ -205,8 +205,10 @@ class RingCtx:
     too): all of a ``quotient`` given as a
     :class:`~reeskit.groebner.GroebnerBasis` of this polynomial ring.
     :meth:`with_quotient` keeps it, as it still is a basis of the ideal
-    it generates; :meth:`with_order` to another order drops it.  Gröbner
-    runs start from it instead of deriving it again."""
+    it generates; :meth:`with_order` to another order drops it;
+    :meth:`extended` keeps it where the larger ring's order agrees with
+    ``order``.  Gröbner runs start from it instead of deriving it
+    again."""
 
     __slots__ = ("vars", "order", "kernels", "quotient", "is_domain",
                  "known", "_index", "_ambient")
@@ -295,14 +297,21 @@ class RingCtx:
         return RingCtx(self.vars, order, quotient=self.quotient or None,
                        _internal=True, _domain=self.is_domain)
 
-    def extends(self, base: "RingCtx") -> bool:
-        """Whether ``base``'s variables lead this ring's and this ring's
-        order compares their monomials as ``base``'s does (the key rows of
-        :func:`compile_order`, cut to those columns, are ``base``'s), so
-        that a Gröbner basis of ``base`` stays one here."""
-        n = len(base.vars)
-        return (self.vars[:n] == base.vars and base.kernels.rows
-                == _key_rows(r[:n] for r in self.kernels.rows))
+    def extended(self, names, order: MonomialOrder) -> "RingCtx":
+        """Q[vars, names] under ``order`` modulo this ring's quotient.  The
+        marked basis stays marked where ``order`` compares this ring's
+        monomials as this ring's order does (the key rows of
+        :func:`compile_order`, cut to those columns, are this ring's), so
+        that it stays a Gröbner basis there: on every degrevlex ring
+        graded by the new variables, not on a lex one."""
+        ext = RingCtx(self.vars + tuple(names), order, _internal=True)
+        n = len(self.vars)
+        agrees = (self.kernels.rows
+                  == _key_rows(r[:n] for r in ext.kernels.rows))
+        return RingCtx(ext.vars, order,
+                       [embed(q, ext, range(n)) for q in self.quotient],
+                       _internal=True,
+                       _known=len(self.known) if agrees else 0)
 
     # -- element constructors -----------------------------------------------
 

@@ -98,18 +98,18 @@ def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> GroebnerBasis:
     """The reduced basis in ``ext_ctx`` of phi^{-1}(sub·A[t]) (K for no sub).
 
     The contraction to A[T] of (T_1 - x_1 t, ..., T_m - x_m t), the
-    quotient generators and ``sub``, graded by deg t = deg T_i = 1; the
-    marked quotient basis is the elimination's known block.
+    quotient generators and ``sub``, graded by deg t = deg T_i = 1;
+    x_1, ..., x_m are the generators of ``I``, one per T variable, as in
+    a presentation's ``ideal``.
     """
-    ext, known = ext_ctx.ambient, ext_ctx.known
+    ext = ext_ctx.ambient
 
     def build(t, lift):
         return ([lift(ext.var(tv)) - lift(x) * t
-                 for tv, x in zip(tvars, I.gens)]
-                + [lift(q) for q in ext_ctx.quotient[len(known):]]
+                 for tv, x in zip(tvars, I.gens, strict=True)]
                 + [lift(g) for g in sub])
 
-    return eliminate_polys(ext_ctx, build, known)
+    return eliminate_polys(ext_ctx, build)
 
 
 def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
@@ -137,7 +137,7 @@ def _present(ctx: RingCtx, gens: tuple) -> ReesPresentation:
     """The presentation of (gens) in ``ctx`` on ``gens`` in order (built
     once per key and counted in ``Stats.presentations``).  The embedded
     quotient keeps its mark where the presentation ring's order agrees
-    with ``ctx``'s on A's variables (:meth:`RingCtx.extends`): on every
+    with ``ctx``'s on A's variables (:meth:`RingCtx.extended`): on every
     degrevlex ring, not on a lex one."""
     stats = _STATS.get()
     if stats is not None:
@@ -148,12 +148,7 @@ def _present(ctx: RingCtx, gens: tuple) -> ReesPresentation:
     order = Weighted((0,) * (n + m))
     for i in reversed(range(m)):
         order = Weighted((0,) * (n + i) + (1,) * (m - i), order)
-    ext = RingCtx(ctx.vars + tvars, order, _internal=True)
-    base_positions = tuple(range(n))
-    ext_ctx = RingCtx(ext.vars, order, [embed(q, ext, base_positions)
-                                        for q in ctx.quotient],
-                      _internal=True,
-                      _known=len(ctx.known) if ext.extends(ctx) else 0)
+    ext_ctx = ctx.extended(tvars, order)
     ordered = Ideal(ctx, gens)
     kernel = Ideal(ext_ctx, _preimage(ordered, ext_ctx, tvars))
     return ReesPresentation(ordered, ext_ctx, tvars, kernel, 0)
@@ -260,7 +255,8 @@ def artin_rees_degree(a: Ideal, I: Ideal, J: Ideal):
     a._check_ctx(I)
     a._check_ctx(J)
     pres = rees_kernel(I)
-    L = Ideal(pres.ext_ctx, _preimage(I, pres.ext_ctx, pres.tvars, a.gens))
+    L = Ideal(pres.ext_ctx,
+              _preimage(pres.ideal, pres.ext_ctx, pres.tvars, a.gens))
     L = _read_modulo(pres, L, J, pres.kernel.gens)
     return _fresh_degree(L, 0)
 
@@ -367,15 +363,13 @@ def relation_type_2gen(x: Poly, y: Poly, ctx: RingCtx) -> int:
         raise PolyError("the first generator must be a regular element")
     (z,) = _fresh_tvars(ctx.vars, 1)
     k = len(ctx.vars)
-    chart = RingCtx(ctx.vars + (z,), Weighted((0,) * k + (1,)), _internal=True)
-    known = ctx.known if chart.extends(ctx) else ()
+    chart = ctx.extended((z,), Weighted((0,) * k + (1,)))
 
     def build(s, lift):
-        return ([lift(x) * lift(chart.var(z)) - lift(y), 1 - s * lift(x)]
-                + [lift(q) for q in ctx.quotient[len(known):]])
+        return [lift(x) * lift(chart.var(z)) - lift(y), 1 - s * lift(x)]
 
     lcs = {}
-    for g in eliminate_polys(chart, build, known):
+    for g in eliminate_polys(chart, build):
         top = max(e[k] for e in g.terms)
         lcs.setdefault(top, []).append(Poly(
             ctx.ambient, {e[:k]: c for e, c in g.terms.items() if e[k] == top},

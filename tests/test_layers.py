@@ -44,12 +44,11 @@ def test_modules_import_only_lower_layers():
 
 def test_elimination_entry_points_take_no_order():
     # groebner builds the elimination order from the target ring; an
-    # order, ring or weights parameter would hand that choice back (the
-    # known block is a basis under the target's order, not an order)
+    # order, ring or weights parameter would hand that choice back
     assert [n for n in dir(groebner) if n.startswith("eliminat")] == [
         "eliminate_polys"]
     params = inspect.signature(groebner.eliminate_polys).parameters
-    assert list(params) == ["target", "build", "known"]
+    assert list(params) == ["target", "build"]
     # and only groebner knows the auxiliary variable
     for path in PACKAGE.glob("*.py"):
         if path.stem != "groebner":

@@ -10,8 +10,9 @@ from conftest import CURVE_INSTANCES, _t_order
 from hypothesis import assume, given, settings, strategies as st
 
 from reeskit import (Ideal, Lex, PolyError, ResourceLimitError, RingCtx,
-                     Weighted, contract, embed, ideal_colon, ideal_contains,
-                     ideal_equal, ideal_intersect, ideal_member, ideal_power,
+                     Weighted, artin_rees_number, contract, embed,
+                     ideal_colon, ideal_contains, ideal_equal,
+                     ideal_intersect, ideal_member, ideal_power,
                      ideal_product, ideal_sum, integral_degree_fraction,
                      is_regular_element, monomial_curve,
                      monomial_fraction_degree, normal_form,
@@ -431,6 +432,19 @@ def test_a_repeated_generator_is_presented_once():
         assert relation_type(I) == 1
     assert stats.presentations == 1
     assert rees_kernel(I).tcount == 1
+
+
+def test_a_repeated_generator_before_another_loses_no_generator():
+    # (u, u, v) is presented on (u, v): the Artin–Rees read pairs each T
+    # variable with a generator of the presentation, not of the ideal as
+    # given, or v would be lost and s read as 1
+    u, v = CUSP34.var("u"), CUSP34.var("v")
+    a, m = I_(CUSP34, u * v), I_(CUSP34, u, v)
+    for J in (I_(CUSP34), m):
+        s = rees.artin_rees_degree(a, I_(CUSP34, u, u, v), J)
+        assert s == rees.artin_rees_degree(a, m, J)
+        assert s[0] == 5
+        assert artin_rees_number(a, I_(CUSP34, u, u, v), J).s_value.value == 5
 
 
 def test_presentation_hit_is_self_checked(monkeypatch):
