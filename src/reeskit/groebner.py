@@ -8,9 +8,10 @@ and sorted by leading monomial.  Resource caps abort loudly instead of
 letting a runaway input spin.
 
 A reduced basis depends only on the ideal and the order, so
-:func:`reduced_groebner` memoizes the ``MEMO_SIZE`` latest bases as monic
-term tuples, keyed by the order, the set of generator reducer forms and
-the known block.
+:func:`reduced_groebner` and :func:`eliminate_polys` memoize the
+``MEMO_SIZE`` latest bases as monic term tuples, keyed by the order, the
+set of generator reducer forms, the known block and the number of
+eliminated variables: an elimination's entry holds its kept block only.
 
 The known block is a basis already in hand: the quotient generators that
 a ring marks as its reduced basis (:attr:`~reeskit.poly.RingCtx.known`),
@@ -46,18 +47,20 @@ boundary: in the public :func:`spolynomial` and :func:`normal_form`,
 wrappers over the same kernels that the loop does not call, and in the
 monic elements of the returned basis.
 
-:func:`counting` opens a scope whose :class:`Stats` counts
-:func:`reduced_groebner` calls, Buchberger runs, the S-pairs reduced
-and reduced to zero, the pairs pruned (for coprime leads, by a syzygy,
-by a cover or a signature met before), and the Rees presentations that
+:func:`counting` opens a scope whose :class:`Stats` counts the
+reduced bases asked for, Buchberger runs, the S-pairs reduced and
+reduced to zero, the pairs pruned (for coprime leads, by a syzygy, by a
+cover or a signature met before), the elements that the final
+interreduction reduces, and the Rees presentations that
 :mod:`reeskit.rees` builds.
 
 :func:`eliminate_polys` is the one elimination entry point and the only
 code that knows the auxiliary variable t or chooses an elimination
 order: it lifts the generators that its caller builds into Q[t,
-target.vars], weighs t first with the target's order within, and keeps
-the t-free elements, which come back as the target's reduced basis, so
-an ideal can adopt them.  A :class:`Weighted` target grades first only
+target.vars] and weighs t first with the target's order within.  The
+final interreduction keeps, reduces and returns only the t-free
+elements, which are the target's reduced basis, so an ideal can adopt
+them.  A :class:`Weighted` target grades first only
 where every generator is homogeneous for its weights, which is where a
 graded order eliminates.  Intersections, Rees-algebra kernels,
 saturations and monomial-curve rings are all built that way.
@@ -74,7 +77,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .poly import (Poly, PolyError, RingCtx, Weighted, _primitive_form,
-                   compile_order, contract, embed)
+                   compile_order, embed)
 
 MAX_BASIS = 4096
 MAX_DEGREE = 256
@@ -109,13 +112,14 @@ class ResourceLimitError(PolyError):
 class Stats:
     """Gröbner work done inside one :func:`counting` scope."""
 
-    calls: int = 0    # reduced_groebner calls, memo hits included
+    calls: int = 0    # bases asked for, eliminations and memo hits too
     runs: int = 0     # Buchberger runs: memo misses
     pairs: int = 0    # S-pairs formed and reduced (inputs are not pairs)
     coprime: int = 0  # pairs pruned for coprime leads
     syzygy: int = 0   # pairs pruned by a syzygy: F5 or a zero reduction
     covered: int = 0  # pairs pruned by a cover or a signature met before
     zero: int = 0     # S-pairs reduced to zero
+    interreduced: int = 0   # basis elements the final interreduction reduces
     presentations: int = 0  # Rees presentations built (rees_kernel misses)
     normal_forms: int = 0   # GroebnerBasis.normal_form and .contains calls
 
@@ -346,38 +350,44 @@ def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
     Unique for a fixed order; inputs homogeneous for the weights of a
     :class:`Weighted` order yield a homogeneous basis (asserted).
     """
-    stats = _STATS.get()
-    if stats is not None:
-        stats.calls += 1
     gens = [g for g in gens if not g.is_zero]
     if ctx is None:
         if not gens:
             raise PolyError("cannot infer a ring context from no generators")
         ctx = gens[0].ctx
+    ring = ctx.ambient
+    return GroebnerBasis(ring, tuple(Poly(ring, dict(t), _trust=True)
+                                     for t in _basis(gens, ctx, 0)))
+
+
+def _basis(gens, ctx, drop) -> tuple:
+    """:func:`_buchberger` on the nonzero ``gens`` and ``ctx``'s quotient."""
+    stats = _STATS.get()
+    if stats is not None:
+        stats.calls += 1
     known = ctx.known
-    gens += ctx.quotient[len(known):]
+    gens = [*gens, *ctx.quotient[len(known):]]
     ctx = ctx.ambient
     if SELF_CHECK and known:
         GroebnerBasis(ctx, known)  # checks the basis it starts from
     if not gens and not known:
-        return GroebnerBasis(ctx, ())
+        return ()
     forms = frozenset(g.in_ctx(ctx).reducer_form for g in gens)
     try:
-        basis = _buchberger(ctx.order, forms,
-                            frozenset(g.reducer_form for g in known))
+        return _buchberger(ctx.order, forms,
+                           frozenset(g.reducer_form for g in known), drop)
     except ResourceLimitError as exc:
         if stats is not None:  # the run has added its counts
             exc.stats = replace(stats)
         raise
-    return GroebnerBasis(ctx, tuple(Poly(ctx, dict(t), _trust=True)
-                                    for t in basis))
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _buchberger(order, forms, known) -> tuple:
+def _buchberger(order, forms, known, drop) -> tuple:
     """The reduced basis under ``order`` of the ideal of the reducer forms
     ``forms`` and ``known``, as monic term tuples in decreasing order
-    (the memo); the key ignores scaling and variable names.
+    (the memo; the key ignores scaling and variable names), only those
+    free of the first ``drop`` variables (:func:`_reduced`).
 
     A signature-based Buchberger loop (Gao–Volny–Wang).  An element's
     signature (T, i) is the leading term of its representation over the
@@ -495,29 +505,45 @@ def _buchberger(order, forms, known) -> tuple:
             stats.covered += covered
             stats.zero += zero
 
-    return _reduced(G, kernels)
+    return _reduced(G, kernels, drop)
 
 
-def _reduced(G, kernels) -> tuple:
-    """The reduced basis of the Groebner basis of reducer forms ``G``: the
-    minimal elements (no other lead divides theirs), each reduced by the
-    others over the integers and made monic, as term tuples in
-    decreasing order, sorted by leading monomial (``kernels``: the
-    order's :func:`~reeskit.poly.compile_order` kernels)."""
-    keyf, divides = kernels.key, kernels.monomials.divides
+def _reduced(G, kernels, drop) -> tuple:
+    """The reduced basis of the Groebner basis of reducer forms ``G``, or
+    of its elimination ideal for ``drop`` > 0: the minimal elements (no
+    other lead divides theirs) with leads free of the first ``drop``
+    variables, each reduced by the others over the integers from its
+    first term that a lead divides (``Stats.interreduced`` counts those)
+    and made monic, as term tuples in decreasing order, sorted by leading
+    monomial (``kernels``: the order's :func:`~reeskit.poly.compile_order`
+    kernels).  Under an elimination order a lead with a dropped variable
+    divides no monomial of a kept element, so the kept ones reduce among
+    themselves alone (Cox–Little–O'Shea, §3.1)."""
+    keyf, (divides, _, _, _, mask) = kernels.key, kernels.monomials
     minimal = []
     for form in sorted(G, key=lambda f: keyf(f[0])):
-        lead, _, _, mask = form
-        if not any(not m & ~mask and divides(d, lead)
-                   for d, _, _, m in minimal):
+        lead, _, _, lead_mask = form
+        if not any(lead[:drop]) and not any(
+                not m & ~lead_mask and divides(d, lead)
+                for d, _, _, m in minimal):
             minimal.append(form)
+    stats = _STATS.get()
     basis = []
     for i, (lead, lc, tail, _) in enumerate(minimal):
-        work = dict(tail)
-        work[lead] = lc
-        out, _ = _reduce_terms(work, minimal[:i] + minimal[i + 1:], kernels)
-        lc = out[lead]
-        basis.append(tuple((m, Fraction(c, lc)) for m, c in out.items()))
+        terms = ((lead, lc),) + tail
+        for j, (e, _) in enumerate(tail, 1):  # its own lead divides no e
+            outside = ~mask(e)
+            if any(not m & outside and divides(d, e)
+                   for d, _, _, m in minimal):  # the terms above e stay
+                out, scale = _reduce_terms(dict(terms[j:]),
+                                           minimal[:i] + minimal[i + 1:],
+                                           kernels)
+                terms = [(m, c * scale) for m, c in terms[:j]] + [*out.items()]
+                lc *= scale
+                if stats is not None:
+                    stats.interreduced += 1
+                break
+        basis.append(tuple((m, Fraction(c, lc)) for m, c in terms))
     return tuple(basis)
 
 
@@ -543,8 +569,10 @@ def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
     ``target`` is lifted too, and its marked part stays marked: the
     order below agrees with ``target.order`` on the target's variables.
     No generators and no quotient give the empty basis.  The order
-    weighs t 1 and breaks ties by ``target.order``, so the kept elements
-    are the target's reduced basis (Cox–Little–O'Shea, §3.1).  When
+    weighs t 1 and breaks ties by ``target.order``, so the t-free
+    elements, the only ones the run interreduces and returns, are the
+    target's reduced basis (Cox–Little–O'Shea, §3.1); the self-check
+    compares them with the full basis of Q[t, target.vars].  When
     ``target.order`` is :class:`Weighted` with weights w and every
     generator is homogeneous for (1, w), that grading comes first and t
     breaks ties within each degree.
@@ -564,7 +592,11 @@ def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
             order = graded
     ring = RingCtx(lift.vars, order, quotient, _internal=True,
                    _known=len(target.known))
+    kept = _basis([g for g in gens if not g.is_zero], ring, 1)
+    if SELF_CHECK:  # checks the lift ring's full basis too
+        full = (g.sorted_terms for g in reduced_groebner(gens, ring))
+        if kept != tuple(t for t in full if not t[0][0][0]):
+            raise PolyError("internal: elimination self-check failed")
     target = target.ambient
     return GroebnerBasis(target, tuple(
-        contract(g, target, keep) for g in reduced_groebner(gens, ring)
-        if not any(e[0] for e in g.terms)))
+        Poly(target, {m[1:]: c for m, c in t}, _trust=True) for t in kept))

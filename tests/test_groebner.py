@@ -653,3 +653,71 @@ def test_memo_stays_within_its_bound():
         reduced_groebner([x ** (k + 1) - 1])
         assert groebner._buchberger.cache_info().currsize <= groebner.MEMO_SIZE
     assert groebner._buchberger.cache_info().currsize == groebner.MEMO_SIZE
+
+
+def _lift_of_one_elimination(monkeypatch, target, build):
+    """``eliminate_polys(target, build)`` and the generators and ring of
+    the lift that it eliminates @t in."""
+    seen = []
+    basis = groebner._basis
+
+    def record(gens, ctx, drop):
+        if drop:
+            seen.append((gens, ctx))
+        return basis(gens, ctx, drop)
+
+    monkeypatch.setattr(groebner, "_basis", record)
+    kept = eliminate_polys(target, build)
+    ((gens, ring),) = seen
+    return kept, gens, ring
+
+
+def test_an_elimination_and_the_full_basis_take_separate_memo_entries(
+        monkeypatch):
+    # an elimination's memo entry holds its kept block only, so the key
+    # names how many variables it drops: the full basis of the same
+    # generators in the same ring is another run, in either order
+    target = RingCtx("x,y")
+    groebner._buchberger.cache_clear()
+    kernel, gens, ring = _lift_of_one_elimination(monkeypatch, target, _toric)
+    with groebner.counting() as stats:
+        full = reduced_groebner(gens, ring)
+    assert (stats.calls, stats.runs) == (1, 1)
+    assert sum(any(e[0] for e in g.terms) for g in full) == 4
+    assert tuple(contract(g, target, (1, 2)) for g in full
+                 if not any(e[0] for e in g.terms)) == kernel.elements
+    groebner._buchberger.cache_clear()
+    assert reduced_groebner(gens, ring).elements == full.elements
+    with groebner.counting() as stats:
+        again = eliminate_polys(target, _toric)
+    assert (stats.calls, stats.runs) == (1, 1)
+    assert again.elements == kernel.elements
+    with groebner.counting() as stats:
+        eliminate_polys(target, _toric)
+        reduced_groebner(gens, ring)
+    assert (stats.calls, stats.runs) == (2, 0)
+
+
+def test_an_elimination_self_checks_the_lift_ring(monkeypatch):
+    # the kept block is read off its own run, so under the self-check
+    # the full basis of the ring with @t is built and checked as well
+    checked = []
+    monkeypatch.setattr(groebner, "SELF_CHECK", True)
+    monkeypatch.setattr(groebner.GroebnerBasis, "self_check",
+                        lambda b: checked.append(b.ctx.vars) or True)
+    groebner._buchberger.cache_clear()
+    assert [str(g) for g in eliminate_polys(RingCtx("x,y"), _toric)] == [
+        "x^4 - y^3"]
+    assert checked == [("@t", "x", "y"), ("x", "y")]
+
+
+def test_an_elimination_that_loses_an_element_fails_its_self_check(
+        monkeypatch):
+    basis = groebner._basis
+    monkeypatch.setattr(groebner, "_basis", lambda gens, ctx, drop: (
+        basis(gens, ctx, drop)[:-1] if drop else basis(gens, ctx, drop)))
+    groebner._buchberger.cache_clear()
+    assert eliminate_polys(RingCtx("x,y"), _toric).is_zero
+    monkeypatch.setattr(groebner, "SELF_CHECK", True)
+    with pytest.raises(PolyError, match="elimination self-check failed"):
+        eliminate_polys(RingCtx("x,y"), _toric)

@@ -244,6 +244,34 @@ def test_exact_rn_and_id_match_the_scans(ctx, I, J):
             assert idv.value == scan + 1
 
 
+# cusp inputs whose rn once took 9-13 s in one Buchberger run of the
+# Rees kernel: each answer, and a bound on the runs and S-pairs that
+# reach it, so that a return of the slow run fails instead of only
+# slowing the suite
+SLOW_CUSP_CASES = [
+    (CUSP34, "u - u^2*v, u^2*v^2 - 3*v, v + v^2",
+     "u - u^2*v, u^2*v^2 - 3*v", "resolved(0)", 3, 29),
+    (CUSP34, "u*v^2 - 2*u^2, u^2*v^2 - 2*v^2, v + u*v^2",
+     "u*v^2 - 2*u^2, u^2*v^2 - 2*v^2, v + u*v^2", "resolved(0)", 4, 26),
+    (CUSP23, "-u, u^2*v^2 + 2*v^2, v + 2*u*v", "-u", "resolved(1)", 1, 4),
+    (CUSP34, "u^2*v - u^2, u^2*v^2 + v^2, -v^2 + 3*u",
+     "u^2*v^2 + u^2*v - u^2 + 3*u", "none(not a reduction)", 2, 42),
+]
+
+
+@pytest.mark.parametrize("ctx, I, J, answer, runs, pairs", SLOW_CUSP_CASES,
+                         ids=["cusp34-J2", "cusp34-J=I", "cusp23",
+                              "cusp34-none"])
+def test_rn_on_formerly_slow_cusp_inputs(ctx, I, J, answer, runs, pairs):
+    rees._present.cache_clear()
+    groebner._buchberger.cache_clear()
+    with groebner.counting() as stats:
+        rn = reduction_number(Ideal(ctx, I.split(", ")),
+                              Ideal(ctx, J.split(", ")))
+    assert repr(rn) == answer
+    assert stats.runs <= runs and stats.pairs <= pairs
+
+
 def test_exact_read_edge_inputs():
     zero = I_(CTX2, CTX2.zero)
     assert reduction_number(zero, zero).value == 0  # R(0) on no T variable

@@ -189,7 +189,7 @@ def test_buchberger_builds_no_ring_and_no_polynomial(monkeypatch):
     monkeypatch.setattr(groebner, "RingCtx", build)
     monkeypatch.setattr(groebner, "Poly", build)
     forms = frozenset(g.reducer_form for g in cyclic4)
-    basis = groebner._buchberger(ctx.order, forms, frozenset())
+    basis = groebner._buchberger(ctx.order, forms, frozenset(), 0)
     assert list(basis) == expected
 
 

@@ -19,7 +19,7 @@ from reeskit import (Ideal, Lex, PolyError, ResourceLimitError, RingCtx,
                      reduced_groebner, reduction_number, reg_rees,
                      rees_kernel, relation_type, relation_type_2gen,
                      relation_type_mod)
-from reeskit import groebner, ideals, rees
+from reeskit import corpus, groebner, ideals, rees
 from reeskit.rees import (_degree_profile, _lead, filter_regular_degree,
                           reduction_degree)
 
@@ -584,6 +584,87 @@ KERNEL_CASES = [
 KERNEL_IDS = [f"t^{w} x={x} y={y}" for w, _, x, y in CURVE_INSTANCES] + [
     f"huneke{n}" for n in (2, 3, 4, 5)] + [f"wang{n}" for n in (2, 3, 4)] + [
     "veronese", "m", "cusp23-inhomogeneous"]
+
+
+def _eliminations_checked(monkeypatch):
+    """Compare every elimination made from now on, element for element,
+    with the @t-free part of the full reduced basis of its lift ring,
+    contracted by hand; returns the list of (kept, full) basis sizes."""
+    lifts, sizes = [], []
+    basis, eliminate = groebner._basis, groebner.eliminate_polys
+
+    def record(gens, ctx, drop):
+        if drop:
+            lifts.append((gens, ctx))
+        return basis(gens, ctx, drop)
+
+    def checked(target, build):
+        kept = eliminate(target, build)
+        gens, ring = lifts.pop()
+        full = reduced_groebner(gens, ring)
+        keep = tuple(range(1, len(ring.vars)))
+        assert ring.vars[1:] == target.vars and kept.ctx == target.ambient
+        assert kept.elements == tuple(
+            contract(g, target, keep) for g in full
+            if not any(e[0] for e in g.terms))
+        sizes.append((len(kept), len(full)))
+        return kept
+
+    monkeypatch.setattr(groebner, "_basis", record)
+    for module in (groebner, ideals, rees, corpus):
+        monkeypatch.setattr(module, "eliminate_polys", checked)
+    monkeypatch.setattr(corpus, "_CURVE_CACHE", {})
+    rees._present.cache_clear()
+    return sizes
+
+
+LEX2 = RingCtx("x,y", Lex())
+LEX_CUSP = RingCtx("x,y", Lex(), ["x^3 - y^2"])
+ELIMINATION_CASES = {
+    "presentations": lambda: [
+        rees_kernel(Ideal(monomial_curve(w, names), [x, y]))
+        for w, names, x, y in CURVE_INSTANCES] + [
+        rees_kernel(Ideal(ctx, gens.split(", "))) for ctx, gens in (
+            (CUSP34, "u - u^2*v, u^2*v^2 - 3*v, v + v^2"),
+            (CUSP34, "u^2*v - u^2, u^2*v^2 + v^2, -v^2 + 3*u"),
+            (CUSP23, "-u, u^2*v^2 + 2*v^2, v + 2*u*v"),
+            (CTX3, "x^2 + y, y*z + 2*x, z^2 - x"))],
+    "preimage": lambda: rees.artin_rees_degree(
+        I_(CUSP34, "u*v"), I_(CUSP34, "u", "v"), I_(CUSP34, "u")),
+    "intersection": lambda: ideal_intersect(
+        I_(CUSP34, "u^2", "v"), I_(CUSP34, "u*v", "v^2 - u")),
+    "colon": lambda: ideal_colon(I_(CTX3, "x*y", "y*z^2"),
+                                 I_(CTX3, "y", "x + z")),
+    "curve-kernels": lambda: [monomial_curve(w, ("a", "b", "c"))
+                              for w in ((3, 4, 5), (4, 5, 7))],
+    "chart": lambda: relation_type_2gen(
+        CUSP34.parse("u"), CUSP34.parse("v^2"), CUSP34),
+    "lex": lambda: [ideal_intersect(I_(LEX2, "x - y^2", "x*y"),
+                                    I_(LEX2, "y - x^2")),
+                    ideal_intersect(I_(LEX_CUSP, "x"), I_(LEX_CUSP, "y"))],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ELIMINATION_CASES))
+def test_an_elimination_is_the_t_free_part_of_the_full_basis(monkeypatch,
+                                                              case):
+    sizes = _eliminations_checked(monkeypatch)
+    ELIMINATION_CASES[case]()
+    assert sizes and any(kept < full for kept, full in sizes)
+
+
+def test_a_presentation_interreduces_only_what_it_keeps():
+    # of the 10 kept elements 4 have a term that another kept lead
+    # divides; the rest, the cusp's own u^4 - v^3 among them, are only
+    # made monic, and the elements with @t are never reduced
+    I = I_(CUSP34, "u^2*v - u^2", "u^2*v^2 + v^2", "-v^2 + 3*u")
+    rees._present.cache_clear()
+    groebner._buchberger.cache_clear()
+    with groebner.counting() as stats:
+        pres = rees_kernel(I)
+    assert (stats.runs, stats.interreduced) == (1, 4)
+    assert len(pres.kernel.gb) == 10
+    assert pres.ext_ctx.parse("u^4 - v^3") in pres.kernel.gb
 
 
 @pytest.mark.parametrize("ctx, gens", KERNEL_CASES, ids=KERNEL_IDS)
