@@ -8,8 +8,7 @@ their quotients, together with a registry of classical example families.
 """
 
 from .poly import (DegRevLex, Lex, MonomialOrder, ParseError, Poly,
-                   PolyError, RingCtx, Weighted, contract, embed, parse_poly,
-                   poly_str)
+                   PolyError, RingCtx, Weighted, embed, parse_poly, poly_str)
 from .groebner import (GroebnerBasis, ResourceLimitError, normal_form,
                        reduced_groebner, spolynomial)
 from .ideals import (Ideal, exact_divide, ideal_colon, ideal_contains,

@@ -57,12 +57,14 @@ interreduction reduces, and the Rees presentations that
 :func:`eliminate_polys` is the one elimination entry point and the only
 code that knows the auxiliary variable t or chooses an elimination
 order: it lifts the generators that its caller builds into Q[t,
-target.vars] and weighs t first with the target's order within.  The
-final interreduction keeps, reduces and returns only the t-free
+target.vars] and weighs t first with the target's order within.  That
+ring and the elimination rings depend on the target alone, which
+builds them once and holds them (:meth:`~reeskit.poly.RingCtx.derived`).
+The final interreduction keeps, reduces and returns only the t-free
 elements, which are the target's reduced basis, so an ideal can adopt
-them.  A :class:`Weighted` target grades first only
-where every generator is homogeneous for its weights, which is where a
-graded order eliminates.  Intersections, Rees-algebra kernels,
+them.  A :class:`Weighted` target grades first only where every
+generator is homogeneous for its weights, which is where a graded
+order eliminates.  Intersections, Rees-algebra kernels,
 saturations and monomial-curve rings are all built that way.
 """
 
@@ -558,6 +560,26 @@ def _refine(order):
     return order
 
 
+def _lift(target: RingCtx) -> tuple:
+    """The part of :func:`eliminate_polys` that ``target`` alone fixes:
+    the lift ring, the target's variables and quotient in it, the plain
+    order, and the graded order with its degree where the lifted
+    quotient is homogeneous for it (else None, None)."""
+    lift = RingCtx((_AUX,) + target.vars, _internal=True)
+    keep = tuple(range(1, len(lift.vars)))
+    quotient = [embed(q, lift, keep) for q in target.quotient]
+    block = (1,) + (0,) * len(keep)
+    graded = degree = None
+    if isinstance(target.order, Weighted):
+        graded = Weighted((1,) + target.order.weights,
+                          Weighted(block, _refine(target.order.inner)))
+        degree = compile_order(graded, len(lift.vars)).degree
+        if not all(_homogeneous(q.terms, degree) for q in quotient):
+            graded = degree = None
+    return (lift, keep, quotient, Weighted(block, _refine(target.order)),
+            graded, degree)
+
+
 def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
     """The reduced basis of (build(t, lift)) ∩ Q[target.vars] under
     ``target.order``, taken modulo the quotient of ``target``.
@@ -575,23 +597,17 @@ def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
     compares them with the full basis of Q[t, target.vars].  When
     ``target.order`` is :class:`Weighted` with weights w and every
     generator is homogeneous for (1, w), that grading comes first and t
-    breaks ties within each degree.
+    breaks ties within each degree.  The target builds :func:`_lift` and
+    each elimination ring once and holds them, so the marked quotient's
+    reducer forms are computed once; a call checks only its generators.
     """
-    lift = RingCtx((_AUX,) + target.vars, _internal=True)
-    keep = tuple(range(1, len(lift.vars)))
+    lift, keep, quotient, plain, graded, degree = target.derived(
+        _AUX, lambda: _lift(target))
     gens = build(lift.var(_AUX), lambda p: embed(p, lift, keep))
-    quotient = [embed(q, lift, keep) for q in target.quotient]
-    block = (1,) + (0,) * len(keep)
-    order = Weighted(block, _refine(target.order))
-    if isinstance(target.order, Weighted):
-        graded = Weighted((1,) + target.order.weights,
-                          Weighted(block, _refine(target.order.inner)))
-        degree = compile_order(graded, len(lift.vars)).degree
-        if all(_homogeneous(g.in_ctx(lift).terms, degree)
-               for g in [*gens, *quotient]):
-            order = graded
-    ring = RingCtx(lift.vars, order, quotient, _internal=True,
-                   _known=len(target.known))
+    order = graded if graded and all(
+        _homogeneous(g.in_ctx(lift).terms, degree) for g in gens) else plain
+    ring = target.derived((_AUX, order), lambda: RingCtx(
+        lift.vars, order, quotient, _internal=True, _known=len(target.known)))
     kept = _basis([g for g in gens if not g.is_zero], ring, 1)
     if SELF_CHECK:  # checks the lift ring's full basis too
         full = (g.sorted_terms for g in reduced_groebner(gens, ring))

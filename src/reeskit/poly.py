@@ -208,10 +208,12 @@ class RingCtx:
     it generates; :meth:`with_order` to another order drops it;
     :meth:`extended` keeps it where the larger ring's order agrees with
     ``order``.  Gröbner runs start from it instead of deriving it
-    again."""
+    again.  A ring holds the rings derived from it alone (:meth:`derived`),
+    which are no Gröbner state, so that they, their polynomials and
+    their reducer forms are built once."""
 
     __slots__ = ("vars", "order", "kernels", "quotient", "is_domain",
-                 "known", "_index", "_ambient")
+                 "known", "_index", "_ambient", "_derived")
 
     def __init__(self, vars, order: MonomialOrder | None = None,
                  quotient=None, _internal: bool = False, _domain: bool = False,
@@ -247,6 +249,7 @@ class RingCtx:
             self._ambient = self
             self.quotient = ()
         self.known = self.quotient[:_known]
+        self._derived = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -297,21 +300,32 @@ class RingCtx:
         return RingCtx(self.vars, order, quotient=self.quotient or None,
                        _internal=True, _domain=self.is_domain)
 
+    def derived(self, key, build):
+        """``build()`` the first time ``key`` is asked for, then the same
+        rings, held on this one: equality ignores the mark, which a derived
+        ring inherits, so no cache keyed by ring may hold them."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
     def extended(self, names, order: MonomialOrder) -> "RingCtx":
-        """Q[vars, names] under ``order`` modulo this ring's quotient.  The
-        marked basis stays marked where ``order`` compares this ring's
-        monomials as this ring's order does (the key rows of
-        :func:`compile_order`, cut to those columns, are this ring's), so
-        that it stays a Gröbner basis there: on every degrevlex ring
-        graded by the new variables, not on a lex one."""
-        ext = RingCtx(self.vars + tuple(names), order, _internal=True)
-        n = len(self.vars)
-        agrees = (self.kernels.rows
-                  == _key_rows(r[:n] for r in ext.kernels.rows))
-        return RingCtx(ext.vars, order,
-                       [embed(q, ext, range(n)) for q in self.quotient],
-                       _internal=True,
-                       _known=len(self.known) if agrees else 0)
+        """Q[vars, names] under ``order`` modulo this ring's quotient, the
+        same ring each time (:meth:`derived`).  The marked basis stays
+        marked where ``order`` compares this ring's monomials as this
+        ring's order does (the key rows of :func:`compile_order`, cut to
+        those columns, are this ring's), so that it stays a Gröbner basis
+        there: on every degrevlex ring graded by the new variables, not on
+        a lex one."""
+        def build():
+            ext = RingCtx(self.vars + tuple(names), order, _internal=True)
+            n = len(self.vars)
+            agrees = (self.kernels.rows
+                      == _key_rows(r[:n] for r in ext.kernels.rows))
+            return RingCtx(ext.vars, order,
+                           [embed(q, ext, range(n)) for q in self.quotient],
+                           _internal=True,
+                           _known=len(self.known) if agrees else 0)
+        return self.derived((tuple(names), order), build)
 
     # -- element constructors -----------------------------------------------
 
@@ -584,20 +598,6 @@ def embed(poly: Poly, target: RingCtx, positions) -> Poly:
             if x:
                 exps[positions[i]] = x
         out[tuple(exps)] = c
-    return Poly(target, out, _trust=True)
-
-
-def contract(poly: Poly, target: RingCtx, positions) -> Poly:
-    """Inverse of :func:`embed`: keep the source variables listed in
-    ``positions`` (all other exponents must be zero)."""
-    target = target.ambient
-    keep = set(positions)
-    out = {}
-    for e, c in poly.terms.items():
-        for i, x in enumerate(e):
-            if x and i not in keep:
-                raise PolyError("polynomial involves a variable being dropped")
-        out[tuple(e[i] for i in positions)] = c
     return Poly(target, out, _trust=True)
 
 

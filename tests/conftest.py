@@ -1,11 +1,22 @@
 """Shared fixtures: the monomial-curve fraction instances used by the
-verification suite, computed once per session."""
+verification suite, computed once per session, and ``contract``, the
+inverse of ``embed`` that the elimination tests read bases back with."""
 
 import pytest
 
 from reeskit import (Ideal, integral_degree_fraction, monomial_curve,
                      monomial_fraction_degree, reduction_number,
                      relation_type)
+
+
+def contract(poly, target, positions):
+    """The inverse of ``embed``: ``poly``, whose variables all sit at
+    ``positions``, as a polynomial of ``target``."""
+    assert not any(x for e in poly.terms for i, x in enumerate(e)
+                   if i not in positions), "a dropped variable occurs"
+    return target.poly({tuple(e[i] for i in positions): c
+                        for e, c in poly.terms.items()})
+
 
 # (weights, names, x, y) — x and y are monomials in the curve coordinates;
 # (x) is a principal reduction of (x, y) in every instance.

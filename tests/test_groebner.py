@@ -6,11 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import contract
 from hypothesis import given, settings, strategies as st
 
 from reeskit import (DegRevLex, Ideal, Lex, PolyError, ResourceLimitError,
-                     RingCtx, Weighted, contract, embed, ideal_member,
-                     normal_form, reduced_groebner)
+                     RingCtx, Weighted, embed, ideal_member, normal_form,
+                     reduced_groebner)
 from reeskit import groebner
 from reeskit.groebner import eliminate_polys, spolynomial
 from reeskit.ideals import ideal_intersect

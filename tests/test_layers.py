@@ -10,7 +10,8 @@ import subprocess
 import sys
 
 import reeskit
-from reeskit import Ideal, RingCtx, groebner, invariants, reduced_groebner
+from reeskit import (Ideal, RingCtx, groebner, invariants, monomial_curve,
+                     reduced_groebner, rees, rees_kernel)
 
 LAYERS = ["poly", "groebner", "ideals", "rees", "invariants", "semigroup",
           "corpus", "cli"]
@@ -191,6 +192,30 @@ def test_buchberger_builds_no_ring_and_no_polynomial(monkeypatch):
     forms = frozenset(g.reducer_form for g in cyclic4)
     basis = groebner._buchberger(ctx.order, forms, frozenset(), 0)
     assert list(basis) == expected
+
+
+def test_a_ring_builds_its_derived_rings_once(monkeypatch):
+    # the presentation ring, the lift ring and the elimination ring depend
+    # on the ring alone: once it has built one presentation, the Rees
+    # kernel of another ideal and another elimination construct no ring
+    ctx = monomial_curve((3, 4, 5), ("a", "b", "c"))
+    a, b, c = (ctx.var(v) for v in ctx.vars)
+    rees._present.cache_clear()
+    rees_kernel(Ideal(ctx, [a, b]))
+    groebner.eliminate_polys(ctx, lambda t, lift: [lift(a) - t**3])
+    built = []
+    init = RingCtx.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingCtx, "__init__", counted)
+    with groebner.counting() as stats:
+        rees_kernel(Ideal(ctx, [a * c, b + c]))
+        groebner.eliminate_polys(ctx, lambda t, lift: [lift(b) - t**4])
+    assert (stats.presentations, stats.calls) == (1, 2)
+    assert built == []
 
 
 def test_every_traced_function_is_public():

@@ -6,16 +6,15 @@ import itertools
 import random
 
 import pytest
-from conftest import CURVE_INSTANCES, _t_order
+from conftest import CURVE_INSTANCES, _t_order, contract
 from hypothesis import assume, given, settings, strategies as st
 
 from reeskit import (Ideal, Lex, PolyError, ResourceLimitError, RingCtx,
-                     Weighted, artin_rees_number, contract, embed,
-                     ideal_colon, ideal_contains, ideal_equal,
-                     ideal_intersect, ideal_member, ideal_power,
-                     ideal_product, ideal_sum, integral_degree_fraction,
-                     is_regular_element, monomial_curve,
-                     monomial_fraction_degree, normal_form,
+                     Weighted, artin_rees_number, embed, ideal_colon,
+                     ideal_contains, ideal_equal, ideal_intersect,
+                     ideal_member, ideal_power, ideal_product, ideal_sum,
+                     integral_degree_fraction, is_regular_element,
+                     monomial_curve, monomial_fraction_degree, normal_form,
                      reduced_groebner, reduction_number, reg_rees,
                      rees_kernel, relation_type, relation_type_2gen,
                      relation_type_mod)
@@ -278,6 +277,67 @@ def test_a_lex_basis_is_no_known_block_of_a_degrevlex_elimination():
                       reduction_number(I, I_(ctx, "x")).value,
                       relation_type(I), relation_type_2gen(x, y, ctx)))
     assert reads == [(2, 1, 2, 2)] * 2
+
+
+def _curve_345_ring(kind):
+    """A new Q[a, b, c] modulo the (3,4,5) curve's kernel: marked under
+    degrevlex as ``monomial_curve`` marks it, typed in (unmarked), or
+    marked with its lex basis, a mark that ``extended`` drops."""
+    curve = monomial_curve((3, 4, 5), ("a", "b", "c"))
+    if kind == "typed":
+        return RingCtx(curve.vars, quotient=[str(q) for q in curve.quotient])
+    order = Lex() if kind == "lex" else curve.order
+    basis = reduced_groebner(curve.quotient, RingCtx(curve.vars, order))
+    return RingCtx(curve.vars, order, quotient=basis,
+                   _domain=kind == "marked")
+
+
+def _eliminations(monkeypatch, ctx):
+    """The bases, as term tuples, of every elimination that four reads
+    on ``ctx`` make, with no memo or presentation cached: the Rees kernel
+    of I = (a, b), the chart kernel of ``relation_type_2gen(a, b)``,
+    I ∩ (b, c), and the L of ``artin_rees_degree((c), I, I)``."""
+    bases = []
+    eliminate = groebner.eliminate_polys
+
+    def recording(target, build):
+        basis = eliminate(target, build)
+        bases.append((target.vars, [g.sorted_terms for g in basis]))
+        return basis
+
+    for module in (rees, ideals):
+        monkeypatch.setattr(module, "eliminate_polys", recording)
+    rees._present.cache_clear()
+    groebner._buchberger.cache_clear()
+    a, b, c = (ctx.var(v) for v in ctx.vars)
+    I = I_(ctx, a, b)
+    pres = rees_kernel(I)
+    assert pres.ext_ctx is ctx.extended(pres.tvars, pres.ext_ctx.order)
+    relation_type_2gen(a, b, ctx)
+    ideal_intersect(I, I_(ctx, b, c))
+    rees.artin_rees_degree(I_(ctx, c), I, I)
+    return bases, len(ctx.known), len(pres.ext_ctx.known)
+
+
+@pytest.mark.parametrize("self_check", [False, True],
+                         ids=["unchecked", "self-check"])
+@pytest.mark.parametrize("kind, marks", [
+    ("marked", (3, 3)), ("typed", (0, 0)), ("lex", (5, 0))])
+def test_derived_rings_are_the_rings_own_and_sound(monkeypatch, kind, marks,
+                                                   self_check):
+    # a ring builds its presentation, chart and elimination rings once;
+    # eliminations on them, built or held, agree with those on a newly
+    # built equal ring, and each keeps the mark that its ring gives it
+    monkeypatch.setattr(groebner, "SELF_CHECK", self_check)
+    held, fresh = _curve_345_ring(kind), _curve_345_ring(kind)
+    assert held == fresh and held is not fresh
+    order = Weighted((0, 0, 0, 1))
+    assert held.extended(("Z",), order) is held.extended(["Z"], order)
+    assert held.extended(("Z",), order) is not fresh.extended(("Z",), order)
+    first = _eliminations(monkeypatch, held)
+    assert first[0] and first[1:] == marks
+    assert _eliminations(monkeypatch, held) == first
+    assert _eliminations(monkeypatch, fresh) == first
 
 
 def _effective_vanishes(x, y, n, J):
