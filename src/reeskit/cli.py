@@ -62,8 +62,7 @@ def _emit_outcome(pairs, outcome) -> int:
 def _cmd_gb(args) -> int:
     ctx = _build_ctx(args).with_order(ORDERS[args.order])
     I = _parse_ideal(ctx, args.ideal)
-    for g in I.gb.elements:
-        print(g)
+    print("".join(f"{g}\n" for g in I.gb.elements), end="")
     return EXIT_OK
 
 

@@ -45,7 +45,8 @@ signature criteria compare exponents only past that filter, and leads
 with disjoint masks are coprime.  ``Fraction`` values appear only at the
 boundary: in the public :func:`spolynomial` and :func:`normal_form`,
 wrappers over the same kernels that the loop does not call, and in the
-monic elements of the returned basis.
+monic elements of the returned basis, which keep the decreasing term
+order that the run produced instead of sorting their terms again.
 
 :func:`counting` opens a scope whose :class:`Stats` counts the
 reduced bases asked for, Buchberger runs, the S-pairs reduced and
@@ -78,8 +79,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .poly import (Poly, PolyError, RingCtx, Weighted, _primitive_form,
-                   compile_order, embed)
+from .poly import (Poly, PolyError, RingCtx, Weighted, _ordered,
+                   _primitive_form, compile_order, embed)
 
 MAX_BASIS = 4096
 MAX_DEGREE = 256
@@ -358,7 +359,7 @@ def reduced_groebner(gens, ctx: RingCtx | None = None) -> GroebnerBasis:
             raise PolyError("cannot infer a ring context from no generators")
         ctx = gens[0].ctx
     ring = ctx.ambient
-    return GroebnerBasis(ring, tuple(Poly(ring, dict(t), _trust=True)
+    return GroebnerBasis(ring, tuple(_ordered(ring, t)
                                      for t in _basis(gens, ctx, 0)))
 
 
@@ -600,6 +601,13 @@ def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
     breaks ties within each degree.  The target builds :func:`_lift` and
     each elimination ring once and holds them, so the marked quotient's
     reducer forms are computed once; a call checks only its generators.
+
+    Each element keeps the term order of the run as its sorted terms:
+    on t-free monomials either order compares as ``target.order`` does.
+    The block row weighs them all 0, the graded row (1, w) as w does,
+    :func:`_refine` puts a 0 weight for t in front of each weight row
+    within, and a lex or degrevlex tail on (t, target.vars) compares
+    them as on target.vars.
     """
     lift, keep, quotient, plain, graded, degree = target.derived(
         _AUX, lambda: _lift(target))
@@ -615,4 +623,4 @@ def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
             raise PolyError("internal: elimination self-check failed")
     target = target.ambient
     return GroebnerBasis(target, tuple(
-        Poly(target, {m[1:]: c for m, c in t}, _trust=True) for t in kept))
+        _ordered(target, tuple((m[1:], c) for m, c in t)) for t in kept))

@@ -26,9 +26,11 @@ Grammar (ASCII, whitespace insignificant)::
     coeff := uint | uint '/' uint
     var   := [A-Za-z][A-Za-z0-9_]*
 
-Printing emits terms in decreasing order of the active monomial order,
-coefficients in lowest terms with ``p/q`` notation, and no unary ``+``;
-``parse(print(f)) == f`` for every polynomial ``f``.
+The parser adds the terms into one map, monomial -> int or ``Fraction``,
+and builds one polynomial from it.  Printing emits terms in decreasing
+order of the active monomial order, coefficients in lowest terms with
+``p/q`` notation read off their numerator and denominator, and no unary
+``+``; ``parse(print(f)) == f`` for every polynomial ``f``.
 """
 
 from __future__ import annotations
@@ -582,6 +584,15 @@ class Poly:
     __repr__ = __str__
 
 
+def _ordered(ctx: RingCtx, terms) -> Poly:
+    """The polynomial of ``terms``, nonzero (monomial, coefficient) pairs
+    in strictly decreasing order of ``ctx.order``, kept as its
+    :attr:`Poly.sorted_terms` so that they are not sorted again."""
+    p = Poly(ctx, dict(terms), _trust=True)
+    p._sorted = tuple(terms)
+    return p
+
+
 # ---------------------------------------------------------------------------
 # context-change helpers
 
@@ -604,29 +615,22 @@ def embed(poly: Poly, target: RingCtx, positions) -> Poly:
 # ---------------------------------------------------------------------------
 # parser
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9_]*)|([+\-*/^()])")
+# One match per token, leading whitespace included; group 4 is any other
+# character, which no token may start with.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([+\-*/^()])|(\S))")
+_KINDS = (None, "num", "name", "op")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", text, pos)
-        if m.group(1) is not None:
-            tokens.append(("num", m.group(1), pos))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), pos))
-        else:
-            tokens.append(("op", m.group(3), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        if kind == 4:
+            raise ParseError(f"unexpected character {m[4]!r}", text,
+                             m.start(4))
+        tokens.append((_KINDS[kind], m[kind], m.start(kind)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -654,29 +658,31 @@ class _Parser:
         return kind == "op" and val in ops
 
     def parse(self) -> Poly:
-        total = self.ctx.zero
+        terms = {}
         sign = 1
         if self.at_op("-"):
             self.take()
             sign = -1
-        total = total + self.term().scale(sign)
         while True:
+            exps, c = self.term()
+            terms[exps] = terms.get(exps, 0) + sign * c
             kind, val, _ = self.peek()
             if kind == "end":
-                return total
-            if kind == "op" and val in "+-":
-                self.take()
-                t = self.term()
-                total = total + (t if val == "+" else -t)
-            else:
+                return Poly(self.ctx, {e: Fraction(c) for e, c in terms.items()
+                                       if c}, _trust=True)
+            if kind != "op" or val not in "+-":
                 self.fail("expected '+' or '-' between terms")
-
-    def term(self) -> Poly:
-        coeff = None
-        kind, val, _ = self.peek()
-        if kind == "num":
             self.take()
-            num = int(val)
+            sign = 1 if val == "+" else -1
+
+    def term(self) -> tuple:
+        """``(exps, coeff)`` of the next term; an integer stays an int."""
+        coeff = 1
+        kind, val, _ = self.peek()
+        number = kind == "num"
+        if number:
+            self.take()
+            coeff = int(val)
             if self.at_op("/"):
                 self.take()
                 k2, v2, _ = self.peek()
@@ -686,9 +692,7 @@ class _Parser:
                 den = int(v2)
                 if den == 0:
                     self.fail("zero denominator")
-                coeff = Fraction(num, den)
-            else:
-                coeff = Fraction(num)
+                coeff = Fraction(coeff, den)
         exps = [0] * len(self.ctx.vars)
         saw_var = False
         while True:
@@ -710,13 +714,9 @@ class _Parser:
                 e = self.exponent()
             exps[idx] += e
             saw_var = True
-        if coeff is None and not saw_var:
+        if not (number or saw_var):
             self.fail("expected a term")
-        if coeff is None:
-            coeff = ONE
-        if coeff == 0:
-            return self.ctx.zero
-        return Poly(self.ctx, {tuple(exps): coeff}, _trust=True)
+        return tuple(exps), coeff
 
     def exponent(self) -> int:
         paren = False
@@ -762,17 +762,16 @@ def poly_str(p: Poly) -> str:
         return "0"
     names = p.ctx.vars
     pieces = []
-    for i, (exps, c) in enumerate(p.sorted_terms):
+    for exps, c in p.sorted_terms:
+        num, den = c.numerator, c.denominator
+        a = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
         mono = _monomial_str(exps, names)
-        a = abs(c)
         if not mono:
-            body = str(a)
-        elif a == 1:
+            body = a
+        elif a == "1":
             body = mono
         else:
             body = f"{a}*{mono}"
-        if i == 0:
-            pieces.append(body if c > 0 else "-" + body)
-        else:
-            pieces.append((" + " if c > 0 else " - ") + body)
-    return "".join(pieces)
+        pieces.append((" - " if num < 0 else " + ") + body)
+    text = "".join(pieces)  # the lead keeps only a minus sign
+    return text[3:] if text[1] == "+" else "-" + text[3:]

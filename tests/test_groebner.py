@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from reeskit import (DegRevLex, Ideal, Lex, PolyError, ResourceLimitError,
                      RingCtx, Weighted, embed, ideal_member, normal_form,
                      reduced_groebner)
-from reeskit import groebner
+from reeskit import (corpus, groebner, ideals, monomial_curve, rees,
+                     rees_kernel)
 from reeskit.groebner import eliminate_polys, spolynomial
 from reeskit.ideals import ideal_intersect
 from reeskit.poly import _primitive_form
@@ -329,6 +330,64 @@ def test_elimination_returns_the_basis_in_the_target_order(case):
     kept = [contract(g, target, (1, 2)) for g in reduced_groebner(gens, lex)
             if not any(e[0] for e in g.terms)]
     assert basis.elements == reduced_groebner(kept, target).elements
+
+
+def _assert_kept_order(basis):
+    """Every element of ``basis`` holds the term order of its run, and it
+    is its ring's order."""
+    key = basis.ctx.kernels.key
+    assert basis.elements
+    for g in basis:
+        assert g._sorted is not None, "the run's term order was dropped"
+        assert g.sorted_terms == tuple(sorted(
+            g.terms.items(), key=lambda t: key(t[0]), reverse=True))
+
+
+@pytest.mark.parametrize("self_check", [False, True])
+@pytest.mark.parametrize("order", [Lex(), DegRevLex(), Weighted((1, 2, 3)),
+                                   Weighted((2, 0, 1), Lex())])
+def test_a_basis_keeps_the_order_of_its_ring(monkeypatch, order,
+                                               self_check):
+    monkeypatch.setattr(groebner, "SELF_CHECK", self_check)
+    groebner._buchberger.cache_clear()
+    ctx = RingCtx("x,y,z", order)
+    _assert_kept_order(reduced_groebner(_polys(
+        ctx, "x^2 + y*z - 1", "x*y - z^2 + 3/2*x", "y^3 - x*z"), ctx))
+
+
+@pytest.mark.parametrize("self_check", [False, True])
+def test_an_elimination_keeps_the_order_of_its_target(monkeypatch,
+                                                       self_check):
+    # the kept elements of both elimination orders, the plain one (a
+    # monomial curve's kernel, an intersection) and the graded one (Rees
+    # kernels), are in the target's order
+    monkeypatch.setattr(groebner, "SELF_CHECK", self_check)
+    monkeypatch.setattr(corpus, "_CURVE_CACHE", {})
+    groebner._buchberger.cache_clear()
+    rees._present.cache_clear()
+    bases, graded = [], set()
+    eliminate, run = groebner.eliminate_polys, groebner._basis
+
+    def captured(target, build):
+        bases.append(eliminate(target, build))
+        return bases[-1]
+
+    def basis(gens, ctx, drop):
+        if drop:
+            graded.add(any(ctx.order.weights[1:]))
+        return run(gens, ctx, drop)
+
+    for module in (corpus, ideals, rees):
+        monkeypatch.setattr(module, "eliminate_polys", captured)
+    monkeypatch.setattr(groebner, "_basis", basis)
+    curve = monomial_curve((3, 4, 5), ("a", "b", "c"))
+    rees_kernel(Ideal(curve, [curve.var("a"), curve.var("b")]))
+    rees_kernel(Ideal(CTX2, _polys(CTX2, "x^2", "x*y + y^2", "y^3")))
+    ideal_intersect(Ideal(CTX2, _polys(CTX2, "x^2 - y", "y^2")),
+                    Ideal(CTX2, _polys(CTX2, "x*y", "y^2 - x")))
+    assert len(bases) == 4 and graded == {False, True}
+    for basis in bases:
+        _assert_kept_order(basis)
 
 
 def test_spolynomial_cancels_leads():

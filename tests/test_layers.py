@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import reeskit
+import reeskit.poly
 from reeskit import (Ideal, RingCtx, groebner, invariants, monomial_curve,
                      reduced_groebner, rees, rees_kernel)
 
@@ -216,6 +217,41 @@ def test_a_ring_builds_its_derived_rings_once(monkeypatch):
         groebner.eliminate_polys(ctx, lambda t, lift: [lift(b) - t**4])
     assert (stats.presentations, stats.calls) == (1, 2)
     assert built == []
+
+
+def test_parsing_builds_one_polynomial(monkeypatch):
+    # the parser adds its terms into one map; no term is a polynomial
+    built = []
+    init = reeskit.poly.Poly.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[1])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(reeskit.poly.Poly, "__init__", counted)
+    p = RingCtx("x,y,z").parse("x^2*y - 3/2*z + 2*x*y*z - y + 7 + y")
+    assert len(p.terms) == 4
+    assert built == [p.terms]
+
+
+def test_a_returned_basis_sorts_no_terms(monkeypatch):
+    # reduced_groebner and eliminate_polys hand their elements the term
+    # order of the run, so the lead and the printer read it as it is
+    ctx = RingCtx("a,b,c,d")
+    curve = [(ctx.var(v), w) for v, w in zip(ctx.vars, (3, 4, 5, 7))]
+    groebner._buchberger.cache_clear()
+    bases = [reduced_groebner([ctx.parse(t) for t in CYCLIC4]),
+             groebner.eliminate_polys(ctx, lambda t, lift: [
+                 lift(v) - t**w for v, w in curve])]
+
+    def unsorted(*args, **kwargs):
+        raise AssertionError("a basis element sorted its terms")
+
+    monkeypatch.setattr(reeskit.poly, "sorted", unsorted, raising=False)
+    for basis in bases:
+        assert basis.elements
+        for g in basis:
+            assert g.lm == g.sorted_terms[0][0] and str(g)
 
 
 def test_every_traced_function_is_public():

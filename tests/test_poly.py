@@ -84,6 +84,19 @@ def test_parse_implicit_multiplication_and_signs():
     assert parse_poly("2/3", CTX3) == CTX3.const(Fraction(2, 3))
 
 
+def test_parse_adds_like_terms_into_one_map():
+    assert parse_poly("x + x - 2*x", CTX3).is_zero
+    assert parse_poly("-x^2 + x^2", CTX3).is_zero
+    p = parse_poly("x*y + 3/2*y*x", CTX3)
+    assert p.terms == {(1, 1, 0): Fraction(5, 2)} and str(p) == "5/2*x*y"
+    assert parse_poly("0*x + y", CTX3) == CTX3.var("y")
+    assert parse_poly("2/4*x", CTX3).terms == {(1, 0, 0): Fraction(1, 2)}
+    # integer coefficients are kept as ints only while parsing
+    for text in ("x + 2*y - 3", "2/4*x + 1/2*x", "1/3 + 2/3"):
+        assert all(type(c) is Fraction
+                   for c in parse_poly(text, CTX3).terms.values())
+
+
 def test_parse_leading_plus_rejected():
     with pytest.raises(ParseError):
         parse_poly("+x", CTX3)
@@ -98,6 +111,35 @@ def test_print_canonical_order_and_format():
     assert str(CTX2.zero) == "0"
     assert str(parse_poly("-x", CTX2)) == "-x"
     assert str(parse_poly("x*y - y^2", CTX2)) == "x*y - y^2"
+
+
+def test_print_pins_each_coefficient_form():
+    for text in ("-3/2*x*y + y", "x - y", "1", "-1", "-3/2", "x + 1",
+                 "x - 1", "x - 3/2", "-x*y^2 + 3/2*x - 2*y + 1/2"):
+        assert str(parse_poly(text, CTX2)) == text
+
+
+def _fraction_printer(p):
+    """The printer as it read coefficients through ``Fraction``
+    arithmetic: the oracle of :func:`poly_str`."""
+    if p.is_zero:
+        return "0"
+    pieces = []
+    for i, (exps, c) in enumerate(p.sorted_terms):
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(p.ctx.vars, exps) if e)
+        a = abs(c)
+        if not mono:
+            body = str(a)
+        elif a == 1:
+            body = mono
+        else:
+            body = f"{a}*{mono}"
+        if i == 0:
+            pieces.append(body if c > 0 else "-" + body)
+        else:
+            pieces.append((" + " if c > 0 else " - ") + body)
+    return "".join(pieces)
 
 
 @st.composite
@@ -119,6 +161,12 @@ def test_print_parse_round_trip(p):
     q = parse_poly(text, CTX3)
     assert q == p
     assert str(q) == text
+
+
+@given(small_polys())
+@settings(max_examples=80, deadline=None)
+def test_print_equals_the_fraction_printer(p):
+    assert str(p) == _fraction_printer(p)
 
 
 # -- arithmetic ------------------------------------------------------------------
