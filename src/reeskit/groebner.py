@@ -563,9 +563,9 @@ def _refine(order):
 
 def _lift(target: RingCtx) -> tuple:
     """The part of :func:`eliminate_polys` that ``target`` alone fixes:
-    the lift ring, the target's variables and quotient in it, the plain
-    order, and the graded order with its degree where the lifted
-    quotient is homogeneous for it (else None, None)."""
+    the lift ring, its variable t, the target's variables and quotient
+    in it, the plain order, and the graded order with its degree where
+    the lifted quotient is homogeneous for it (else None, None)."""
     lift = RingCtx((_AUX,) + target.vars, _internal=True)
     keep = tuple(range(1, len(lift.vars)))
     quotient = [embed(q, lift, keep) for q in target.quotient]
@@ -577,8 +577,8 @@ def _lift(target: RingCtx) -> tuple:
         degree = compile_order(graded, len(lift.vars)).degree
         if not all(_homogeneous(q.terms, degree) for q in quotient):
             graded = degree = None
-    return (lift, keep, quotient, Weighted(block, _refine(target.order)),
-            graded, degree)
+    return (lift, lift.var(_AUX), keep, quotient,
+            Weighted(block, _refine(target.order)), graded, degree)
 
 
 def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
@@ -609,9 +609,9 @@ def eliminate_polys(target: RingCtx, build) -> GroebnerBasis:
     within, and a lex or degrevlex tail on (t, target.vars) compares
     them as on target.vars.
     """
-    lift, keep, quotient, plain, graded, degree = target.derived(
+    lift, t, keep, quotient, plain, graded, degree = target.derived(
         _AUX, lambda: _lift(target))
-    gens = build(lift.var(_AUX), lambda p: embed(p, lift, keep))
+    gens = build(t, lambda p: embed(p, lift, keep))
     order = graded if graded and all(
         _homogeneous(g.in_ctx(lift).terms, degree) for g in gens) else plain
     ring = target.derived((_AUX, order), lambda: RingCtx(

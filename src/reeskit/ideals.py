@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import groebner
 from .groebner import GroebnerBasis, eliminate_polys, reduced_groebner
 from .poly import Poly, PolyError, RingCtx
 
@@ -51,10 +52,7 @@ class Ideal:
 
     @property
     def is_zero(self) -> bool:
-        if self.ctx.is_quotient:
-            q = _quotient_ideal(self.ctx)
-            return all(ideal_member(g, q) for g in self.gens)
-        return not self.gens
+        return _is_zero(self.gens, self.ctx)
 
     @property
     def is_unit(self) -> bool:
@@ -90,13 +88,26 @@ class Ideal:
     __hash__ = None
 
 
-def _quotient_ideal(ctx: RingCtx) -> Ideal:
-    """The quotient of ``ctx`` as an ideal of the ambient ring; it adopts
-    the quotient as its basis when the ring marks all of it."""
-    q = ctx.quotient
-    if ctx.known == q:
-        q = GroebnerBasis(ctx.ambient, q)
-    return Ideal(ctx.ambient, q)
+def _quotient_basis(ctx: RingCtx) -> GroebnerBasis:
+    """The reduced basis of the quotient of ``ctx`` in its ambient ring:
+    where the ring marks all of it, the mark itself, held on the ring
+    (:meth:`RingCtx.derived`), and checked again on each call while
+    ``groebner.SELF_CHECK`` is on; else the memo's."""
+    if ctx.known == ctx.quotient:
+        if groebner.SELF_CHECK:
+            GroebnerBasis(ctx.ambient, ctx.known)  # checks the held mark
+        return ctx.derived("quotient", lambda: GroebnerBasis(ctx.ambient,
+                                                             ctx.known))
+    return reduced_groebner(ctx.quotient, ctx.ambient)
+
+
+def _is_zero(gens, ctx: RingCtx) -> bool:
+    """Whether every one of ``gens``, polynomials of the ambient ring of
+    ``ctx``, is zero in its ring: one normal form each on a quotient."""
+    if ctx.is_quotient:
+        q = _quotient_basis(ctx)
+        return all(q.contains(g) for g in gens)
+    return not any(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +225,12 @@ def _annihilator_is_zero(I: Ideal) -> bool:
 
     On a polynomial ring, or a ring marked as a domain (a prime quotient
     q), that is ``not I.is_zero``: one normal form per generator against
-    q's basis, the marked one where the ring has it.  Elsewhere it is one
-    colon upstairs, (q : I) = q ≠ (1); the colon is (1) iff I = 0.
+    q's basis (:func:`_quotient_basis`).  Elsewhere it is one colon
+    upstairs, (q : I) = q ≠ (1); the colon is (1) iff I = 0.
     """
     ctx = I.ctx
     if ctx.is_quotient and not ctx.is_domain:
-        q = _quotient_ideal(ctx)
+        q = Ideal(ctx.ambient, _quotient_basis(ctx))
         c = ideal_colon(q, Ideal(ctx.ambient, I.gens))
         return not c.is_unit and ideal_equal(c, q)
     return not I.is_zero
@@ -230,9 +241,11 @@ def is_regular_element(f, ctx: RingCtx) -> bool:
 
     An element that is zero in the quotient is reported as not regular.
     On a domain (a monomial curve) that is all: f is regular iff f ∉ q,
-    one normal form; elsewhere it takes one colon.
+    one normal form and no ideal built; elsewhere it takes one colon.
     """
-    return _annihilator_is_zero(Ideal(ctx, [f]))
+    if ctx.is_quotient and not ctx.is_domain:
+        return _annihilator_is_zero(Ideal(ctx, [f]))
+    return not _is_zero([ctx.coerce(f)], ctx)
 
 
 def candidate_elements(I: Ideal):

@@ -210,9 +210,11 @@ class RingCtx:
     it generates; :meth:`with_order` to another order drops it;
     :meth:`extended` keeps it where the larger ring's order agrees with
     ``order``.  Gröbner runs start from it instead of deriving it
-    again.  A ring holds the rings derived from it alone (:meth:`derived`),
-    which are no Gröbner state, so that they, their polynomials and
-    their reducer forms are built once."""
+    again.  A ring holds what is derived from it alone (:meth:`derived`):
+    rings, the T names and rings of its Rees presentations, and the
+    :class:`~reeskit.groebner.GroebnerBasis` of a fully marked quotient,
+    which is the mark itself.  None of it is Gröbner state, so it, its
+    polynomials and their reducer forms are built once."""
 
     __slots__ = ("vars", "order", "kernels", "quotient", "is_domain",
                  "known", "_index", "_ambient", "_derived")
@@ -304,8 +306,8 @@ class RingCtx:
 
     def derived(self, key, build):
         """``build()`` the first time ``key`` is asked for, then the same
-        rings, held on this one: equality ignores the mark, which a derived
-        ring inherits, so no cache keyed by ring may hold them."""
+        value, held on this ring: equality ignores the mark, which a
+        derived ring inherits, so no cache keyed by ring may hold it."""
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]

@@ -31,20 +31,24 @@ number (:func:`reduction_degree`) and the regularity of the Rees module
 
 :func:`rees_kernel` keeps the few latest presentations, keyed by the
 ring and the ordered generator list, so id, rn and rt of one ideal
-share one build.
+share one build; a presentation holds each rn read off it, so id and
+rn share one read too.  A ring holds the T names and the presentation
+ring of its presentations on m generators (:func:`_shape`), and each
+T_i - x_i t is built from the terms of x_i, so a presentation costs its
+elimination and little else.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import groebner
 from .groebner import _STATS, GroebnerBasis, eliminate_polys
 from .ideals import Ideal, ideal_contains, ideal_member, is_regular_element
-from .poly import (Poly, PolyError, RingCtx, Weighted, compile_monomials,
-                   embed)
+from .poly import (ONE, Poly, PolyError, RingCtx, Weighted,
+                   compile_monomials, embed)
 
 
 def _fresh_tvars(base_vars, count):
@@ -71,13 +75,16 @@ def _tdegree(p: Poly) -> int:
 @dataclass(frozen=True)
 class ReesPresentation:
     """T-graded kernel of the symmetric presentation of a Rees algebra on
-    the generators of ``ideal``, the first ``nfirst`` of them a reduction's."""
+    the generators of ``ideal``, the first ``nfirst`` of them a reduction's.
+    ``rn`` maps each ``nfirst`` read to its :func:`reduction_degree`;
+    :func:`dataclasses.replace` copies share it."""
 
     ideal: Ideal
     ext_ctx: RingCtx
     tvars: tuple
     kernel: Ideal
     nfirst: int
+    rn: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def tcount(self) -> int:
@@ -94,20 +101,29 @@ def _degree_profile(ideal: Ideal, floor: int) -> dict:
     return {d: tuple(v) for d, v in sorted(profile.items())}
 
 
-def _preimage(I: Ideal, ext_ctx: RingCtx, tvars, sub=()) -> GroebnerBasis:
+def _unit(width: int, k: int) -> tuple:
+    """The exponent vector of variable k of a ring on ``width`` variables."""
+    return (0,) * k + (1,) + (0,) * (width - k - 1)
+
+
+def _preimage(I: Ideal, ext_ctx: RingCtx, sub=()) -> GroebnerBasis:
     """The reduced basis in ``ext_ctx`` of phi^{-1}(sub·A[t]) (K for no sub).
 
     The contraction to A[T] of (T_1 - x_1 t, ..., T_m - x_m t), the
     quotient generators and ``sub``, graded by deg t = deg T_i = 1;
-    x_1, ..., x_m are the generators of ``I``, one per T variable, as in
-    a presentation's ``ideal``.
+    x_1, ..., x_m are the generators of ``I``, one per T variable (the
+    last m of ``ext_ctx``), as in a presentation's ``ideal``.  Each
+    T_i - x_i t is built from the terms of x_i in Q[t, ext_ctx.vars],
+    each times t, and the unit term T_i.
     """
-    ext = ext_ctx.ambient
-
     def build(t, lift):
-        return ([lift(ext.var(tv)) - lift(x) * t
-                 for tv, x in zip(tvars, I.gens, strict=True)]
-                + [lift(g) for g in sub])
+        width, m = len(t.ctx.vars), len(I.gens)
+        gens = []
+        for i, x in enumerate(I.gens):
+            terms = {(e[0] + 1,) + e[1:]: -c for e, c in lift(x).terms.items()}
+            terms[_unit(width, width - m + i)] = ONE
+            gens.append(Poly(t.ctx, terms, _trust=True))
+        return gens + [lift(g) for g in sub]
 
     return eliminate_polys(ext_ctx, build)
 
@@ -130,27 +146,38 @@ def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
     return replace(build(I.ctx, gens), nfirst=len(first))
 
 
+def _shape(ctx: RingCtx, m: int) -> tuple:
+    """``(tvars, ext_ctx)`` of every presentation on m generators over
+    ``ctx``, held on it (:meth:`RingCtx.derived`): the T names and the
+    presentation ring, graded by T-degree, then by degree in T_2..T_m,
+    in T_3..T_m, ...  The embedded quotient keeps its mark where that
+    order agrees with ``ctx``'s on A's variables (:meth:`RingCtx.extended`):
+    on every degrevlex ring, not on a lex one."""
+    def build():
+        n = len(ctx.vars)
+        tvars = _fresh_tvars(ctx.vars, m)
+        # T-degree for m = 0 too; compile_order drops the all-zero key row
+        order = Weighted((0,) * (n + m))
+        for i in reversed(range(m)):
+            order = Weighted((0,) * (n + i) + (1,) * (m - i), order)
+        return tvars, ctx.extended(tvars, order)
+
+    return ctx.derived(("rees", m), build)
+
+
 # Small: the calls on one ideal come in a row.  64 entries gave no more
 # hits on curve-invariants and 3.5% more peak memory (BENCH_20.json).
 @functools.lru_cache(maxsize=4)
 def _present(ctx: RingCtx, gens: tuple) -> ReesPresentation:
     """The presentation of (gens) in ``ctx`` on ``gens`` in order (built
-    once per key and counted in ``Stats.presentations``).  The embedded
-    quotient keeps its mark where the presentation ring's order agrees
-    with ``ctx``'s on A's variables (:meth:`RingCtx.extended`): on every
-    degrevlex ring, not on a lex one."""
+    once per key and counted in ``Stats.presentations``), on the shape
+    that ``ctx`` holds for its number of generators (:func:`_shape`)."""
     stats = _STATS.get()
     if stats is not None:
         stats.presentations += 1
-    n, m = len(ctx.vars), len(gens)
-    tvars = _fresh_tvars(ctx.vars, m)
-    # T-degree for m = 0 too; compile_order drops the all-zero key row
-    order = Weighted((0,) * (n + m))
-    for i in reversed(range(m)):
-        order = Weighted((0,) * (n + i) + (1,) * (m - i), order)
-    ext_ctx = ctx.extended(tvars, order)
+    tvars, ext_ctx = _shape(ctx, len(gens))
     ordered = Ideal(ctx, gens)
-    kernel = Ideal(ext_ctx, _preimage(ordered, ext_ctx, tvars))
+    kernel = Ideal(ext_ctx, _preimage(ordered, ext_ctx))
     return ReesPresentation(ordered, ext_ctx, tvars, kernel, 0)
 
 
@@ -256,7 +283,7 @@ def artin_rees_degree(a: Ideal, I: Ideal, J: Ideal):
     a._check_ctx(J)
     pres = rees_kernel(I)
     L = Ideal(pres.ext_ctx,
-              _preimage(pres.ideal, pres.ext_ctx, pres.tvars, a.gens))
+              _preimage(pres.ideal, pres.ext_ctx, a.gens))
     L = _read_modulo(pres, L, J, pres.kernel.gens)
     return _fresh_degree(L, 0)
 
@@ -283,8 +310,9 @@ def _outside_top(g, lead, split: int):
 
 def _lead(pres: ReesPresentation, i: int) -> list:
     """Lead monomials of in(K) + (T_1..T_i) = in(K + (T_1..T_i))."""
+    width, split = len(pres.ext_ctx.vars), len(pres.ideal.ctx.vars)
     return ([h.lm for h in pres.kernel.gb.elements]
-            + [pres.ext_ctx.var(v).lm for v in pres.tvars[:i]])
+            + [_unit(width, split + j) for j in range(i)])
 
 
 def reduction_degree(pres: ReesPresentation):
@@ -295,7 +323,8 @@ def reduction_degree(pres: ReesPresentation):
     standard monomials span it, so it vanishes iff each T^mu of degree n
     is divisible by a lead monomial of P free of ring variables.  rn is
     the top degree of the T^mu outside, or 0 when there is none (A = 0,
-    where 1 ∈ K, so I = 0 and I¹ = J·I⁰).
+    where 1 ∈ K, so I = 0 and I¹ = J·I⁰).  Read once per presentation
+    and s, and held in ``pres.rn``.
 
     The order compares T-degree, then degree in T_2..T_m, in T_3..T_m,
     ...: revlex on the T-block with T_1 last (Bayer–Stillman; Eisenbud,
@@ -306,10 +335,11 @@ def reduction_degree(pres: ReesPresentation):
     terms of f outside (T_1..T_i) and they lead it, so in(f) = in(k).
     Hence in(P) = in(K) + (T_1..T_i), all that :func:`_lead` reads.
     """
-    lead = _lead(pres, pres.nfirst)
-    top = _outside_top((0,) * len(pres.ext_ctx.vars), lead,
-                       len(pres.ideal.ctx.vars))
-    return None if top is None else max(top, 0)
+    if pres.nfirst not in pres.rn:
+        top = _outside_top((0,) * len(pres.ext_ctx.vars),
+                           _lead(pres, pres.nfirst), len(pres.ideal.ctx.vars))
+        pres.rn[pres.nfirst] = None if top is None else max(top, 0)
+    return pres.rn[pres.nfirst]
 
 
 def filter_regular_degree(pres: ReesPresentation):

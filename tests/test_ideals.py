@@ -269,6 +269,26 @@ def test_regularity_on_a_curve_takes_one_normal_form():
     assert stats.runs == 0
 
 
+def test_a_marked_quotient_holds_its_basis(monkeypatch):
+    # the ring holds the basis of its mark: a later regularity test builds
+    # no ideal and no basis, except the check of the mark under SELF_CHECK
+    cusp = monomial_curve((3, 4, 5), ("u", "v", "w"))
+    f = cusp.parse("u^2 - 1/3*v*w")
+    assert is_regular_element(f, cusp)
+    built, checked = [], []
+    init, check = Ideal.__init__, groebner.GroebnerBasis.self_check
+    monkeypatch.setattr(Ideal, "__init__", lambda self, *args:
+                        built.append(args) or init(self, *args))
+    monkeypatch.setattr(groebner.GroebnerBasis, "self_check", lambda self:
+                        checked.append(self.elements) or check(self))
+    assert is_regular_element(f, cusp)
+    assert not is_regular_element(cusp.quotient[0], cusp)
+    assert (built, checked) == ([], [])
+    monkeypatch.setattr(groebner, "SELF_CHECK", True)
+    assert is_regular_element(f, cusp)
+    assert (built, checked) == ([], [cusp.known])
+
+
 def test_a_quotient_basis_is_marked_under_its_own_order_only():
     curve = monomial_curve((3, 4, 5), ("a", "b", "c"))
     assert curve.known == curve.quotient and len(curve.known) == 3

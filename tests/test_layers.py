@@ -11,8 +11,8 @@ import sys
 
 import reeskit
 import reeskit.poly
-from reeskit import (Ideal, RingCtx, groebner, invariants, monomial_curve,
-                     reduced_groebner, rees, rees_kernel)
+from reeskit import (Ideal, Poly, RingCtx, Weighted, groebner, invariants,
+                     monomial_curve, reduced_groebner, rees, rees_kernel)
 
 LAYERS = ["poly", "groebner", "ideals", "rees", "invariants", "semigroup",
           "corpus", "cli"]
@@ -217,6 +217,36 @@ def test_a_ring_builds_its_derived_rings_once(monkeypatch):
         groebner.eliminate_polys(ctx, lambda t, lift: [lift(b) - t**4])
     assert (stats.presentations, stats.calls) == (1, 2)
     assert built == []
+
+
+def test_a_presentation_builds_its_inputs_from_terms(monkeypatch):
+    # once a ring has one presentation on m generators, another ideal's
+    # on m generators reads its T names, order and ring off the ring and
+    # builds each T_i - x_i t from the terms of x_i: no product, no
+    # difference, no variable, no order and no ring
+    ctx = monomial_curve((3, 4, 5), ("a", "b", "c"))
+    a, b, c = (ctx.var(v) for v in ctx.vars)
+    rees._present.cache_clear()
+    rees_kernel(Ideal(ctx, [a, b]))
+    other = Ideal(ctx, [a * c + b.scale(2), b + c])
+    called = []
+
+    def count(cls, name):
+        method = getattr(cls, name)
+
+        def counted(*args, **kwargs):
+            called.append(f"{cls.__name__}.{name}")
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for cls, name in ((Poly, "__mul__"), (Poly, "__sub__"), (RingCtx, "var"),
+                      (RingCtx, "__init__"), (Weighted, "__init__")):
+        count(cls, name)
+    with groebner.counting() as stats:
+        pres = rees_kernel(other)
+    assert (stats.presentations, pres.tcount) == (1, 2)
+    assert called == []
 
 
 def test_parsing_builds_one_polynomial(monkeypatch):

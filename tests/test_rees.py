@@ -13,8 +13,9 @@ from reeskit import (Ideal, Lex, PolyError, ResourceLimitError, RingCtx,
                      Weighted, artin_rees_number, embed, ideal_colon,
                      ideal_contains, ideal_equal, ideal_intersect,
                      ideal_member, ideal_power, ideal_product, ideal_sum,
-                     integral_degree_fraction, is_regular_element,
-                     monomial_curve, monomial_fraction_degree, normal_form,
+                     integral_degree_fraction, is_reduction,
+                     is_regular_element, monomial_curve,
+                     monomial_fraction_degree, normal_form,
                      reduced_groebner, reduction_number, reg_rees,
                      rees_kernel, relation_type, relation_type_2gen,
                      relation_type_mod)
@@ -541,6 +542,28 @@ def test_presentation_is_shared_by_reduction_prefixes():
     assert first.kernel is plain.kernel
 
 
+def test_rn_is_read_once_per_presentation_and_reduction(monkeypatch):
+    # id and rn of one ideal share one read of the T-monomials; the same
+    # generators with another number of them first are read apart, and
+    # under SELF_CHECK every presentation, and so every read, is fresh
+    u, v = CUSP34.var("u"), CUSP34.var("v")
+    I = I_(CUSP34, u, v)
+    reads, outside = [], rees._outside_top
+    monkeypatch.setattr(rees, "_outside_top",
+                        lambda *args: reads.append(args) or outside(*args))
+    rees._present.cache_clear()
+    first = is_reduction(I_(CUSP34, u), I)
+    assert (first.value, len(reads)) == (2, 1)
+    assert is_reduction(I_(CUSP34, u), I) == first
+    assert integral_degree_fraction(v, u, CUSP34).value == 3
+    assert reduction_number(I, I_(CUSP34, u)) == first
+    assert len(reads) == 1
+    assert is_reduction(I, I).value == 0 and len(reads) == 2
+    assert is_reduction(I_(CUSP34, u), I) == first and len(reads) == 2
+    monkeypatch.setattr(groebner, "SELF_CHECK", True)
+    assert is_reduction(I_(CUSP34, u), I) == first and len(reads) == 3
+
+
 def test_presentation_key_keeps_the_generator_order():
     I = Ideal(CTX2, ["x^2", "x*y", "y^2"])
     rees._present.cache_clear()
@@ -576,6 +599,67 @@ def test_failed_presentation_build_is_not_cached(monkeypatch):
     with groebner.counting() as stats:
         rees_kernel(I)
     assert stats.presentations == 1
+
+
+def _arithmetic_preimage(I, ext_ctx, sub=()):
+    """The oracle of ``rees._preimage``: each T_i − x_i·t built by
+    polynomial arithmetic, as lift(T_i) − lift(x_i)·t."""
+    tvars = ext_ctx.vars[len(ext_ctx.vars) - len(I.gens):]
+
+    def build(t, lift):
+        return ([lift(ext_ctx.var(tv)) - lift(x) * t
+                 for tv, x in zip(tvars, I.gens, strict=True)]
+                + [lift(g) for g in sub])
+
+    return rees.eliminate_polys(ext_ctx, build)
+
+
+def _preimage_reads(monkeypatch, ctx, gens, a):
+    """Every elimination's generators and basis, the kernel's basis and
+    s, for R((gens)) and the L of ``artin_rees_degree((a), (gens), m)``,
+    m the ideal of the variables, with no presentation or memo cached."""
+    seen = []
+
+    def recording(target, build):
+        def kept(t, lift):
+            built = build(t, lift)
+            seen.append(list(built))
+            return built
+
+        basis = groebner.eliminate_polys(target, kept)
+        seen.append([g.sorted_terms for g in basis])
+        return basis
+
+    monkeypatch.setattr(rees, "eliminate_polys", recording)
+    rees._present.cache_clear()
+    groebner._buchberger.cache_clear()
+    I = Ideal(ctx, gens)
+    kernel = [g.sorted_terms for g in rees_kernel(I).kernel.gb]
+    s = rees.artin_rees_degree(I_(ctx, a), I, Ideal(ctx, list(ctx.vars)))
+    return seen, kernel, s
+
+
+@pytest.mark.parametrize("self_check", [False, True],
+                         ids=["unchecked", "self-check"])
+@pytest.mark.parametrize("ctx, gens, a, marked", [
+    (CTX3, ["x - 2/3*y^2", "1/2*x*z + y", "z^2 - 5/7*x"], "3/4*x*y - z",
+     False),
+    (CUSP34, ["u - 2/3*v^2", "1/2*u*v + v^2"], "3/4*u^2 - v", True),
+    (RingCtx("u,v", quotient=["u^4 - v^3"]), ["u - 2/3*v^2", "1/2*u*v + v^2"],
+     "3/4*u^2 - v", False),
+], ids=["polynomial", "marked-curve", "unmarked-quotient"])
+def test_term_built_inputs_match_the_arithmetic_build(monkeypatch, ctx, gens,
+                                                      a, marked, self_check):
+    # T_i − x_i·t built from the terms of x_i equals lift(T_i) − lift(x_i)·t,
+    # so the kernel, L and s are those of the arithmetic build
+    assert (ctx.known == ctx.quotient != ()) == marked
+    monkeypatch.setattr(groebner, "SELF_CHECK", self_check)
+    built = _preimage_reads(monkeypatch, ctx, gens, a)
+    monkeypatch.setattr(rees, "_preimage", _arithmetic_preimage)
+    oracle = _preimage_reads(monkeypatch, ctx, gens, a)
+    assert built == oracle
+    seen, kernel, s = built
+    assert len(seen) >= 4 and kernel and s[0] >= 1
 
 
 def _s_free_part(ext, order, build):
