@@ -19,30 +19,26 @@ t-grading, where the affine chain conditions agree with the local ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groebner import eliminate_polys
 from .ideals import Ideal, ideal_intersect, ideal_member, ideal_power, \
     ideal_product
 from .invariants import (artin_rees_number, check_d_sequence_reduction,
                          d_sequence_check, integral_degree_fraction,
                          reduction_number)
-from .poly import RingCtx
+from .poly import Record, RingCtx
 from .rees import relation_type, relation_type_2gen, relation_type_mod
 from .semigroup import monomial_fraction_degree
 
 _SOURCES = ("literature:", "derived:", "trivial:")
 
 
-@dataclass(frozen=True)
-class Expectation:
-    key: str
-    expected: object
-    source: str
-    computed: object
-    divergence_ok: bool = False
+class Expectation(Record):
+    __slots__ = ("key", "expected", "source", "computed", "divergence_ok")
 
-    def __post_init__(self):
+    def __init__(self, key: str, expected, source: str, computed,
+                 divergence_ok: bool = False):
+        self.key, self.expected, self.source = key, expected, source
+        self.computed, self.divergence_ok = computed, divergence_ok
         if not any(self.source.startswith(p) for p in _SOURCES):
             raise ValueError(
                 f"expectation {self.key!r} lacks a provenance source")
@@ -57,11 +53,14 @@ class Expectation:
                 and not self.ok)
 
 
-@dataclass
-class ExampleReport:
-    name: str
-    n: int
-    results: list
+class ExampleReport(Record):
+    __slots__ = ("name", "n", "results")
+    __hash__ = None
+
+    def __init__(self, name: str, n: int, results: list):
+        self.name = name
+        self.n = n
+        self.results = results
 
     @property
     def passed(self) -> bool:
@@ -138,13 +137,13 @@ def _sv_names(n: int):
 # entries
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    n_min: int
-    n_max: int
-    summary: str
-    runner: object
+class CorpusEntry(Record):
+    __slots__ = ("name", "n_min", "n_max", "summary", "runner")
+
+    def __init__(self, name: str, n_min: int, n_max: int, summary: str,
+                 runner):
+        self.name, self.n_min, self.n_max = name, n_min, n_max
+        self.summary, self.runner = summary, runner
 
     def run(self, n: int) -> ExampleReport:
         if not self.n_min <= n <= self.n_max:

@@ -76,10 +76,9 @@ import contextvars
 import functools
 import heapq
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .poly import (Poly, PolyError, RingCtx, Weighted, _ordered,
+from .poly import (Poly, PolyError, Record, RingCtx, Weighted, _ordered,
                    _primitive_form, compile_order, embed)
 
 MAX_BASIS = 4096
@@ -111,20 +110,31 @@ class ResourceLimitError(PolyError):
     stats = None
 
 
-@dataclass
-class Stats:
-    """Gröbner work done inside one :func:`counting` scope."""
+class Stats(Record):
+    """Gröbner work done inside one :func:`counting` scope (mutable)."""
 
-    calls: int = 0    # bases asked for, eliminations and memo hits too
-    runs: int = 0     # Buchberger runs: memo misses
-    pairs: int = 0    # S-pairs formed and reduced (inputs are not pairs)
-    coprime: int = 0  # pairs pruned for coprime leads
-    syzygy: int = 0   # pairs pruned by a syzygy: F5 or a zero reduction
-    covered: int = 0  # pairs pruned by a cover or a signature met before
-    zero: int = 0     # S-pairs reduced to zero
-    interreduced: int = 0   # basis elements the final interreduction reduces
-    presentations: int = 0  # Rees presentations built (rees_kernel misses)
-    normal_forms: int = 0   # GroebnerBasis.normal_form and .contains calls
+    __slots__ = (
+        "calls",    # bases asked for, eliminations and memo hits too
+        "runs",     # Buchberger runs: memo misses
+        "pairs",    # S-pairs formed and reduced (inputs are not pairs)
+        "coprime",  # pairs pruned for coprime leads
+        "syzygy",   # pairs pruned by a syzygy: F5 or a zero reduction
+        "covered",  # pairs pruned by a cover or a signature met before
+        "zero",     # S-pairs reduced to zero
+        "interreduced",   # basis elements the final interreduction reduces
+        "presentations",  # Rees presentations built (rees_kernel misses)
+        "normal_forms",   # GroebnerBasis.normal_form and .contains calls
+    )
+    __hash__ = None
+
+    def __init__(self, calls: int = 0, runs: int = 0, pairs: int = 0,
+                 coprime: int = 0, syzygy: int = 0, covered: int = 0,
+                 zero: int = 0, interreduced: int = 0,
+                 presentations: int = 0, normal_forms: int = 0):
+        self.calls, self.runs, self.pairs = calls, runs, pairs
+        self.coprime, self.syzygy, self.covered = coprime, syzygy, covered
+        self.zero, self.interreduced = zero, interreduced
+        self.presentations, self.normal_forms = presentations, normal_forms
 
 
 _STATS = contextvars.ContextVar("groebner_stats", default=None)
@@ -292,14 +302,14 @@ def _spair(f, g, kernels) -> dict:
 # -- reduced bases ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Record):
     """Reduced Groebner basis: monic, auto-reduced, sorted by leading monomial."""
 
-    ctx: RingCtx
-    elements: tuple
+    __slots__ = ("ctx", "elements")
 
-    def __post_init__(self):
+    def __init__(self, ctx: RingCtx, elements: tuple):
+        self.ctx = ctx
+        self.elements = elements
         if SELF_CHECK and not self.self_check():
             raise PolyError("internal: Buchberger self-check failed")
 
@@ -381,7 +391,7 @@ def _basis(gens, ctx, drop) -> tuple:
                            frozenset(g.reducer_form for g in known), drop)
     except ResourceLimitError as exc:
         if stats is not None:  # the run has added its counts
-            exc.stats = replace(stats)
+            exc.stats = Stats(*stats._values())
         raise
 
 

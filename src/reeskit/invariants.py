@@ -13,13 +13,12 @@ negative with its reason: ``none(not a reduction)``,
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .ideals import (Ideal, _annihilator_is_zero, candidate_elements,
                      ideal_colon, ideal_contains, ideal_equal,
                      ideal_intersect, ideal_member, ideal_power,
                      ideal_product, is_regular_element)
-from .poly import Poly, PolyError, RingCtx
+from .poly import Poly, PolyError, Record, RingCtx
 from .rees import (artin_rees_degree, filter_regular_degree, reduction_degree,
                    rees_kernel, relation_type, relation_type_mod)
 
@@ -27,12 +26,14 @@ from .rees import (artin_rees_degree, filter_regular_degree, reduction_degree,
 _PRINCIPAL_TRIALS = 16
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Record):
     """A value, or none(reason) with the reason in ``witness``."""
 
-    value: int | None
-    witness: str | None
+    __slots__ = ("value", "witness")
+
+    def __init__(self, value: int | None, witness: str | None):
+        self.value = value
+        self.witness = witness
 
     @property
     def resolved(self) -> bool:
@@ -135,8 +136,7 @@ def integral_degree_fraction(y: Poly, x: Poly, ctx: RingCtx,
 # Artin-Rees numbers
 
 
-@dataclass(frozen=True)
-class ArtinReesReport:
+class ArtinReesReport(Record):
     """Artin-Rees number s_J(a, A; I) for the cyclic pair a ⊆ A.
 
     ``s_value`` is s, read exactly off the Rees presentation; its
@@ -146,8 +146,11 @@ class ArtinReesReport:
     and reported beside it; I = (0) gives s = 0 and rt_bound = 1.
     """
 
-    s_value: SearchOutcome
-    rt_bound: int
+    __slots__ = ("s_value", "rt_bound")
+
+    def __init__(self, s_value: SearchOutcome, rt_bound: int):
+        self.s_value = s_value
+        self.rt_bound = rt_bound
 
 
 def artin_rees_number(a: Ideal, I: Ideal, J: Ideal) -> ArtinReesReport:
@@ -223,26 +226,36 @@ def reg_rees(I: Ideal, J: Ideal) -> SearchOutcome:
 # the d-sequence reduction theorem
 
 
-@dataclass
-class DSequenceReductionReport:
+class DSequenceReductionReport(Record):
     """Hypothesis and conclusion record for the d-sequence reduction bound.
 
     When the generators of the reduction J form a d-sequence, the proper
     prefix is a regular sequence, and the prefix ideals satisfy
     (x_1..x_i) ∩ I^{r+1} = (x_1..x_i)·I^r at r = rn_J(I), then
     rt(I) <= rn_J(I) + 1 and reg of the Rees module equals rn_J(I).
-    Conclusions are evaluated only when every hypothesis holds.
+    Conclusions are evaluated only when every hypothesis holds, and set
+    on the record then (mutable).
     """
 
-    rn: SearchOutcome
-    d_sequence_ok: bool
-    regular_sequence_ok: bool
-    intersection_ok: bool          # hypothesis (iii)
-    intersection_failures: list = field(default_factory=list)
-    rt: int | None = None
-    reg: SearchOutcome | None = None
-    rt_bound_ok: bool | None = None
-    reg_equals_rn_ok: bool | None = None
+    __slots__ = ("rn", "d_sequence_ok", "regular_sequence_ok",
+                 "intersection_ok", "intersection_failures", "rt", "reg",
+                 "rt_bound_ok", "reg_equals_rn_ok")
+    __hash__ = None
+
+    def __init__(self, rn: SearchOutcome, d_sequence_ok: bool,
+                 regular_sequence_ok: bool,
+                 intersection_ok: bool,  # hypothesis (iii)
+                 intersection_failures: list | None = None,
+                 rt: int | None = None, reg: SearchOutcome | None = None,
+                 rt_bound_ok: bool | None = None,
+                 reg_equals_rn_ok: bool | None = None):
+        self.rn, self.d_sequence_ok = rn, d_sequence_ok
+        self.regular_sequence_ok = regular_sequence_ok
+        self.intersection_ok = intersection_ok
+        self.intersection_failures = (
+            [] if intersection_failures is None else intersection_failures)
+        self.rt, self.reg = rt, reg
+        self.rt_bound_ok, self.reg_equals_rn_ok = rt_bound_ok, reg_equals_rn_ok
 
     @property
     def hypotheses_hold(self) -> bool:

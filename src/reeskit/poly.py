@@ -63,6 +63,33 @@ class ParseError(PolyError):
         self.pos = pos
 
 
+class Record:
+    """Base of the package's records: named fields in ``__slots__``, set
+    by ``__init__`` and immutable by convention unless the record says
+    otherwise.  As a dataclass, a record equals only a record of its own
+    class with equal fields, hashes by them (a mutable one sets
+    ``__hash__ = None``) and prints them; :meth:`_values` may leave out
+    trailing slots that hold no field."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 

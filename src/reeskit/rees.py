@@ -31,23 +31,23 @@ number (:func:`reduction_degree`) and the regularity of the Rees module
 
 :func:`rees_kernel` keeps the few latest presentations, keyed by the
 ring and the ordered generator list, so id, rn and rt of one ideal
-share one build; a presentation holds each rn read off it, so id and
-rn share one read too.  A ring holds the T names and the presentation
-ring of its presentations on m generators (:func:`_shape`), and each
-T_i - x_i t is built from the terms of x_i, so a presentation costs its
-elimination and little else.
+share one build; a presentation holds each rn read off it, and its
+copies for another ``nfirst`` share those reads, so id and rn share one
+read too.  A ring holds the T names and the presentation ring of its
+presentations on m generators (:func:`_shape`), and each T_i - x_i t is
+built from the terms of x_i, so a presentation costs its elimination
+and little else.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
 
 from . import groebner
 from .groebner import _STATS, GroebnerBasis, eliminate_polys
 from .ideals import Ideal, ideal_contains, ideal_member, is_regular_element
-from .poly import (ONE, Poly, PolyError, RingCtx, Weighted,
+from .poly import (ONE, Poly, PolyError, Record, RingCtx, Weighted,
                    compile_monomials, embed)
 
 
@@ -72,19 +72,23 @@ def _tdegree(p: Poly) -> int:
     return degs.pop() if degs else 0
 
 
-@dataclass(frozen=True)
-class ReesPresentation:
+class ReesPresentation(Record):
     """T-graded kernel of the symmetric presentation of a Rees algebra on
     the generators of ``ideal``, the first ``nfirst`` of them a reduction's.
-    ``rn`` maps each ``nfirst`` read to its :func:`reduction_degree`;
-    :func:`dataclasses.replace` copies share it."""
+    ``rn`` maps each ``nfirst`` read to its :func:`reduction_degree`; the
+    copies of one presentation for other ``nfirst`` share it, and it
+    neither compares nor prints."""
 
-    ideal: Ideal
-    ext_ctx: RingCtx
-    tvars: tuple
-    kernel: Ideal
-    nfirst: int
-    rn: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("ideal", "ext_ctx", "tvars", "kernel", "nfirst", "rn")
+
+    def __init__(self, ideal: Ideal, ext_ctx: RingCtx, tvars: tuple,
+                 kernel: Ideal, nfirst: int, rn: dict | None = None):
+        self.ideal, self.ext_ctx, self.tvars = ideal, ext_ctx, tvars
+        self.kernel, self.nfirst = kernel, nfirst
+        self.rn = {} if rn is None else rn
+
+    def _values(self) -> tuple:
+        return self.ideal, self.ext_ctx, self.tvars, self.kernel, self.nfirst
 
     @property
     def tcount(self) -> int:
@@ -135,15 +139,20 @@ def rees_kernel(I: Ideal, first=()) -> ReesPresentation:
     The presentation ring is graded by T-degree; the zero ideal gets one
     on no T variable (``tcount == 0``), whose K is the quotient.  The
     latest presentations are cached by the ring and that generator list;
-    ``first`` only sets ``nfirst``.  Each generator is presented once,
-    so (x, x) shares the presentation of (x).  While
-    ``groebner.SELF_CHECK`` is on each is built afresh, so every kernel
-    basis passes the check.
+    ``first`` only sets ``nfirst``: the held presentation (``nfirst`` 0)
+    is returned itself, or a copy with its kernel and its rn reads.
+    Each generator is presented once, so (x, x) shares the presentation
+    of (x).  While ``groebner.SELF_CHECK`` is on each is built afresh,
+    so every kernel basis passes the check.
     """
     first = tuple(dict.fromkeys(first))
     gens = tuple(dict.fromkeys(first + I.gens))
     build = _present.__wrapped__ if groebner.SELF_CHECK else _present
-    return replace(build(I.ctx, gens), nfirst=len(first))
+    pres = build(I.ctx, gens)
+    if pres.nfirst == len(first):
+        return pres
+    return ReesPresentation(pres.ideal, pres.ext_ctx, pres.tvars, pres.kernel,
+                            len(first), pres.rn)
 
 
 def _shape(ctx: RingCtx, m: int) -> tuple:

@@ -9,10 +9,13 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import reeskit
 import reeskit.poly
-from reeskit import (Ideal, Poly, RingCtx, Weighted, groebner, invariants,
-                     monomial_curve, reduced_groebner, rees, rees_kernel)
+from reeskit import (Ideal, Poly, PolyError, RingCtx, Weighted, corpus,
+                     groebner, invariants, monomial_curve, reduced_groebner,
+                     rees, rees_kernel)
 
 LAYERS = ["poly", "groebner", "ideals", "rees", "invariants", "semigroup",
           "corpus", "cli"]
@@ -114,7 +117,9 @@ def test_zero_ideal_takes_the_general_path():
              if (lines := _zero_ideal_raises(
                  ast.parse(path.read_text(encoding="utf-8"))))}
     assert not found, found
-    assert invariants.ArtinReesReport.__annotations__["rt_bound"] == "int"
+    report = invariants.ArtinReesReport
+    assert "rt_bound" in report.__slots__
+    assert report.__init__.__annotations__["rt_bound"] == "int"
     # the guard sees the form it forbids, and lets the zero polynomial by
     for bad in ('raise PolyError("colon by the zero ideal")',
                 'raise PolyError(f"needs a nonzero ideal, got {I}")'):
@@ -148,7 +153,7 @@ def test_groebner_has_one_reduction_kernel_and_no_chain_criterion():
     tree = ast.parse((PACKAGE / "groebner.py").read_text(encoding="utf-8"))
     assert _reduction_kernels(tree) == ["_reduce_terms"]
     assert _pair_criterion_names(tree) == []
-    assert "chain" not in groebner.Stats.__dataclass_fields__
+    assert "chain" not in groebner.Stats.__slots__
     # the guards see the forms they forbid
     copy = ("def top(work, g):\n    while work:\n"
             "        a = math.gcd(work[0], g)\n")
@@ -312,3 +317,140 @@ def test_import_compiles_no_kernel():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.split() == ["0", "0"]
+
+
+def test_import_loads_no_dataclass_machinery():
+    # the records are plain classes, so a process that imports the
+    # package and its CLI loads none of the modules dataclasses needs;
+    # compared with what the interpreter had loaded before the import
+    code = ("import sys; before = set(sys.modules); import reeskit, "
+            "reeskit.cli; print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    added = set(out.stdout.split())
+    assert "reeskit.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis"}, sorted(added)
+
+
+def _record_cases():
+    """Record name -> (class, whether it was frozen, two argument lists
+    ``(args, kwargs)``: one as ``src/`` and the tests build it, and one
+    that differs from it in one field)."""
+    ctx = RingCtx("x,y")
+    x, y = ctx.var("x"), ctx.var("y")
+    pres = rees_kernel(Ideal(ctx, [x, y]))
+    shape = (pres.ideal, pres.ext_ctx, pres.tvars, pres.kernel)
+    out = invariants.SearchOutcome(2, "rn_(x)((x,y)) = 1")
+    seen = corpus.Expectation("rn", 1, "trivial: demo", 1)
+    report = dict(rn=out, d_sequence_ok=True, regular_sequence_ok=True,
+                  intersection_ok=True, intersection_failures=[])
+    return {
+        "Stats": (groebner.Stats, False, ((), {}), ((), {"runs": 1})),
+        "GroebnerBasis": (groebner.GroebnerBasis, True,
+                          ((ctx, (x, y)), {}), ((ctx, (x,)), {})),
+        "ReesPresentation": (rees.ReesPresentation, True,
+                             (shape + (0,), {}), (shape + (1,), {})),
+        "SearchOutcome": (invariants.SearchOutcome, True,
+                          ((2, out.witness), {}),
+                          ((None, "not integral"), {})),
+        "ArtinReesReport": (invariants.ArtinReesReport, True,
+                            ((out, 1), {}), ((out, 2), {})),
+        "DSequenceReductionReport": (
+            invariants.DSequenceReductionReport, False,
+            ((), report), ((), {**report, "intersection_ok": False})),
+        "Expectation": (corpus.Expectation, True,
+                        (("rn", 1, "trivial: demo", 1), {}),
+                        (("rn", 1, "trivial: demo", 2),
+                         {"divergence_ok": True})),
+        "ExampleReport": (corpus.ExampleReport, False,
+                          (("demo", 1, [seen]), {}),
+                          (("demo", 2, [seen]), {})),
+        "CorpusEntry": (corpus.CorpusEntry, True,
+                        (("demo", 1, 2, "a demo", len), {}),
+                        (("demo", 1, 3, "a demo", len), {})),
+    }
+
+
+RECORDS = ("Stats", "GroebnerBasis", "ReesPresentation", "SearchOutcome",
+           "ArtinReesReport", "DSequenceReductionReport", "Expectation",
+           "ExampleReport", "CorpusEntry")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_keep_their_dataclass_behaviour(name):
+    cases = _record_cases()
+    assert sorted(cases) == sorted(RECORDS)
+    cls, frozen, (args, kwargs), (other_args, other_kwargs) = cases[name]
+    a, b = cls(*args, **kwargs), cls(*args, **kwargs)
+    other = cls(*other_args, **other_kwargs)
+    assert type(a).__name__ == name and not hasattr(a, "__dict__")
+    # equal only to a record of its own class with equal fields
+    assert a == b and not a != b
+    assert a != other and not a == other
+    values = tuple(getattr(a, field) for field in cls.__slots__)
+    assert a != values and a != list(values) and a != object()
+    twin = type(name, (cls,), {})(*args, **kwargs)  # same fields
+    assert a != twin and twin != a
+    if not frozen:
+        assert type(a).__hash__ is None
+        return
+    try:
+        hash(a._values())
+    except TypeError:  # a field does not hash (an Ideal): nor does the record
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+def test_record_forms_that_a_dataclass_gave():
+    Stats = groebner.Stats
+    assert repr(Stats(calls=2)) == (
+        "Stats(calls=2, runs=0, pairs=0, coprime=0, syzygy=0, covered=0, "
+        "zero=0, interreduced=0, presentations=0, normal_forms=0)")
+    with pytest.raises(TypeError):
+        Stats(bogus=1)
+    out = invariants.SearchOutcome
+    assert (str(out(3, "w")), repr(out(3, "w"))) == ("3", "resolved(3)")
+    assert str(out(None, "not integral")) == "none(not integral)"
+    assert out(3, "w") != (3, "w") and len({out(3, "w"), out(3, "w")}) == 1
+    with pytest.raises(ValueError, match="provenance"):
+        corpus.Expectation("rn", 1, "just trust me", 1)
+    d = invariants.DSequenceReductionReport
+    first, second = (d(out(1, "w"), True, True, True) for _ in range(2))
+    assert first.intersection_failures == [] and (
+        first.intersection_failures is not second.intersection_failures)
+    assert (first.rt, first.reg, first.rt_bound_ok) == (None, None, None)
+
+
+def test_presentation_copies_share_their_rn_reads():
+    rees._present.cache_clear()  # no reads held from an earlier test
+    ctx = RingCtx("x,y")
+    x, y = ctx.var("x"), ctx.var("y")
+    I = Ideal(ctx, [x, y])
+    held = rees_kernel(I)
+    assert rees_kernel(I) is held and held.nfirst == 0
+    copy = rees_kernel(I, [x])
+    assert copy.nfirst == 1 and copy.kernel is held.kernel
+    assert copy.rn is held.rn
+    # (x) is no reduction of (x, y): rn is None, read once for both
+    assert rees.reduction_degree(copy) is None and held.rn == {1: None}
+    # rn is a cache of reads: it neither compares nor prints
+    fresh = rees.ReesPresentation(held.ideal, held.ext_ctx, held.tvars,
+                                  held.kernel, 1)
+    assert fresh == copy and fresh.rn == {} and "rn=" not in repr(copy)
+
+
+def test_a_basis_built_under_self_check_runs_it(monkeypatch):
+    ctx = RingCtx("x,y")
+    x, y = ctx.var("x"), ctx.var("y")
+    # monic and auto-reduced, but S(x^2 + y, xy) = y^2 does not reduce to 0
+    elements = (x ** 2 + y, x * y)
+    assert groebner.GroebnerBasis(ctx, elements).elements == elements
+    monkeypatch.setattr(groebner, "SELF_CHECK", True)
+    with pytest.raises(PolyError, match="self-check failed"):
+        groebner.GroebnerBasis(ctx, elements)
+    with pytest.raises(PolyError, match="not auto-reduced"):
+        groebner.GroebnerBasis(ctx, (x + y, y))
+    assert groebner.GroebnerBasis(ctx, (x, y)).elements == (x, y)
